@@ -18,11 +18,13 @@ against the explicit envelope 2N 2^(-(r v n) gamma) / (1 - 2^(-gamma)).
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,6 +46,7 @@ __all__ = [
     "boundary_distance",
     "contains",
     "badness_scan",
+    "collar_witness",
     "is_n_bad",
     "is_cube_bad_for",
     "bad_probability_mc",
@@ -99,7 +102,16 @@ def theta(j: int, params: DyadicParams) -> int:
 
 @dataclass(frozen=True)
 class DyadicSystem:
-    """A shifted dyadic lattice over the scale window [k_min, s]."""
+    """A shifted dyadic lattice over the scale window [k_min, s].
+
+    The cumulative shifts x_k are computed once, at construction, into a
+    read-only table with one row per scale in [k_min, s].  Row k is
+    accumulated digit by digit in increasing j, the order of the digit sum
+    itself, so it is that sum bit for bit.  Each entry is a sum of distinct
+    powers 2^j with k_min <= j < s: a dyadic number that float64 holds
+    exactly while the window spans at most 53 scales (the default windows
+    span about twenty).
+    """
 
     dimension: int
     k_min: int
@@ -112,24 +124,36 @@ class DyadicSystem:
             raise ValueError("window is empty")
         if len(self.betas) != self.s - self.k_min:
             raise ValueError("need one shift vector per scale in [k_min, s)")
+        table = np.zeros((self.s - self.k_min + 1, self.dimension))
+        for i, beta in enumerate(self.betas):
+            table[i + 1] = table[i] + np.asarray(beta, dtype=float) * (2.0 ** (self.k_min + i))
+        table.flags.writeable = False
+        # not dataclass fields: equality and hashing stay on the shift digits
+        object.__setattr__(self, "_shift_table", table)
+        object.__setattr__(self, "_shift_rows", tuple(map(tuple, table.tolist())))
 
     @property
     def scales(self) -> range:
         return range(self.k_min, self.s + 1)
 
-    def shift(self, k: int) -> np.ndarray:
-        """Cumulative shift x_k = sum_{k_min <= j < k} beta_j 2^j."""
-        if k < self.k_min:
-            return np.zeros(self.dimension)
-        out = np.zeros(self.dimension)
-        for j in range(self.k_min, min(k, self.s)):
-            out += np.asarray(self.betas[j - self.k_min], dtype=float) * (2.0 ** j)
-        return out
+    def _row(self, k: int) -> int:
+        return min(max(k, self.k_min), self.s) - self.k_min
 
-    def beta(self, j: int) -> np.ndarray:
+    def shift(self, k: int) -> np.ndarray:
+        """Cumulative shift x_k = sum_{k_min <= j < k} beta_j 2^j, read-only.
+
+        Zero below the window; above it, the shift of the top scale s.
+        """
+        return self._shift_table[self._row(k)]
+
+    def _shift_floats(self, k: int) -> Tuple[float, ...]:
+        return self._shift_rows[self._row(k)]
+
+    def beta(self, j: int) -> Tuple[int, ...]:
+        """The shift digits of scale j; zeros outside [k_min, s)."""
         if j < self.k_min or j >= self.s:
-            return np.zeros(self.dimension, dtype=int)
-        return np.asarray(self.betas[j - self.k_min], dtype=int)
+            return (0,) * self.dimension
+        return self.betas[j - self.k_min]
 
     # -- cube accessors --------------------------------------------------
     def cube(self, k: int, index: Iterable[int]) -> "Cube":
@@ -160,14 +184,18 @@ class Cube:
     def side(self) -> float:
         return 2.0 ** self.scale
 
+    @cached_property
+    def bounds(self) -> Tuple[Tuple[float, float], ...]:
+        """Per-axis (lower, upper) as Python floats: shift + 2^k m and + 2^k."""
+        return _bounds(self.system._shift_floats(self.scale), self.side, self.index)
+
     @property
     def lower(self) -> np.ndarray:
-        m = np.asarray(self.index, dtype=float)
-        return self.system.shift(self.scale) + self.side * m
+        return np.array([lo for lo, _ in self.bounds])
 
     @property
     def upper(self) -> np.ndarray:
-        return self.lower + self.side
+        return np.array([up for _, up in self.bounds])
 
     @property
     def center(self) -> np.ndarray:
@@ -186,8 +214,8 @@ class Cube:
         if self.scale >= self.system.s:
             raise ValueError("parent would leave the scale window")
         b = self.system.beta(self.scale)
-        m = (np.asarray(self.index, dtype=np.int64) - b) >> 1
-        return Cube(self.system, self.scale + 1, tuple(int(i) for i in m))
+        return Cube(self.system, self.scale + 1,
+                    tuple((m - bi) >> 1 for m, bi in zip(self.index, b)))
 
     def ancestor(self, n: int) -> "Cube":
         """The unique ancestor with side 2^n times this cube's side."""
@@ -200,24 +228,51 @@ class Cube:
         if self.scale <= self.system.k_min:
             raise ValueError("children would leave the scale window")
         b = self.system.beta(self.scale - 1)
-        base = 2 * np.asarray(self.index, dtype=np.int64) + b
-        kids = []
-        for corner in range(2 ** self.system.dimension):
-            off = [(corner >> a) & 1 for a in range(self.system.dimension)]
-            kids.append(Cube(self.system, self.scale - 1,
-                             tuple(int(v) for v in base + np.asarray(off))))
-        return kids
+        base = [2 * m + bi for m, bi in zip(self.index, b)]
+        return [Cube(self.system, self.scale - 1,
+                     tuple(v + ((corner >> a) & 1) for a, v in enumerate(base)))
+                for corner in range(2 ** self.system.dimension)]
 
     def __repr__(self):
         return f"Cube(k={self.scale}, m={self.index})"
 
 
 # -- cube geometry (product sets: everything reduces to per-axis intervals) --
+#
+# The helpers work axis by axis on the Python floats of ``Cube.bounds``.  A
+# bound is a window shift plus an integer multiple of a power of two: a dyadic
+# number, exact in float64, and so is every difference of two bounds.  No
+# step rounds, so each comparison and each returned float is the one an array
+# formula over ``lower``/``upper`` gives, bit for bit.
+
+def _bounds(shift: Sequence[float], side: float,
+            index: Sequence[int]) -> Tuple[Tuple[float, float], ...]:
+    out = []
+    for x, m in zip(shift, index):
+        lo = x + side * m
+        out.append((lo, lo + side))
+    return tuple(out)
+
+
+def _gap(qb, rb) -> float:
+    gap = 0.0
+    for (ql, qu), (rl, ru) in zip(qb, rb):
+        gap = max(gap, ql - ru, rl - qu)
+    return gap
+
+
+def _boundary_gap(qb, rb) -> float:
+    margin = math.inf
+    for (ql, qu), (rl, ru) in zip(qb, rb):
+        if ql < rl or qu > ru:
+            return _gap(qb, rb)
+        margin = min(margin, ql - rl, ru - qu)
+    return margin
+
 
 def set_distance(q: Cube, r: Cube) -> float:
     """Sup-norm distance between the two cubes as point sets."""
-    gaps = np.maximum(q.lower - r.upper, r.lower - q.upper)
-    return float(max(0.0, np.max(gaps)))
+    return _gap(q.bounds, r.bounds)
 
 
 def long_distance(q: Cube, r: Cube) -> float:
@@ -226,7 +281,8 @@ def long_distance(q: Cube, r: Cube) -> float:
 
 
 def contains(outer: Cube, inner: Cube) -> bool:
-    return bool(np.all(inner.lower >= outer.lower) and np.all(inner.upper <= outer.upper))
+    return all(ol <= il and iu <= ou
+               for (il, iu), (ol, ou) in zip(inner.bounds, outer.bounds))
 
 
 def boundary_distance(q: Cube, r: Cube) -> float:
@@ -235,13 +291,7 @@ def boundary_distance(q: Cube, r: Cube) -> float:
     Inside: the smallest face margin.  Outside: the plain set distance (the
     nearest point of R lies on its boundary).  Straddling: zero.
     """
-    if contains(r, q):
-        margins = np.minimum(q.lower - r.lower, r.upper - q.upper)
-        return float(np.min(margins))
-    d = set_distance(q, r)
-    if d > 0.0:
-        return d
-    return 0.0
+    return _boundary_gap(q.bounds, r.bounds)
 
 
 # =============================================================================
@@ -386,26 +436,35 @@ def badness_scan(q: Cube, other: DyadicSystem, n: int, params: DyadicParams) -> 
     the result is flagged as truncated.
     """
     gap = max(n, params.r)
-    j_lo = q.scale + gap
     truncated = other.s - q.scale < gap + 2
-    lq_gamma = q.side ** params.gamma
-    for j in range(j_lo, other.s + 1):
-        thr = lq_gamma * (2.0 ** j) ** (1.0 - params.gamma)
-        for r_cube in _cubes_near(other, j, q.lower, q.upper, thr):
-            if boundary_distance(q, r_cube) <= thr:
-                return BadnessScan(True, truncated, (j, r_cube.index))
+    for j in range(q.scale + gap, other.s + 1):
+        m = collar_witness(q, other, j, params.gamma)
+        if m is not None:
+            return BadnessScan(True, truncated, (j, m))
     return BadnessScan(False, truncated, None)
 
 
-def _cubes_near(system: DyadicSystem, j: int, lower: np.ndarray, upper: np.ndarray,
-                margin: float) -> Iterable[Cube]:
-    lo_idx = np.floor((lower - margin - system.shift(j)) / (2.0 ** j)).astype(np.int64)
-    hi_idx = np.floor((upper + margin - system.shift(j)) / (2.0 ** j)).astype(np.int64)
-    ranges = [range(int(lo_idx[a]), int(hi_idx[a]) + 1) for a in range(system.dimension)]
-    idx = np.stack(np.meshgrid(*[np.asarray(list(r)) for r in ranges], indexing="ij"),
-                   axis=-1).reshape(-1, system.dimension)
-    for m in idx:
-        yield system.cube(j, tuple(int(v) for v in m))
+def collar_witness(q: Cube, other: DyadicSystem, j: int,
+                   gamma: float) -> Optional[Tuple[int, ...]]:
+    """Index of the first scale-j cube R of the other system with
+    dist(Q, bd R) <= l(Q)^gamma l(R)^(1-gamma), or None.
+
+    Only the cubes meeting Q's bounding box grown by the threshold can
+    qualify; they are tried in lexicographic index order.  The threshold is
+    not dyadic, but it and the index range are the same float operations in
+    the same order on every path, so every scan finds the same witness.
+    """
+    period = 2.0 ** j
+    thr = q.side ** gamma * period ** (1.0 - gamma)
+    qb = q.bounds
+    shift = other._shift_floats(j)
+    ranges = [range(math.floor((ql - thr - x) / period),
+                    math.floor((qu + thr - x) / period) + 1)
+              for (ql, qu), x in zip(qb, shift)]
+    for m in itertools.product(*ranges):
+        if _boundary_gap(qb, _bounds(shift, period, m)) <= thr:
+            return m
+    return None
 
 
 def is_n_bad(q: Cube, other: DyadicSystem, n: int, params: DyadicParams) -> bool:
@@ -439,6 +498,12 @@ def bad_probability_mc(dimension: int, q_scale: int, n: int, params: DyadicParam
     of Q inside its cell, which is computed in closed form, so no cubes are
     enumerated.  Scales are scanned from the badness gap up to a tail cutoff
     whose contribution is far below the Monte-Carlo standard error.
+
+    The scan stops as soon as every trial is bad: badness only accumulates,
+    so the estimate is then exactly 1.0 whatever the remaining scales hold,
+    and the generator is local to the call, so skipping its remaining draws
+    changes nothing observable.  The draws that are made keep their shapes
+    and order.
     """
     if trials < 1000:
         raise ValueError("need at least 1e3 trials")
@@ -450,19 +515,34 @@ def bad_probability_mc(dimension: int, q_scale: int, n: int, params: DyadicParam
     # low-order digits below the scanned scales act as one shared uniform
     # offset; binary digits build the nested shifts scale by scale
     base = q_scale
-    offset = rng.uniform(0.0, 2.0 ** base, size=(trials, dimension))
+    shift = rng.uniform(0.0, 2.0 ** base, size=(trials, dimension))
     bad = np.zeros(trials, dtype=bool)
-    shift = offset.copy()
+    pos = np.empty_like(shift)
+    margin = np.empty_like(shift)
+    flags = np.empty(shift.shape, dtype=bool)
     for j in range(base, q_scale + gap + extra_scales + 1):
         if j >= q_scale + gap:
             period = 2.0 ** j
             thr = side ** params.gamma * period ** (1.0 - params.gamma)
-            pos = (-shift) % period
-            straddle = pos + side > period
-            margin = np.minimum(pos, period - pos - side)
-            margin = np.where(straddle, 0.0, margin)
-            bad |= np.any(margin <= thr, axis=1)
-        shift = shift + rng.integers(0, 2, size=(trials, dimension)) * (2.0 ** j)
+            # pos = (-shift) % period: shift >= 0, so by the definition of the
+            # floored modulo it is period - fmod(shift, period) with an exact
+            # fmod, bit for bit; only where that fmod is 0 is it period, not
+            # 0, and both put Q on a cell face, so the margin is 0 either way
+            np.fmod(shift, period, out=pos)
+            np.subtract(period, pos, out=pos)
+            # margin = min(pos, period - pos - side), zero where Q straddles
+            np.subtract(period, pos, out=margin)
+            margin -= side
+            np.minimum(pos, margin, out=margin)
+            np.add(pos, side, out=pos)
+            np.greater(pos, period, out=flags)
+            np.copyto(margin, 0.0, where=flags)
+            np.less_equal(margin, thr, out=flags)
+            for axis in range(dimension):
+                bad |= flags[:, axis]
+            if bad.all():
+                break
+        shift += rng.integers(0, 2, size=(trials, dimension)) * (2.0 ** j)
     p_hat = float(np.mean(bad))
     stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 1e-30) / trials)
     return p_hat, stderr

@@ -119,6 +119,9 @@ class ExperimentConfig:
         unknown = set(self.suites) - set(ALL_SUITES)
         if unknown:
             raise ValueError(f"unknown suites: {sorted(unknown)}")
+        if self.kernel == "hilbert" and self.dimension != 1:
+            raise ValueError(f"the hilbert kernel is defined in dimension 1 only, not "
+                             f"{self.dimension}; use kernel 'riesz' or 'dipole'")
 
     @property
     def q(self) -> float:
@@ -179,7 +182,7 @@ class CheckRow:
     value: float
     bound: Optional[float] = None
     stderr: float = 0.0
-    runtime_s: float = 0.0    # excluded from the canonical report bytes
+    runtime_s: float = 0.0    # own timer, 0 if none; not in the canonical bytes
 
     def canonical(self) -> dict:
         return {"suite": self.suite, "name": self.name, "anchor": self.anchor,
@@ -204,6 +207,7 @@ class SuiteReport:
     seed: int
     checks: List[CheckRow] = field(default_factory=list)
     tables: Dict[str, List[dict]] = field(default_factory=dict)
+    suite_s: Dict[str, float] = field(default_factory=dict)   # not canonical
 
     @property
     def passed(self) -> bool:
@@ -279,7 +283,7 @@ class _Runner:
     # ------------------------------------------------------------------
     def run(self) -> SuiteReport:
         for suite in self.cfg.suites:
-            start = time.time()
+            start = time.perf_counter()
             try:
                 getattr(self, f"suite_{suite}")()
             except Exception as exc:   # hard module errors become failed rows
@@ -287,10 +291,7 @@ class _Runner:
                          math.nan)
                 self.report.tables.setdefault("hard_errors", []).append(
                     {"suite": suite, "error": f"{type(exc).__name__}: {exc}"})
-            elapsed = time.time() - start
-            for row in self.report.checks:
-                if row.suite == suite and row.runtime_s == 0.0:
-                    row.runtime_s = elapsed
+            self.report.suite_s[suite] = time.perf_counter() - start
         return self.report
 
     # ------------------------------------------------------------------
@@ -487,7 +488,7 @@ class _Runner:
             except ValueError:
                 continue
             for n in (r, r + 8):
-                t0 = time.time()
+                t0 = time.perf_counter()
                 p_hat, se = gr.bad_probability_mc(
                     cfg.dimension, 0, n, params, trials,
                     derive_seed(cfg.seed, f"badmc:{gamma}:{r}:{n}"))
@@ -495,7 +496,7 @@ class _Runner:
                 self.add("badcubes", f"prob-g{gamma}-r{r}-n{n}",
                          "badcubes.probability-envelope",
                          p_hat <= bound + 3.0 * se, p_hat, bound, se,
-                         runtime_s=time.time() - t0)
+                         runtime_s=time.perf_counter() - t0)
 
     # ------------------------------------------------------------------
     def suite_sqfn(self):
@@ -675,12 +676,12 @@ class _Runner:
                  val["passed"], max(val["size_ratio"], val["smooth_ratio"]), 1.0)
 
         pairf = self.pair(grids="standard")
-        t0 = time.time()
+        t0 = time.perf_counter()
         dec = czop.decay_bound_check(op, pairf.ctx_f, pairf.ctx_g, pairf.params,
                                      collect_rows=True)
         self.add("matrix", "decay-bounds", "matrix.decay-bounds",
                  dec.passed, float(len(dec.failures)), 0.0,
-                 runtime_s=time.time() - t0)
+                 runtime_s=time.perf_counter() - t0)
         self.add("matrix", "decay-coverage", "matrix.decay-coverage",
                  dec.checked > 0, float(dec.checked), None)
         self.report.tables["decay_pairs"] = dec.rows
@@ -941,13 +942,26 @@ def run_suite(config: ExperimentConfig) -> SuiteReport:
 
 def emit_report(report: SuiteReport, out_dir, formats: Sequence[str] = ("json", "csv")
                 ) -> List[Path]:
-    """Write the canonical JSON report and CSV tables; re-emission is idempotent."""
+    """Write the canonical JSON report and CSV tables; re-emission is idempotent.
+
+    Wall times go to ``timings.json`` beside ``report.json``, in seconds: each
+    suite's, and each check row's that has its own timer.  They vary from run
+    to run, so they stay out of the canonical report bytes.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: List[Path] = []
     if "json" in formats:
         path = out / "report.json"
         path.write_text(report.canonical_json(), encoding="utf-8")
+        written.append(path)
+        path = out / "timings.json"
+        checks = sorted(report.checks, key=lambda c: (c.suite, c.name))
+        path.write_text(json.dumps({
+            "suite_s": report.suite_s,
+            "check_s": {f"{c.suite}/{c.name}": c.runtime_s for c in checks
+                        if c.runtime_s > 0.0},
+        }, indent=1) + "\n", encoding="utf-8")
         written.append(path)
     if "csv" in formats:
         path = out / "checks.csv"

@@ -30,9 +30,8 @@ import numpy as np
 
 from dyadlab._seeds import rng_for
 from dyadlab.accretive import AccretiveSystem
-from dyadlab.grid import (Cube, DyadicParams, DyadicSystem, GridIndex, _cubes_near,
-                          badness_scan, boundary_distance, contains, long_distance,
-                          set_distance)
+from dyadlab.grid import (Cube, DyadicParams, DyadicSystem, GridIndex, collar_witness,
+                          contains, long_distance, set_distance)
 from dyadlab.martingale import (MartingaleContext, adapted_diff, adapted_diff_adjoint,
                                 adapted_diff_local, adapted_expectation, omega_local,
                                 phi)
@@ -258,25 +257,20 @@ class PairClassifier:
 
     def __init__(self, params: DyadicParams):
         self.params = params
-        self._profiles: Dict[Tuple[int, int, Tuple[int, ...]], Optional[int]] = {}
+        self._profiles: Dict[Tuple[DyadicSystem, int, Tuple[int, ...]], Optional[int]] = {}
 
     def _profile(self, q: Cube, other: DyadicSystem) -> Optional[int]:
-        key = (id(other), q.scale, q.index)
+        key = (other, q.scale, q.index)
         if key not in self._profiles:
             self._profiles[key] = self._scan(q, other)
         return self._profiles[key]
 
     def _scan(self, q: Cube, other: DyadicSystem) -> Optional[int]:
-        best = None
-        gamma = self.params.gamma
-        lq_g = q.side ** gamma
-        for j in range(q.scale + self.params.r, other.s + 1):
-            thr = lq_g * (2.0 ** j) ** (1.0 - gamma)
-            for r_cube in _cubes_near(other, j, q.lower, q.upper, thr):
-                if boundary_distance(q, r_cube) <= thr:
-                    best = j
-                    break
-        return best
+        """The largest witness scale j >= scale(Q) + r, or None: scanned downward."""
+        for j in range(other.s, q.scale + self.params.r - 1, -1):
+            if collar_witness(q, other, j, self.params.gamma) is not None:
+                return j
+        return None
 
     def is_bad(self, q: Cube, r: Cube) -> bool:
         n = r.scale - q.scale - 1

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dyadlab._seeds import rng_for
 from dyadlab.measure import AtomicMeasure, generate_random_measure
 from dyadlab.grid import (Cube, DyadicParams, DyadicSystem, bad_probability_bound,
                           bad_probability_mc, badness_scan, boundary_distance,
@@ -261,6 +263,94 @@ def test_window_truncation_flagged():
     assert badness_scan(q, other, 4, p).truncated
 
 
+# -- the pre-table geometry, kept as the bit-for-bit reference ----------------
+
+def _ref_shift(system, k):
+    out = np.zeros(system.dimension)
+    for j in range(system.k_min, min(k, system.s)):
+        out += np.asarray(system.betas[j - system.k_min], dtype=float) * (2.0 ** j)
+    return out
+
+
+def _ref_lower(c):
+    return _ref_shift(c.system, c.scale) + c.side * np.asarray(c.index, dtype=float)
+
+
+def _ref_upper(c):
+    return _ref_lower(c) + c.side
+
+
+def _ref_set_distance(q, r):
+    gaps = np.maximum(_ref_lower(q) - _ref_upper(r), _ref_lower(r) - _ref_upper(q))
+    return float(max(0.0, np.max(gaps)))
+
+
+def _ref_contains(outer, inner):
+    return bool(np.all(_ref_lower(inner) >= _ref_lower(outer))
+                and np.all(_ref_upper(inner) <= _ref_upper(outer)))
+
+
+def _ref_boundary_distance(q, r):
+    if _ref_contains(r, q):
+        margins = np.minimum(_ref_lower(q) - _ref_lower(r), _ref_upper(r) - _ref_upper(q))
+        return float(np.min(margins))
+    d = _ref_set_distance(q, r)
+    return d if d > 0.0 else 0.0
+
+
+@st.composite
+def random_systems(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    k_min = draw(st.integers(-12, 0))
+    s = k_min + draw(st.integers(1, 14))
+    betas = tuple(tuple(draw(st.lists(st.integers(0, 1), min_size=dim, max_size=dim)))
+                  for _ in range(k_min, s))
+    return DyadicSystem(dim, k_min, s, betas, tuple([0] * dim))
+
+
+@st.composite
+def cube_pairs(draw):
+    """A cube R and a cube Q of another system at or below R's scale, near R."""
+    a = draw(random_systems())
+    betas = tuple(tuple(draw(st.lists(st.integers(0, 1), min_size=a.dimension,
+                                      max_size=a.dimension)))
+                  for _ in range(a.k_min, a.s))
+    b = DyadicSystem(a.dimension, a.k_min, a.s, betas, a.top_index)
+    kr = draw(st.integers(a.k_min, a.s))
+    kq = draw(st.integers(a.k_min, kr))
+    r = a.cube(kr, draw(st.lists(st.integers(-3, 3), min_size=a.dimension,
+                                 max_size=a.dimension)))
+    # place Q around R: inside it, on its faces or just outside
+    units = draw(st.lists(st.integers(-2 ** (kr - kq), 2 ** (kr - kq + 1)),
+                          min_size=a.dimension, max_size=a.dimension))
+    point = r.lower + np.asarray(units, dtype=float) * 2.0 ** kq
+    return b.cube_containing(point, kq), r
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_systems())
+def test_shift_table_matches_digit_sum(system):
+    for k in range(system.k_min - 2, system.s + 3):
+        row = system.shift(k)
+        assert np.array_equal(row, _ref_shift(system, k))
+        assert not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[0] = 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(cube_pairs())
+def test_float_geometry_matches_array_formulas(pair):
+    q, r = pair
+    for a, b in ((q, r), (r, q)):
+        assert np.array_equal(a.lower, _ref_lower(a))
+        assert np.array_equal(a.upper, _ref_upper(a))
+        assert set_distance(a, b) == _ref_set_distance(a, b)
+        assert contains(a, b) == _ref_contains(a, b)
+        assert boundary_distance(a, b) == _ref_boundary_distance(a, b)
+        assert long_distance(a, b) == a.side + _ref_set_distance(a, b) + b.side
+
+
 def test_bad_probability_under_bound():
     p = DyadicParams(gamma=0.3, r=8, alpha=1.0, d=0.25)
     p_hat, se = bad_probability_mc(1, 0, 8, p, trials=20_000, seed=3)
@@ -281,6 +371,41 @@ def test_bad_probability_vacuous_regime_sanity():
     p_hat, se = bad_probability_mc(1, 0, 0, p, trials=2_000, seed=5)
     bound = bad_probability_bound(1, 0, p)
     assert bound > 1.0 and p_hat <= bound + 3.0 * se
+
+
+def _ref_bad_probability_mc(dimension, q_scale, n, params, trials, seed):
+    """The pre-early-exit kernel: every scale scanned, fresh arrays per scale."""
+    rng = rng_for(seed, f"badmc:{dimension}:{q_scale}:{n}")
+    gap = max(n, params.r)
+    extra_scales = max(12, math.ceil(16.0 / params.gamma))
+    side = 2.0 ** q_scale
+    offset = rng.uniform(0.0, 2.0 ** q_scale, size=(trials, dimension))
+    bad = np.zeros(trials, dtype=bool)
+    shift = offset.copy()
+    for j in range(q_scale, q_scale + gap + extra_scales + 1):
+        if j >= q_scale + gap:
+            period = 2.0 ** j
+            thr = side ** params.gamma * period ** (1.0 - params.gamma)
+            pos = (-shift) % period
+            straddle = pos + side > period
+            margin = np.minimum(pos, period - pos - side)
+            margin = np.where(straddle, 0.0, margin)
+            bad |= np.any(margin <= thr, axis=1)
+        shift = shift + rng.integers(0, 2, size=(trials, dimension)) * (2.0 ** j)
+    p_hat = float(np.mean(bad))
+    stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 1e-30) / trials)
+    return p_hat, stderr
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("gamma,r,n", [(0.1, 4, 4), (0.3, 8, 8), (0.4, 4, 12)])
+def test_bad_probability_matches_reference_kernel(dimension, gamma, r, n):
+    p = DyadicParams(gamma=gamma, r=r, alpha=1.0, d=0.25)
+    for seed in (1, 2):
+        got = bad_probability_mc(dimension, 0, n, p, trials=2_000, seed=seed)
+        assert got == _ref_bad_probability_mc(dimension, 0, n, p, 2_000, seed)
+    if gamma == 0.1:
+        assert got[0] == 1.0      # the early exit is taken
 
 
 def test_bad_probability_reproducible():

@@ -27,6 +27,17 @@ def test_config_validates_shift_geometry():
         ExperimentConfig(suites=("bogus",))
 
 
+def test_hilbert_kernel_needs_dimension_one():
+    with pytest.raises(ValueError, match="hilbert kernel is defined in dimension 1"):
+        ExperimentConfig(dimension=2)
+    with pytest.raises(ValueError, match="hilbert"):
+        ExperimentConfig.from_json(ExperimentConfig(dimension=2, kernel="riesz")
+                                   .to_json().replace('"riesz"', '"hilbert"'))
+    # the check adds no config field: the serialized config and its hash stay put
+    assert ExperimentConfig().config_hash() == "f856377095f8f345"
+    assert ExperimentConfig(dimension=2, kernel="riesz").config_hash() == "60a6802f33cf7575"
+
+
 def test_config_roundtrip_and_hash():
     cfg = fast_config()
     back = ExperimentConfig.from_json(cfg.to_json())
@@ -51,6 +62,23 @@ def test_emit_idempotent(tmp_path):
     assert (tmp_path / "report.json").read_bytes() == first
     rows = (tmp_path / "checks.csv").read_text().strip().splitlines()
     assert len(rows) == len(report.checks) + 1
+
+
+def test_timings_beside_canonical_report(tmp_path):
+    suites = FAST + ("badcubes",)
+    first, second = (run_suite(fast_config(suites=suites)) for _ in range(2))
+    emit_report(first, tmp_path / "a")
+    emit_report(second, tmp_path / "b")
+    for name in ("report.json", "checks.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    assert (tmp_path / "a" / "report.json").read_text() == first.canonical_json()
+    timings = json.loads((tmp_path / "a" / "timings.json").read_text())
+    assert set(timings["suite_s"]) == set(suites)
+    assert all(t > 0.0 for t in timings["suite_s"].values())
+    # only the badcubes rows carry their own timer in these suites
+    timed = {f"{c.suite}/{c.name}" for c in first.checks if c.suite == "badcubes"}
+    assert set(timings["check_s"]) == timed and timed
+    assert sum(timings["check_s"].values()) <= timings["suite_s"]["badcubes"]
 
 
 def test_report_carries_anchors():

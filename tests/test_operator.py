@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from dyadlab.measure import AtomicMeasure, pair
-from dyadlab.grid import DyadicParams, contains, locate, set_distance, standard_system
+from dyadlab.grid import (DyadicParams, contains, dumps_system, is_n_bad, loads_system,
+                          locate, set_distance, standard_system)
 from dyadlab.accretive import build_layers, generate_accretive
 from dyadlab.fixtures import battery_measure, battery_params, build_fixture_pair
 from dyadlab.martingale import MartingaleContext, adapted_diff_local
@@ -187,6 +188,40 @@ def test_child_containment_for_deep_good_pairs():
                         assert len(hosts) == 1
                         found += 1
     assert found > 0
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_classifier_badness_agrees_with_badness_scan(dim):
+    # the memoized downward profile scan and the upward n-bad scan share one
+    # witness helper; they must agree on every pair of the fixture
+    mu = battery_measure(5, dim, 24)
+    pairf = build_fixture_pair(5, mu, battery_params(3), 0.5, grids="random")
+    classifier = PairClassifier(pairf.params)
+    verdicts = set()
+    for k in pairf.ctx_f.diff_scales:
+        for q in pairf.index_f.occupied(k):
+            for j in pairf.ctx_g.diff_scales:
+                for rc in pairf.index_g.occupied(j):
+                    if q.side <= rc.side:
+                        bad = classifier.is_bad(q, rc)
+                        assert bad == is_n_bad(q, rc.system, rc.scale - q.scale - 1,
+                                               pairf.params)
+                        verdicts.add(bad)
+    assert verdicts == {True, False}
+
+
+def test_classifier_memo_keyed_on_system_value():
+    pairf = small_pair(r=3)
+    classifier = PairClassifier(pairf.params)
+    other = pairf.index_g.system
+    twin = loads_system(dumps_system(other))      # equal value, distinct object
+    assert twin == other and twin is not other
+    q = pairf.index_f.occupied(pairf.ctx_f.diff_scales[0])[0]
+    rc = other.top_cube()
+    first = classifier.is_bad(q, rc)
+    memo = len(classifier._profiles)
+    assert classifier.is_bad(q, twin.top_cube()) == first
+    assert len(classifier._profiles) == memo
 
 
 # =============================================================================
