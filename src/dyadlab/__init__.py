@@ -9,8 +9,8 @@ verifies the identities and quantitative estimates of that machinery at desk
 scale.
 """
 
-from dyadlab.measure import (AtomicMeasure, DiscreteFunction, LatticeSpace,
-                             ball_mass, generate_random_measure, growth_check)
+from dyadlab.measure import (AtomicMeasure, LatticeSpace, ball_mass,
+                             generate_random_measure, growth_check)
 from dyadlab.grid import (Cube, DyadicParams, DyadicSystem, build_random_system,
                           locate, long_distance, standard_system, theta)
 from dyadlab.accretive import (AccretiveSystem, Layers, build_layers,

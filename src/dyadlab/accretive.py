@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -101,22 +101,6 @@ class Layers:
     @property
     def depth(self) -> int:
         return len(self.generations) - 1
-
-    def generation_of(self, key: CubeKey) -> Optional[int]:
-        for j, gen in enumerate(self.generations):
-            if key in gen:
-                return j
-        return None
-
-    def is_layer_cube(self, key: CubeKey) -> bool:
-        return key in self._layer_set()
-
-    def _layer_set(self):
-        cached = getattr(self, "_cached_layer_set", None)
-        if cached is None:
-            cached = {k for gen in self.generations for k in gen}
-            object.__setattr__(self, "_cached_layer_set", cached)
-        return cached
 
 
 @dataclass
@@ -258,12 +242,11 @@ def layer_decay_report(layers: Layers, mu: AtomicMeasure, index: GridIndex) -> d
 
     For every layer cube Q in generation M and every j >= 1, the total mass
     of generation M+j cubes strictly inside Q must not exceed
-    (1 + delta)^(-j) mu(Q); entries record the observed ratio and that bound.
+    (1 + delta)^(-j) mu(Q).  Each row records the observed ratio;
+    :func:`check_layer_decay` holds it against that bound.
     """
     system = index.system
     rows = []
-    worst_excess = -math.inf
-    tau = None
     for m_gen, gen in enumerate(layers.generations):
         for key in gen:
             q = system.cube(*key)
@@ -279,8 +262,7 @@ def layer_decay_report(layers: Layers, mu: AtomicMeasure, index: GridIndex) -> d
                         total += index.mass_of(s_cube)
                 ratio = total / mass_q
                 rows.append({"layer": m_gen, "cube": key, "j": j, "ratio": ratio})
-                worst_excess = max(worst_excess, ratio - 0.0)
-    return {"rows": rows, "tau": tau, "worst_ratio": worst_excess}
+    return {"rows": rows}
 
 
 def check_layer_decay(layers: Layers, delta: float, mu: AtomicMeasure,

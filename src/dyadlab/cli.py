@@ -11,11 +11,9 @@ import sys
 from pathlib import Path
 
 from dyadlab import accretive as acc
-from dyadlab import fixtures as fx
 from dyadlab import grid as gr
 from dyadlab import measure as ms
-from dyadlab._seeds import derive_seed
-from dyadlab.harness import ALL_SUITES, ExperimentConfig, emit_report, run_suite
+from dyadlab.harness import ALL_SUITES, ExperimentConfig, _Runner, emit_report, run_suite
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -34,32 +32,24 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def cmd_gen(args) -> int:
+    """Write the measure, grids and accretive systems that ``run`` builds.
+
+    The fixtures are the random-grid pair of the suites that use random
+    grids, built through the same runner, so ``loads_system`` of
+    ``system_f.json`` is the grid of that run's first context.
+    """
     cfg = _load_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    seed = derive_seed(cfg.seed, "measure")
-    if cfg.measure_profile == "battery":
-        mu = fx.battery_measure(seed, cfg.dimension, cfg.atom_count,
-                                d=cfg.growth_exponent)
-    else:
-        mu = ms.generate_random_measure(seed, cfg.dimension, cfg.growth_exponent,
-                                        cfg.atom_count, cfg.measure_profile)
-    ms.save_measure(mu, out / "measure.json")
-    params = cfg.params()
-    sys_f = gr.build_random_system(derive_seed(cfg.seed, "grid:f") % 2 ** 31,
-                                   mu, params, window=cfg.window)
-    sys_g = gr.build_random_system(derive_seed(cfg.seed, "grid:g") % 2 ** 31,
-                                   mu, params, window=cfg.window)
-    (out / "system_f.json").write_text(gr.dumps_system(sys_f), encoding="utf-8")
-    (out / "system_g.json").write_text(gr.dumps_system(sys_g), encoding="utf-8")
-    for tag, system in (("f", sys_f), ("g", sys_g)):
-        index = gr.locate(mu, system)
-        sys_b = acc.generate_accretive(derive_seed(cfg.seed, f"accr:{tag}") % 2 ** 31,
-                                       mu, index, cfg.delta, cfg.accretive_style)
-        (out / f"accretive_{tag}.json").write_text(acc.dumps_accretive(sys_b),
+    pairf = _Runner(cfg).pair(grids="random")
+    ms.save_measure(pairf.measure, out / "measure.json")
+    for tag, ctx in (("f", pairf.ctx_f), ("g", pairf.ctx_g)):
+        (out / f"system_{tag}.json").write_text(gr.dumps_system(ctx.system),
+                                                encoding="utf-8")
+        (out / f"accretive_{tag}.json").write_text(acc.dumps_accretive(ctx.accretive),
                                                    encoding="utf-8")
     (out / "config.json").write_text(cfg.to_json(), encoding="utf-8")
-    print(f"wrote fixtures for {mu.atom_count} atoms to {out}")
+    print(f"wrote fixtures for {pairf.measure.atom_count} atoms to {out}")
     return 0
 
 

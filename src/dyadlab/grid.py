@@ -48,7 +48,6 @@ __all__ = [
     "badness_scan",
     "collar_witness",
     "is_n_bad",
-    "is_cube_bad_for",
     "bad_probability_mc",
     "bad_probability_bound",
     "dumps_system",
@@ -372,11 +371,9 @@ class GridIndex:
         top = system.cube_index_at(mu.positions, system.s)
         if not np.all(top == np.asarray(system.top_index, dtype=np.int64)[None, :]):
             raise ValueError("atom outside the window top cube")
-        self._atom_index: Dict[int, np.ndarray] = {}
         self._cubes: Dict[int, Dict[Tuple[int, ...], np.ndarray]] = {}
         for k in system.scales:
             idx = system.cube_index_at(mu.positions, k)
-            self._atom_index[k] = idx
             buckets: Dict[Tuple[int, ...], List[int]] = {}
             for a in range(mu.atom_count):
                 buckets.setdefault(tuple(int(i) for i in idx[a]), []).append(a)
@@ -398,18 +395,6 @@ class GridIndex:
     def mass_of(self, cube: Cube) -> float:
         atoms = self.atoms_of(cube)
         return float(np.sum(self.measure.weights[atoms]))
-
-    def atom_cube_index(self, k: int) -> np.ndarray:
-        return self._atom_index[k]
-
-    def cube_of_atom(self, atom: int, k: int) -> Cube:
-        return self.system.cube(k, self._atom_index[k][atom])
-
-    def all_occupied(self) -> List[Cube]:
-        out: List[Cube] = []
-        for k in self.system.scales:
-            out.extend(self.occupied(k))
-        return out
 
 
 def locate(mu: AtomicMeasure, system: DyadicSystem) -> GridIndex:
@@ -469,12 +454,6 @@ def collar_witness(q: Cube, other: DyadicSystem, j: int,
 
 def is_n_bad(q: Cube, other: DyadicSystem, n: int, params: DyadicParams) -> bool:
     return badness_scan(q, other, n, params).bad
-
-
-def is_cube_bad_for(q: Cube, r: Cube, params: DyadicParams) -> bool:
-    """Q in D is R-bad for R in the other system: (j - i - 1)-bad."""
-    n = r.scale - q.scale - 1
-    return is_n_bad(q, r.system, n, params)
 
 
 # =============================================================================

@@ -14,11 +14,11 @@ import csv
 import json
 import hashlib
 import math
-import os
 import time
+import traceback
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -77,9 +77,6 @@ COVERAGE_ANCHORS = frozenset({
     "ledger.exact-identity-random",
 })
 
-_TRIALS_ENV = "DYADLAB_TRIALS"
-
-
 # =============================================================================
 # Config
 # =============================================================================
@@ -133,12 +130,6 @@ class ExperimentConfig:
             return self.t_exponent
         s = max(2.0, self.lattice_rho if not math.isinf(self.lattice_rho) else 2.0)
         return 2.0 * max(s, self.p, self.q)
-
-    def effective_trials(self) -> int:
-        env = os.environ.get(_TRIALS_ENV)
-        if env:
-            return max(1000, int(env))
-        return self.mc_trials
 
     def params(self, r: Optional[int] = None) -> gr.DyadicParams:
         return gr.DyadicParams(gamma=self.gamma, r=self.r if r is None else r,
@@ -290,7 +281,8 @@ class _Runner:
                 self.add(suite, "hard-error", f"{suite}.hard-error", False,
                          math.nan)
                 self.report.tables.setdefault("hard_errors", []).append(
-                    {"suite": suite, "error": f"{type(exc).__name__}: {exc}"})
+                    {"suite": suite, "error": f"{type(exc).__name__}: {exc}",
+                     "traceback": traceback.format_exc()})
             self.report.suite_s[suite] = time.perf_counter() - start
         return self.report
 
@@ -449,9 +441,8 @@ class _Runner:
             worst = math.inf
             for k in index.system.scales:
                 for cube in index.occupied(k):
-                    anc = index.system.cube(*ctx.layers.ancestor[cube.key])
                     atoms = index.atoms_of(cube)
-                    b_anc = ctx.accretive.as_function(index, anc)
+                    b_anc = ctx.b_anc(cube)
                     mean = abs(float(np.dot(mu.weights[atoms], b_anc[atoms]))
                                / ctx.index.mass_of(cube))
                     worst = min(worst, mean)
@@ -480,7 +471,7 @@ class _Runner:
     # ------------------------------------------------------------------
     def suite_badcubes(self):
         cfg = self.cfg
-        trials = cfg.effective_trials()
+        trials = cfg.mc_trials
         for (gamma, r) in ((0.1, 4), (0.3, 8), (cfg.gamma, cfg.r)):
             try:
                 params = gr.DyadicParams(gamma=gamma, r=r, alpha=cfg.alpha,
@@ -518,7 +509,7 @@ class _Runner:
                                           for k in ctx.diff_scales],
             "classical-diff": lambda f: [mg.diff(ctx, f, k) for k in ctx.diff_scales],
             "transition-expectation": lambda f: [
-                _mask_mult(ctx.chi_mask(k - 1), mg.expectation(ctx, f, k - 1))
+                ms.mult(ctx.chi_mask(k - 1).astype(float), mg.expectation(ctx, f, k - 1))
                 for k in ctx.diff_scales],
         }
         for name, fam in fams.items():
@@ -539,8 +530,8 @@ class _Runner:
                      + rn.randomized_norm(mu, fams["adapted-diff"](f), cfg.p, sampler,
                                           rho=rho, label="neq1").value
                      + rn.randomized_norm(
-                         mu, [_mask_mult(ctx.chi_mask(k - 1),
-                                         mg.expectation(ctx, f, k))
+                         mu, [ms.mult(ctx.chi_mask(k - 1).astype(float),
+                                      mg.expectation(ctx, f, k))
                               for k in ctx.diff_scales],
                          cfg.p, sampler, rho=rho, label="neq2").value)
             worst_up = max(worst_up, lhs / max(parts, 1e-300))
@@ -756,7 +747,7 @@ class _Runner:
         self.add("comparable", "msum-identity", "comparable.five-term-identity",
                  worst_resid <= 1e-12, worst_resid, 1e-12)
 
-        trials = cfg.effective_trials()
+        trials = cfg.mc_trials
         p1, se1 = czop.boundary_probability(cfg.dimension, cfg.r, cfg.eta, 0, trials,
                                             derive_seed(cfg.seed, "collar1"))
         envelope = 4.0 * cfg.dimension * (cfg.r + 1) * cfg.eta
@@ -809,12 +800,6 @@ class _Runner:
 def _relsup(err_values: np.ndarray, reference: np.ndarray) -> float:
     scale = float(np.max(np.abs(reference))) or 1.0
     return float(np.max(np.abs(err_values))) / scale
-
-
-def _mask_mult(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
-    if values.ndim == 1:
-        return mask.astype(float) * values
-    return mask.astype(float)[:, None] * values
 
 
 def _layers_disjoint_nested(ctx: mg.MartingaleContext) -> bool:

@@ -29,22 +29,20 @@ omega_k E_k.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from dyadlab.accretive import AccretiveSystem, Layers
 from dyadlab.grid import Cube, GridIndex
-from dyadlab.measure import AtomicMeasure
+from dyadlab.measure import AtomicMeasure, mult, restrict
 
 __all__ = [
     "MartingaleContext",
     "expectation",
     "diff",
     "local_expectation",
-    "local_diff",
     "adapted_expectation",
     "adapted_diff",
     "adapted_diff_local",
@@ -117,11 +115,8 @@ class MartingaleContext:
             chi_k = np.zeros(n, dtype=bool)
             for i, m in enumerate(keys):
                 cube = sys.cube(k, m)
-                anc_key = layers.ancestor[cube.key]
-                anc = sys.cube(*anc_key)
-                b_anc = system_b.as_function(index, anc)
                 atoms = atom_lists[i]
-                b_k[atoms] = b_anc[atoms]
+                b_k[atoms] = self.b_anc(cube)[atoms]
                 if cube.key in layer_set and cube.key != top_key:
                     chi_k[atoms] = True
             self.b_adapted[k] = b_k
@@ -167,6 +162,16 @@ class MartingaleContext:
         """Indicator of {b_k != b_{k+1}}: layer cubes at scale k, top excluded."""
         return self.chi[k]
 
+    def b_anc(self, cube: Cube) -> np.ndarray:
+        """b_{Q^a} on all atoms, for an occupied cube Q of this context's system.
+
+        Q^a is the layer ancestor of Q (the smallest stopping cube containing
+        it), and its test function is extended by zero outside Q^a.  This is
+        the one place the ancestor map meets the accretive system.
+        """
+        anc = self.system.cube(*self.layers.ancestor[cube.key])
+        return self.accretive.as_function(self.index, anc)
+
 
 # =============================================================================
 # Plain martingale operators
@@ -184,36 +189,19 @@ def diff(ctx: MartingaleContext, values: np.ndarray, k: int) -> np.ndarray:
 
 
 def local_expectation(ctx: MartingaleContext, values: np.ndarray, cube: Cube) -> np.ndarray:
-    out = np.zeros_like(np.asarray(values, dtype=float))
-    atoms = ctx.atoms_of(cube)
-    full = expectation(ctx, values, cube.scale)
-    out[atoms] = full[atoms]
-    return out
-
-
-def local_diff(ctx: MartingaleContext, values: np.ndarray, cube: Cube) -> np.ndarray:
-    out = np.zeros_like(np.asarray(values, dtype=float))
-    atoms = ctx.atoms_of(cube)
-    full = diff(ctx, values, cube.scale)
-    out[atoms] = full[atoms]
-    return out
+    """1_Q E_k f for Q at scale k."""
+    return restrict(expectation(ctx, values, cube.scale), ctx.atoms_of(cube))
 
 
 # =============================================================================
 # Adapted operators
 # =============================================================================
 
-def _mult(scalar: np.ndarray, values: np.ndarray) -> np.ndarray:
-    if values.ndim == 1:
-        return scalar * values
-    return scalar[:, None] * values
-
-
 def adapted_expectation(ctx: MartingaleContext, values: np.ndarray, k: int) -> np.ndarray:
     """E^a_k f = b_k E_k f / E_k b_k (coordinatewise for lattice values)."""
     v = np.asarray(values, dtype=float)
     ratio = ctx.b_adapted[k] / ctx.eb_adapted[k]
-    return _mult(ratio, expectation(ctx, v, k))
+    return mult(ratio, expectation(ctx, v, k))
 
 
 def adapted_diff(ctx: MartingaleContext, values: np.ndarray, k: int) -> np.ndarray:
@@ -224,12 +212,7 @@ def adapted_diff(ctx: MartingaleContext, values: np.ndarray, k: int) -> np.ndarr
 
 def adapted_diff_local(ctx: MartingaleContext, values: np.ndarray, cube: Cube) -> np.ndarray:
     """D^a_Q f = 1_Q D^a_k f for Q at scale k."""
-    v = np.asarray(values, dtype=float)
-    out = np.zeros_like(v)
-    atoms = ctx.atoms_of(cube)
-    full = adapted_diff(ctx, v, cube.scale)
-    out[atoms] = full[atoms]
-    return out
+    return restrict(adapted_diff(ctx, values, cube.scale), ctx.atoms_of(cube))
 
 
 def phi(ctx: MartingaleContext, cube: Cube, i: int) -> np.ndarray:
@@ -243,7 +226,6 @@ def phi(ctx: MartingaleContext, cube: Cube, i: int) -> np.ndarray:
     """
     mu = ctx.measure
     index = ctx.index
-    sys = ctx.system
     child = cube.children()[i]
     out = np.zeros(mu.atom_count)
     atoms_child = index.atoms_of(child)
@@ -253,10 +235,8 @@ def phi(ctx: MartingaleContext, cube: Cube, i: int) -> np.ndarray:
     mass_child = float(np.sum(mu.weights[atoms_child]))
     mass_cube = float(np.sum(mu.weights[atoms_cube]))
 
-    anc_child = sys.cube(*ctx.layers.ancestor[child.key])
-    anc_cube = sys.cube(*ctx.layers.ancestor[cube.key])
-    b_child = ctx.accretive.as_function(index, anc_child)
-    b_cube = ctx.accretive.as_function(index, anc_cube)
+    b_child = ctx.b_anc(child)
+    b_cube = ctx.b_anc(cube)
     mean_child = float(np.dot(mu.weights[atoms_child], b_child[atoms_child])) / mass_child
     mean_cube = float(np.dot(mu.weights[atoms_cube], b_cube[atoms_cube])) / mass_cube
 
@@ -276,18 +256,14 @@ def omega(ctx: MartingaleContext, k: int) -> np.ndarray:
 
 def omega_local(ctx: MartingaleContext, cube: Cube, i: Optional[int] = None) -> np.ndarray:
     """omega_Q = 1_Q omega_k, or its restriction to the i-th child."""
-    full = omega(ctx, cube.scale)
-    out = np.zeros_like(full)
     target = cube if i is None else cube.children()[i]
-    atoms = ctx.atoms_of(target)
-    out[atoms] = full[atoms]
-    return out
+    return restrict(omega(ctx, cube.scale), ctx.atoms_of(target))
 
 
 def adapted_adjoint_expectation(ctx: MartingaleContext, values: np.ndarray, k: int) -> np.ndarray:
     """(E^a_k)^* g = E_k(b_k g) / E_k b_k."""
     v = np.asarray(values, dtype=float)
-    return _mult(1.0 / ctx.eb_adapted[k], expectation(ctx, _mult(ctx.b_adapted[k], v), k))
+    return mult(1.0 / ctx.eb_adapted[k], expectation(ctx, mult(ctx.b_adapted[k], v), k))
 
 
 def adapted_diff_adjoint(ctx: MartingaleContext, values: np.ndarray, k: int) -> np.ndarray:
@@ -318,10 +294,6 @@ class Reconstruction:
     top_term: np.ndarray
     diff_terms: Dict[int, np.ndarray]
     residual: float
-
-    @property
-    def diff_sum(self) -> np.ndarray:
-        return sum(self.diff_terms.values())
 
 
 def reconstruct(ctx: MartingaleContext, values: np.ndarray) -> Reconstruction:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,7 +24,6 @@ from dyadlab._seeds import rng_for
 __all__ = [
     "AtomicMeasure",
     "LatticeSpace",
-    "DiscreteFunction",
     "GrowthReport",
     "ball_mass",
     "growth_check",
@@ -33,6 +32,8 @@ __all__ = [
     "average",
     "pair",
     "lp_norm",
+    "restrict",
+    "mult",
     "generate_random_measure",
     "save_measure",
     "load_measure",
@@ -176,35 +177,6 @@ def vector_norm(values: np.ndarray, rho: float) -> np.ndarray:
     return np.sum(a ** rho, axis=-1) ** (1.0 / rho)
 
 
-@dataclass
-class DiscreteFunction:
-    """An atom-indexed function: one value (scalar or lattice vector) per atom."""
-
-    measure: AtomicMeasure
-    values: np.ndarray
-    space: Optional[LatticeSpace] = None
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape[0] != self.measure.atom_count:
-            raise ValueError("values must be indexed by atoms")
-        if v.ndim == 2 and self.space is not None and v.shape[1] != self.space.m:
-            raise ValueError("value dimension disagrees with lattice space")
-        self.values = v
-
-    @property
-    def is_vector(self) -> bool:
-        return self.values.ndim == 2
-
-    def pointwise_norms(self) -> np.ndarray:
-        rho = self.space.rho if self.space is not None else 2.0
-        return vector_norm(self.values, rho)
-
-    def lp_norm(self, p: float) -> float:
-        return lp_norm(self.measure, self.values, p,
-                       rho=self.space.rho if self.space is not None else 2.0)
-
-
 # =============================================================================
 # Integration and norms
 # =============================================================================
@@ -257,6 +229,29 @@ def lp_norm(mu: AtomicMeasure, values: np.ndarray, p: float, rho: float = 2.0) -
     if math.isinf(p):
         return float(np.max(norms)) if norms.size else 0.0
     return float(np.dot(mu.weights, norms ** p) ** (1.0 / p))
+
+
+def restrict(values: np.ndarray, atoms: np.ndarray) -> np.ndarray:
+    """1_A f: ``values`` on the atom set ``atoms`` and zero on every other atom.
+
+    Scalar and lattice-valued functions keep their shape; the zeros come
+    from ``np.zeros_like``, so the restriction of a float array is float.
+    """
+    values = np.asarray(values, dtype=float)
+    out = np.zeros_like(values)
+    out[atoms] = values[atoms]
+    return out
+
+
+def mult(scalar: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Pointwise product of a scalar function with a scalar or lattice-valued one.
+
+    A lattice-valued function is scaled coordinatewise: every coordinate at
+    an atom is multiplied by the scalar at that atom.
+    """
+    if values.ndim == 1:
+        return scalar * values
+    return scalar[:, None] * values
 
 
 # =============================================================================

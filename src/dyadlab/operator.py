@@ -22,9 +22,9 @@ the measure at dyadic radii).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from dyadlab.grid import (Cube, DyadicParams, DyadicSystem, GridIndex, collar_wi
 from dyadlab.martingale import (MartingaleContext, adapted_diff, adapted_diff_adjoint,
                                 adapted_diff_local, adapted_expectation, omega_local,
                                 phi)
-from dyadlab.measure import AtomicMeasure, average, integrate, lp_norm, pair
+from dyadlab.measure import AtomicMeasure, lp_norm, pair, restrict
 
 __all__ = [
     "KernelSpec",
@@ -188,10 +188,7 @@ class DiscreteOperator:
         self.action = kmat * mu.weights[None, :]
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        v = np.asarray(values, dtype=float)
-        if v.ndim == 1:
-            return self.action @ v
-        return self.action @ v
+        return self.action @ np.asarray(values, dtype=float)
 
     def adjoint_apply(self, values: np.ndarray) -> np.ndarray:
         """T* g(x) = sum_{y != x} K(y, x) g(y) w(y)."""
@@ -386,10 +383,7 @@ def _local_diff_blocks(ctx: MartingaleContext, values: np.ndarray):
     for k in ctx.diff_scales:
         full = adapted_diff(ctx, values, k)
         for cube in ctx.index.occupied(k):
-            atoms = ctx.atoms_of(cube)
-            local = np.zeros_like(full)
-            local[atoms] = full[atoms]
-            out.append((cube, local))
+            out.append((cube, restrict(full, ctx.atoms_of(cube))))
     return out
 
 
@@ -425,20 +419,13 @@ def decay_bound_check(op: DiscreteOperator, ctx_f: MartingaleContext,
     the complement of the host child carries the pure (l(Q)/l(R))^(a/2)
     bound.  All bounds are scaled by the explicit chain constant.
     """
-    kernel = op.kernel
-    mu = op.measure
-    delta = min(ctx_f.delta, ctx_g.delta)
-    c_chain = chain_constant(kernel, delta)
-    alpha, d = kernel.alpha, kernel.d
+    c_chain = chain_constant(op.kernel, min(ctx_f.delta, ctx_g.delta))
     classifier = PairClassifier(params)
-
     result = DecayCheckResult(0, [], math.inf, [])
-
     f_menu = _pair_menu(ctx_f)
-    g_menu = _pair_menu(ctx_g)
     counts = {"separated": 0, "deep_nested": 0}
 
-    for r_cube, psis in g_menu:
+    for r_cube, psis in _pair_menu(ctx_g):
         for q_cube, phis in f_menu:
             if q_cube.side > r_cube.side or q_cube.system is r_cube.system:
                 continue
@@ -452,25 +439,32 @@ def decay_bound_check(op: DiscreteOperator, ctx_f: MartingaleContext,
                 _check_separated(op, params, c_chain, q_cube, phis, r_cube, psis,
                                  result, collect_rows)
             else:
-                _check_nested(op, ctx_g, params, c_chain, q_cube, phis, r_cube,
+                _check_nested(op, ctx_g, c_chain, q_cube, phis, r_cube, psis,
                               result, collect_rows)
     return result
 
 
 def _pair_menu(ctx: MartingaleContext):
-    """Per cube: the mean-zero frame and defect functions of its children."""
+    """The frame menu of every occupied cube Q at the difference scales.
+
+    Each cube with an occupied child comes as (Q, entries); an entry is
+    (i, mu(Q_i), values) for an occupied child Q_i, once with the frame
+    function phi_{Q,i} and once more with the defect omega_Q restricted to
+    Q_i unless that vanishes.  The child mass is read from the context's own
+    grid index, so a cube of either system is measured by its own partition.
+    """
     out = []
     for k in ctx.diff_scales:
         for cube in ctx.index.occupied(k):
             entries = []
-            kids = cube.children()
-            for i, child in enumerate(kids):
+            for i, child in enumerate(cube.children()):
                 if ctx.index.atoms_of(child).size == 0:
                     continue
-                entries.append(("phi", i, phi(ctx, cube, i)))
+                mass = ctx.index.mass_of(child)
+                entries.append((i, mass, phi(ctx, cube, i)))
                 om = omega_local(ctx, cube, i)
                 if np.any(om != 0.0):
-                    entries.append(("omega", i, om))
+                    entries.append((i, mass, om))
             if entries:
                 out.append((cube, entries))
     return out
@@ -478,19 +472,16 @@ def _pair_menu(ctx: MartingaleContext):
 
 def _check_separated(op, params, c_chain, q_cube, phis, r_cube, psis, result,
                      collect_rows):
-    kernel = op.kernel
-    alpha, d = kernel.alpha, kernel.d
+    alpha, d = op.kernel.alpha, op.kernel.d
     dist = set_distance(q_cube, r_cube)
     ddist = long_distance(q_cube, r_cube)
     deep = q_cube.side <= 2.0 ** (-params.r) * r_cube.side
     mu = op.measure
-    for kind_g, j, psi_vals in psis:
+    for _, mass_rj, psi_vals in psis:
         psi_l1 = lp_norm(mu, np.abs(psi_vals), 1.0)
-        mass_rj = _child_mass(op, r_cube, j)
-        for kind_f, i, phi_vals in phis:
+        for _, mass_qi, phi_vals in phis:
             val = abs(op.matrix_element(psi_vals, phi_vals))
             phi_l1 = lp_norm(mu, np.abs(phi_vals), 1.0)
-            mass_qi = _child_mass(op, q_cube, i)
             bound = c_chain * q_cube.side ** alpha / dist ** (d + alpha) * phi_l1 * psi_l1
             _record(result, "separated-smooth", q_cube, r_cube, val, bound,
                     collect_rows, ddist)
@@ -502,11 +493,8 @@ def _check_separated(op, params, c_chain, q_cube, phis, r_cube, psis, result,
                         collect_rows, ddist)
 
 
-def _check_nested(op, ctx_g, params, c_chain, q_cube, phis, r_cube, result,
+def _check_nested(op, ctx_g, c_chain, q_cube, phis, r_cube, psis, result,
                   collect_rows):
-    kernel = op.kernel
-    alpha, d = kernel.alpha, kernel.d
-    mu = op.measure
     kids = r_cube.children()
     host = [m for m, child in enumerate(kids) if contains(child, q_cube)]
     if len(host) != 1:
@@ -514,60 +502,34 @@ def _check_nested(op, ctx_g, params, c_chain, q_cube, phis, r_cube, result,
                                 "r": r_cube.key})
         return
     host = host[0]
-    mass_r = float(np.sum(mu.weights[ctx_g.index.atoms_of(r_cube)]))
-    ratio = (q_cube.side / r_cube.side) ** (alpha / 2.0)
+    mass_r = ctx_g.index.mass_of(r_cube)
+    ratio = (q_cube.side / r_cube.side) ** (op.kernel.alpha / 2.0)
+    ddist = long_distance(q_cube, r_cube)
 
     # off-host children of R against the frame menu of R
-    for kind_g, j, psi_full in _pair_menu_entry(ctx_g, r_cube):
-        mass_rj = _child_mass(op, r_cube, j)
+    for _, mass_rj, psi_full in psis:
         for m, child in enumerate(kids):
             if m == host:
                 continue
             atoms_m = ctx_g.index.atoms_of(child)
             if atoms_m.size == 0:
                 continue
-            psi_vals = np.zeros_like(psi_full)
-            psi_vals[atoms_m] = psi_full[atoms_m]
-            for kind_f, i, phi_vals in phis:
+            psi_vals = restrict(psi_full, atoms_m)
+            for _, mass_qi, phi_vals in phis:
                 val = abs(op.matrix_element(psi_vals, phi_vals))
-                mass_qi = _child_mass(op, q_cube, i)
                 bound = c_chain * ratio * mass_rj * mass_qi / mass_r
                 _record(result, "nested-offchild", q_cube, r_cube, val, bound,
-                        collect_rows, long_distance(q_cube, r_cube))
+                        collect_rows, ddist)
 
     # complement of the host child against the stopped test functions
-    host_atoms = ctx_g.index.atoms_of(kids[host])
-    comp_mask = np.ones(mu.atom_count, dtype=bool)
-    comp_mask[host_atoms] = False
-    anc_r = ctx_g.system.cube(*ctx_g.layers.ancestor[r_cube.key])
-    anc_r1 = ctx_g.system.cube(*ctx_g.layers.ancestor[kids[host].key])
-    for src in (anc_r, anc_r1):
-        psi_vals = ctx_g.accretive.as_function(ctx_g.index, src) * comp_mask
-        for kind_f, i, phi_vals in phis:
+    comp_mask = np.ones(op.measure.atom_count, dtype=bool)
+    comp_mask[ctx_g.index.atoms_of(kids[host])] = False
+    for src in (r_cube, kids[host]):
+        psi_vals = ctx_g.b_anc(src) * comp_mask
+        for _, mass_qi, phi_vals in phis:
             val = abs(op.matrix_element(psi_vals, phi_vals))
-            mass_qi = _child_mass(op, q_cube, i)
-            bound = c_chain * ratio * mass_qi
-            _record(result, "nested-complement", q_cube, r_cube, val, bound,
-                    collect_rows, long_distance(q_cube, r_cube))
-
-
-def _pair_menu_entry(ctx, cube):
-    entries = []
-    for i, child in enumerate(cube.children()):
-        if ctx.index.atoms_of(child).size == 0:
-            continue
-        entries.append(("phi", i, phi(ctx, cube, i)))
-        om = omega_local(ctx, cube, i)
-        if np.any(om != 0.0):
-            entries.append(("omega", i, om))
-    return entries
-
-
-def _child_mass(op, cube, i):
-    child = cube.children()[i]
-    # atoms of a cube from another grid are located geometrically
-    inside = child.contains_points(op.measure.positions)
-    return float(np.sum(op.measure.weights[inside]))
+            _record(result, "nested-complement", q_cube, r_cube, val,
+                    c_chain * ratio * mass_qi, collect_rows, ddist)
 
 
 def _record(result, kind, q_cube, r_cube, val, bound, collect_rows, ddist):
@@ -680,14 +642,10 @@ def paraproduct_apply(op: DiscreteOperator, ctx_f: MartingaleContext,
             coeff = _paraproduct_coeff(ctx_g, s_cube, atoms_s, g)
             if coeff is None:
                 continue
-            anc = ctx_g.system.cube(*ctx_g.layers.ancestor[s_cube.key])
-            h = cache.get(anc.key)
-            if h is None:
-                h = op.adjoint_apply(ctx_g.accretive.as_function(ctx_g.index, anc))
-                cache[anc.key] = h
-            atoms_q = ctx_f.atoms_of(q_cube)
-            localized = np.zeros(mu.atom_count)
-            localized[atoms_q] = h[atoms_q]
+            anc_key = ctx_g.layers.ancestor[s_cube.key]
+            if anc_key not in cache:
+                cache[anc_key] = op.adjoint_apply(ctx_g.b_anc(s_cube))
+            localized = restrict(cache[anc_key], ctx_f.atoms_of(q_cube))
             term = adapted_diff_adjoint(ctx_f, localized, q_cube.scale)
             if g.ndim == 1:
                 out += coeff * term
@@ -701,8 +659,7 @@ def _paraproduct_coeff(ctx_g, s_cube, atoms_s, g):
     mass = float(np.sum(mu.weights[atoms_s]))
     if mass == 0.0:
         return None
-    anc = ctx_g.system.cube(*ctx_g.layers.ancestor[s_cube.key])
-    b_anc = ctx_g.accretive.as_function(ctx_g.index, anc)
+    b_anc = ctx_g.b_anc(s_cube)
     mean_b = float(np.dot(mu.weights[atoms_s], b_anc[atoms_s])) / mass
     if g.ndim == 1:
         mean_g = float(np.dot(mu.weights[atoms_s], g[atoms_s])) / mass
@@ -729,8 +686,7 @@ def paraproduct_direct_pairing(op: DiscreteOperator, ctx_f: MartingaleContext,
             coeff = _paraproduct_coeff(ctx_g, s_cube, atoms_s, g)
             if coeff is None:
                 continue
-            anc = ctx_g.system.cube(*ctx_g.layers.ancestor[s_cube.key])
-            h = op.adjoint_apply(ctx_g.accretive.as_function(ctx_g.index, anc))
+            h = op.adjoint_apply(ctx_g.b_anc(s_cube))
             dqf = adapted_diff_local(ctx_f, f, q_cube)
             if f.ndim == 1:
                 total += coeff * pair(mu, h, dqf)
@@ -817,13 +773,6 @@ def comparable_msum(op: DiscreteOperator, psi: np.ndarray, phi_vals: np.ndarray,
     the Q-child.  Their sum telescopes back to the full child pairing.
     """
     mu = op.measure
-    n = mu.atom_count
-
-    def restrict(values, atoms):
-        out = np.zeros(n)
-        out[atoms] = np.asarray(values, dtype=float)[atoms]
-        return out
-
     in_qi = np.where(regions.q_child.contains_points(mu.positions))[0]
     in_rj = np.where(regions.r_child.contains_points(mu.positions))[0]
     psi_rj = restrict(psi, in_rj)

@@ -17,21 +17,20 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from dyadlab._seeds import derive_seed, rng_for
+from dyadlab._seeds import rng_for
 from dyadlab.grid import GridIndex
 from dyadlab.martingale import MartingaleContext, expectation
-from dyadlab.measure import AtomicMeasure, LatticeSpace, lp_norm, vector_norm
+from dyadlab.measure import AtomicMeasure, lp_norm, mult, restrict, vector_norm
 
 __all__ = [
     "RademacherSampler",
     "NormReport",
     "khintchine_constants",
-    "lattice_sandwich_envelope",
     "randomized_norm",
     "square_function_norm",
     "square_function_ratio",
@@ -103,21 +102,6 @@ def khintchine_constants(p: float) -> Tuple[float, float]:
     if p >= 2.0:
         return 1.0, gamma_form
     return min(2.0 ** (0.5 - 1.0 / p), gamma_form), 1.0
-
-
-def lattice_sandwich_envelope(p: float, rho: float) -> Tuple[float, float]:
-    """Documented (generous) sandwich constants for (R^m, l^rho) values.
-
-    Combines coordinatewise Khintchine at exponent max(2, rho) with the
-    monotonicity of normalized L^q(Omega) norms; not sharp, but valid for
-    every m, which is all the tests ask of it.
-    """
-    a_p, b_p = khintchine_constants(p)
-    r_eff = rho if not math.isinf(rho) else 4.0
-    a_r, b_r = khintchine_constants(max(2.0, r_eff))
-    lo = min(a_p, 1.0) * min(a_r, 2.0 ** (0.5 - 1.0 / min(r_eff, 2.0)))
-    hi = max(b_p, 1.0) * max(b_r, 1.0) * math.sqrt(2.0)
-    return lo, hi
 
 
 # =============================================================================
@@ -201,11 +185,7 @@ def carleson_norm(index: GridIndex, d_fns: Dict[int, np.ndarray], p: float,
             scales = [j for j in sorted(d_fns) if j <= cube.scale]
             if not scales or mass == 0.0:
                 continue
-            family = []
-            for j in scales:
-                g = np.zeros(mu.atom_count)
-                g[atoms] = np.asarray(d_fns[j], dtype=float)[atoms]
-                family.append(g)
+            family = [restrict(d_fns[j], atoms) for j in scales]
             rep = randomized_norm(mu, family, p, sampler,
                                   label=f"car:{cube.key}")
             val = rep.value / mass ** (1.0 / p)
@@ -241,19 +221,13 @@ def carleson_embedding_check(ctx: MartingaleContext, d_fns: Dict[int, np.ndarray
         denom = lp_norm(mu, f, p, rho=rho) * max(car.value, 1e-300)
         family = []
         for k in sorted(d_fns):
-            arg = f if multipliers is None else _scalar_mult(multipliers[k], f)
-            family.append(_scalar_mult(np.asarray(d_fns[k], dtype=float),
-                                       expectation(ctx, arg, k)))
+            arg = f if multipliers is None else mult(multipliers[k], f)
+            family.append(mult(np.asarray(d_fns[k], dtype=float),
+                               expectation(ctx, arg, k)))
         rep = randomized_norm(mu, family, p, sampler, rho=rho, label=f"emb:{idx}")
         ratios.append(rep.value / denom)
     return {"car1": car.value, "max_ratio": max(ratios) if ratios else 0.0,
             "ratios": ratios}
-
-
-def _scalar_mult(scalar: np.ndarray, values: np.ndarray) -> np.ndarray:
-    if values.ndim == 1:
-        return scalar * values
-    return scalar[:, None] * values
 
 
 # =============================================================================

@@ -1,12 +1,16 @@
+import csv
 import json
-import os
 
 import numpy as np
 import pytest
 
+from dyadlab import martingale as mg
+from dyadlab.accretive import loads_accretive
 from dyadlab.cli import main as cli_main
-from dyadlab.harness import (ALL_SUITES, COVERAGE_ANCHORS, ExperimentConfig,
+from dyadlab.grid import loads_system
+from dyadlab.harness import (ALL_SUITES, COVERAGE_ANCHORS, ExperimentConfig, _Runner,
                              emit_report, run_suite)
+from dyadlab.measure import loads_measure
 
 
 FAST = ("identities", "layers")
@@ -98,12 +102,24 @@ def test_full_run_matches_coverage_table():
     assert report.passed
 
 
-def test_trials_env_override(monkeypatch):
-    cfg = fast_config()
-    monkeypatch.setenv("DYADLAB_TRIALS", "12000")
-    assert cfg.effective_trials() == 12_000
-    monkeypatch.delenv("DYADLAB_TRIALS")
-    assert cfg.effective_trials() == 20_000
+def test_hard_error_keeps_traceback(tmp_path, monkeypatch):
+    def _explode(*args, **kwargs):
+        raise RuntimeError("reconstruction exploded")
+
+    monkeypatch.setattr(mg, "reconstruct", _explode)
+    report = run_suite(fast_config(suites=("identities",)))
+    emit_report(report, tmp_path)
+    # the canonical row is the bare failed row; the traceback goes to the CSV
+    rows = json.loads((tmp_path / "report.json").read_text())["checks"]
+    assert rows == [{"suite": "identities", "name": "hard-error",
+                     "anchor": "identities.hard-error", "passed": False,
+                     "value": "nan", "bound": None, "stderr": 0.0}]
+    with open(tmp_path / "hard_errors.csv", newline="", encoding="utf-8") as fh:
+        errors = list(csv.DictReader(fh))
+    assert len(errors) == 1
+    assert errors[0]["error"] == "RuntimeError: reconstruction exploded"
+    assert "in _explode" in errors[0]["traceback"]
+    assert "in suite_identities" in errors[0]["traceback"]
 
 
 def test_cli_run_exit_codes(tmp_path):
@@ -125,13 +141,34 @@ def test_cli_config_error_exit_2(tmp_path):
 
 
 def test_cli_gen_fixture_files(tmp_path):
+    cfg = fast_config()
     cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(fast_config().to_json())
-    assert cli_main(["gen", "--config", str(cfg_path),
-                     "--out", str(tmp_path / "fx")]) == 0
+    cfg_path.write_text(cfg.to_json())
+    fx_dir = tmp_path / "fx"
+    assert cli_main(["gen", "--config", str(cfg_path), "--out", str(fx_dir)]) == 0
     for name in ("measure.json", "system_f.json", "system_g.json",
                  "accretive_f.json", "accretive_g.json", "config.json"):
-        assert (tmp_path / "fx" / name).exists()
+        assert (fx_dir / name).exists()
+    # the files are the fixtures a run of the same config uses
+    pairf = _Runner(cfg).pair(grids="random")
+    written_mu = loads_measure((fx_dir / "measure.json").read_text())
+    assert np.array_equal(written_mu.positions, pairf.measure.positions)
+    assert np.array_equal(written_mu.weights, pairf.measure.weights)
+    for tag, ctx in (("f", pairf.ctx_f), ("g", pairf.ctx_g)):
+        assert loads_system((fx_dir / f"system_{tag}.json").read_text()) == ctx.system
+        written = loads_accretive((fx_dir / f"accretive_{tag}.json").read_text())
+        assert written.values.keys() == ctx.accretive.values.keys()
+        assert all(np.array_equal(written.values[k], v)
+                   for k, v in ctx.accretive.values.items())
+
+    # a file-profile config reads its measure back and writes it unchanged
+    file_cfg = fast_config(measure_profile="file",
+                           measure_file=str(fx_dir / "measure.json"))
+    cfg_path.write_text(file_cfg.to_json())
+    assert cli_main(["gen", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "fx2")]) == 0
+    assert ((tmp_path / "fx2" / "measure.json").read_bytes()
+            == (fx_dir / "measure.json").read_bytes())
 
 
 def test_unknown_suite_is_config_error(tmp_path):

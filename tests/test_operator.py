@@ -17,6 +17,7 @@ from dyadlab.operator import (DiscreteOperator, GeometryError, KernelSpec, PairC
                               measure_testing_bound, pairing_decomposition,
                               paraproduct_apply, paraproduct_direct_pairing,
                               paraproduct_smap, riesz_kernel, validate_kernel)
+from dyadlab.operator import _pair_menu
 
 
 def small_pair(seed=7, atoms=32, r=4, delta=0.5):
@@ -294,6 +295,28 @@ def test_decay_bound_chain_constant():
     kern = hilbert_kernel(0.25)
     c = chain_constant(kern, 0.5)
     assert c == pytest.approx(2.0 ** 2.25 * kern.c_smooth * 64.0)
+
+
+def _geometric_child_mass(mu, cube, i):
+    # reference: the child's atoms found by testing every atom position
+    inside = cube.children()[i].contains_points(mu.positions)
+    return float(np.sum(mu.weights[inside]))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("grids", ["standard", "random"])
+def test_menu_child_mass_equals_geometric_mass(dim, grids):
+    # the frame menu reads child masses from the grid index; they must be the
+    # very floats the geometric atom search gives, on both systems
+    mu = battery_measure(5, dim, 24)
+    pairf = build_fixture_pair(5, mu, battery_params(3), 0.5, grids=grids)
+    entries = 0
+    for ctx in (pairf.ctx_f, pairf.ctx_g):
+        for cube, menu in _pair_menu(ctx):
+            for i, mass, _ in menu:
+                assert mass == _geometric_child_mass(mu, cube, i)
+                entries += 1
+    assert entries > 0
 
 
 def test_separated_smoothness_bound_direct():
