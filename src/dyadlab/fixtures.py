@@ -13,17 +13,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from dyadlab._seeds import rng_for
-from dyadlab.accretive import AccretiveSystem, Layers, build_layers, generate_accretive
-from dyadlab.grid import DyadicParams, DyadicSystem, GridIndex, build_random_system, \
-    locate, standard_system
+from dyadlab.accretive import build_layers, generate_accretive
+from dyadlab.grid import DyadicParams, GridIndex, build_random_system, locate, \
+    standard_system
 from dyadlab.martingale import MartingaleContext
-from dyadlab.measure import AtomicMeasure, LatticeSpace, generate_random_measure, \
-    growth_check, lp_norm
+from dyadlab.measure import AtomicMeasure, LatticeSpace, growth_check, lp_norm
 
 __all__ = [
     "battery_params",

@@ -130,6 +130,12 @@ class DyadicSystem:
         # not dataclass fields: equality and hashing stay on the shift digits
         object.__setattr__(self, "_shift_table", table)
         object.__setattr__(self, "_shift_rows", tuple(map(tuple, table.tolist())))
+        # the hash the dataclass would compute from the field values, once
+        object.__setattr__(self, "_hash", hash((self.dimension, self.k_min, self.s,
+                                                self.betas, self.top_index)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def scales(self) -> range:
@@ -179,7 +185,7 @@ class Cube:
     scale: int
     index: Tuple[int, ...]
 
-    @property
+    @cached_property
     def side(self) -> float:
         return 2.0 ** self.scale
 

@@ -164,17 +164,35 @@ class LatticeSpace:
 
 
 def vector_norm(values: np.ndarray, rho: float) -> np.ndarray:
-    """l^rho norm along the last axis of ``values``."""
+    """l^rho norm along the last axis of ``values``.
+
+    The coordinates are combined one column at a time, left to right.  For
+    up to seven coordinates that is the order ``np.sum`` adds them in, so
+    the result is the same bit for bit; from eight on numpy sums pairwise,
+    and the two orders may differ in the last bit.  The column loop never
+    builds a strided reduction over a short last axis, which is what makes
+    the lattice-valued randomized norms cheap.
+    """
     a = np.abs(np.asarray(values, dtype=float))
     if a.ndim <= 1:
         return a
-    if math.isinf(rho):
-        return np.max(a, axis=-1)
-    if rho == 1.0:
-        return np.sum(a, axis=-1)
+    # every term is >= 0, so starting from zeros changes no bit
+    total = np.zeros(a.shape[:-1])
+    for j in range(a.shape[-1]):
+        c = a[..., j]
+        if math.isinf(rho):
+            np.maximum(total, c, out=total)
+        elif rho == 1.0:
+            total += c
+        elif rho == 2.0:
+            total += c * c
+        else:
+            total += c ** rho
+    if math.isinf(rho) or rho == 1.0:
+        return total
     if rho == 2.0:
-        return np.sqrt(np.sum(a * a, axis=-1))
-    return np.sum(a ** rho, axis=-1) ** (1.0 / rho)
+        return np.sqrt(total)
+    return total ** (1.0 / rho)
 
 
 # =============================================================================

@@ -12,9 +12,52 @@ Khintchine constants, with exact equality at p = 2 under enumeration; the
 sandwich is asserted with Haagerup's constants.  Lattice-valued families get
 a wider documented envelope (coordinatewise Khintchine combined with the
 l^rho / l^2 mixed-norm comparisons).
+
+Evaluation.  ``randomized_norm`` works through the sign patterns in blocks
+of about ``BLOCK_MULADDS`` multiply-adds (sign rows x signs x atom values),
+so no (patterns x atoms) array is ever built and each block stays in
+cache.  Each block does the arithmetic the whole table once did, so every
+per-pattern value keeps its bits, and that fixes the following choices:
+
+* Mirror.  Row P-1-i of the exact table is the negation of row i, and
+  |sum (-eps_k) h_k| equals |sum eps_k h_k| bit for bit (negation is exact
+  and rounding is symmetric), so when the first half fills at least one
+  block, only rows [0, P/2) are evaluated and the rest are copied in
+  reverse.  A smaller table is evaluated whole, as before.
+* Fixed layout.  Scalar families take ``s @ H``; lattice families take
+  ``np.tensordot(s, H, axes=(1, 0))``, whose product keeps the atom-major
+  (atom, coordinate) column layout; a coordinate-major layout can move the
+  last bit.
+* Block length.  A block does at least ``BLOCK_MULADDS`` = 2^21
+  multiply-adds in a multiple of 64 rows, and a short tail is merged into
+  the block before it.  That keeps every row on the BLAS kernels it met in
+  the full-table product.  OpenBLAS computes a product of at most 100^3
+  multiply-adds with a small-matrix kernel, which at 16 or more signs adds
+  the terms in another order when the column count is 1-4 modulo 8 (a
+  fixed 256-row block would cross that line).  Its matrix-vector product
+  can round the last one to three rows of a call differently from the
+  rest, and it splits the rows evenly between threads; 64 rows keep every
+  thread's share, for up to 16 threads, a multiple of four.  A table whose half is
+  smaller than one block is evaluated whole, as before.
+* Fixed sum order.  ``measure.vector_norm`` adds the lattice coordinates
+  left to right, numpy's own order for up to seven coordinates.
+
+The mean and standard deviation then reduce one full per-pattern array,
+so the reported value and standard error are as if every row had been
+evaluated at once.
+
+Limits, as checked against the all-at-once product with OpenBLAS 0.3.31
+on x86-64: the values agree bit for bit when the product has at most 192
+columns (atom values n*m) or a multiple of 8 columns, which covers every
+configuration whose atom count is a multiple of 8.  Wider products with
+another column count can move in the last bit, because the large-matrix
+kernel's own rounding there depends on how many rows one call holds.  So
+can a Monte Carlo trial count that does not split into multiples of four
+rows per BLAS thread: the old product's bits then depended on that split.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -47,9 +90,22 @@ __all__ = [
 ]
 
 
+# fewest multiply-adds (sign rows x signs x atom values) in an evaluated block
+BLOCK_MULADDS = 1 << 21
+
+
 # =============================================================================
 # Sampler
 # =============================================================================
+
+@functools.lru_cache(maxsize=None)
+def _exact_signs(count: int) -> np.ndarray:
+    """All 2^count sign patterns, row i holding the binary digits of i; read-only."""
+    grid = (np.arange(2 ** count)[:, None] >> np.arange(count)[None, :]) & 1
+    table = 1.0 - 2.0 * grid
+    table.flags.writeable = False
+    return table
+
 
 @dataclass(frozen=True)
 class RademacherSampler:
@@ -65,12 +121,14 @@ class RademacherSampler:
     seed: int = 0
 
     def signs(self, count: int, label: str = "") -> Tuple[np.ndarray, bool]:
-        """(patterns, exact): patterns is (P, count) of +-1."""
+        """(patterns, exact): patterns is (P, count) of +-1.
+
+        The exact table is cached per count and shared, so it is read-only.
+        """
         if count == 0:
             return np.ones((1, 0)), True
         if count <= self.n_exact:
-            grid = (np.arange(2 ** count)[:, None] >> np.arange(count)[None, :]) & 1
-            return 1.0 - 2.0 * grid, True
+            return _exact_signs(count), True
         rng = rng_for(self.seed, f"signs:{count}:{label}")
         return 1.0 - 2.0 * rng.integers(0, 2, size=(self.mc_trials, count)), False
 
@@ -110,6 +168,8 @@ def khintchine_constants(p: float) -> Tuple[float, float]:
 
 def _stack_family(family: Sequence[np.ndarray]) -> np.ndarray:
     arrs = [np.asarray(h, dtype=float) for h in family]
+    if not arrs:
+        return np.zeros((0, 0))
     return np.stack(arrs, axis=0)
 
 
@@ -121,19 +181,32 @@ def randomized_norm(mu: AtomicMeasure, family: Sequence[np.ndarray], p: float,
     if H.shape[0] == 0:
         return NormReport(0.0, "exact", 0.0, 1)
     signs, exact = sampler.signs(H.shape[0], label=label)
-    if H.ndim == 2:                                    # scalar-valued family
-        norms = np.abs(signs @ H)                      # (P, n)
-    else:                                              # lattice-valued family
-        fields = np.tensordot(signs, H, axes=(1, 0))   # (P, n, m)
-        norms = vector_norm(fields, rho)               # (P, n)
-    per_pattern = norms ** p @ mu.weights         # (P,)
+    total = signs.shape[0]
+    per_pattern = np.empty(total)
+    # the fewest rows, a multiple of 64, that do BLOCK_MULADDS multiply-adds
+    rows = -(-BLOCK_MULADDS // max(64 * H.size, 1)) * 64
+    # exact row total-1-i is -(row i): evaluate the first half, mirror the rest
+    mirror = exact and total // 2 >= rows
+    evaluated = total // 2 if mirror else total
+    lo = 0
+    while lo < evaluated:
+        hi = evaluated if evaluated - lo < 2 * rows else lo + rows
+        s = signs[lo:hi]
+        if H.ndim == 2:                                    # scalar-valued family
+            norms = np.abs(s @ H)                          # (B, n)
+        else:                                              # lattice-valued family
+            norms = vector_norm(np.tensordot(s, H, axes=(1, 0)), rho)
+        per_pattern[lo:hi] = norms ** p @ mu.weights
+        lo = hi
+    if mirror:
+        per_pattern[evaluated:] = per_pattern[evaluated - 1::-1]
     mean = float(np.mean(per_pattern))
     value = mean ** (1.0 / p)
     if exact:
-        return NormReport(value, "exact", 0.0, signs.shape[0])
-    sd = float(np.std(per_pattern, ddof=1)) / math.sqrt(signs.shape[0])
+        return NormReport(value, "exact", 0.0, total)
+    sd = float(np.std(per_pattern, ddof=1)) / math.sqrt(total)
     stderr = sd / max(p * mean ** (1.0 - 1.0 / p), 1e-300)
-    return NormReport(value, "mc", stderr, signs.shape[0])
+    return NormReport(value, "mc", stderr, total)
 
 
 def square_function_norm(mu: AtomicMeasure, family: Sequence[np.ndarray], p: float,
@@ -335,9 +408,18 @@ def rmf_maximal(ctx: MartingaleContext, values: np.ndarray, atom: int,
 
 def rmf_norm(ctx: MartingaleContext, values: np.ndarray, p: float,
              rho: float = 2.0) -> float:
-    """L^p(mu) norm of the Rademacher maximal function."""
-    mvals = np.array([rmf_maximal(ctx, values, a, rho=rho)
-                      for a in range(ctx.measure.atom_count)])
+    """L^p(mu) norm of the Rademacher maximal function.
+
+    The per-atom value is ``rmf_maximal``: the largest l^rho norm of the
+    averages E_k f at that atom.  Each E_k f is computed once, on all atoms,
+    and the maximum is taken over k; scalar values are length-one vectors,
+    as in ``rmf_maximal``.
+    """
+    v = np.asarray(values, dtype=float)
+    mvals = np.zeros(ctx.measure.atom_count)
+    for k in ctx.scales:
+        ek = expectation(ctx, v, k)
+        np.maximum(mvals, vector_norm(ek.reshape(ek.shape[0], -1), rho), out=mvals)
     return lp_norm(ctx.measure, mvals, p)
 
 

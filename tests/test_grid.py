@@ -338,6 +338,22 @@ def test_shift_table_matches_digit_sum(system):
             row[0] = 1.0
 
 
+@settings(max_examples=100, deadline=None)
+@given(random_systems())
+def test_cached_hash_and_side_keep_field_semantics(system):
+    fields = (system.dimension, system.k_min, system.s, system.betas, system.top_index)
+    twin = DyadicSystem(*fields)
+    assert twin == system and twin is not system
+    assert hash(system) == hash(twin) == hash(fields)
+    if system.s > system.k_min:
+        flipped = tuple(tuple(1 - b for b in beta) for beta in system.betas)
+        assert DyadicSystem(*fields[:3], flipped, system.top_index) != system
+    for k in (system.k_min, system.s):
+        cube = system.cube(k, [0] * system.dimension)
+        assert cube.side == 2.0 ** k
+        assert cube == system.cube(k, [0] * system.dimension)
+
+
 @settings(max_examples=300, deadline=None)
 @given(cube_pairs())
 def test_float_geometry_matches_array_formulas(pair):

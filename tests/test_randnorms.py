@@ -1,14 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from dyadlab.measure import AtomicMeasure, lp_norm
+from dyadlab.measure import AtomicMeasure, lp_norm, vector_norm
 from dyadlab.fixtures import battery_measure, build_fixture_pair, random_ensemble, \
     battery_params
 from dyadlab.martingale import adapted_diff, diff, expectation
-from dyadlab.randnorms import (DecouplingBlock, RademacherSampler, carleson_norm,
-                               carleson_embedding_check, contraction_check,
+from dyadlab.randnorms import (DecouplingBlock, NormReport, RademacherSampler,
+                               carleson_norm, carleson_embedding_check, contraction_check,
                                decoupling_check, improved_contraction_check,
                                khintchine_constants, operator_norm, rademacher_bound,
                                randomized_norm, rmf_maximal, rmf_norm,
@@ -115,6 +116,139 @@ def test_lattice_valued_norm_and_ratio():
     assert rep.value > 0 and sq > 0
     # two-sided comparability with a generous documented envelope
     assert 0.2 <= rep.value / sq <= 5.0
+
+
+def _reference_vector_norm(values, rho):
+    """measure.vector_norm as it was before the column loop (numpy reductions)."""
+    a = np.abs(np.asarray(values, dtype=float))
+    if a.ndim <= 1:
+        return a
+    if math.isinf(rho):
+        return np.max(a, axis=-1)
+    if rho == 1.0:
+        return np.sum(a, axis=-1)
+    if rho == 2.0:
+        return np.sqrt(np.sum(a * a, axis=-1))
+    return np.sum(a ** rho, axis=-1) ** (1.0 / rho)
+
+
+@pytest.mark.parametrize("rho", [1.0, 2.0, 3.0, 4.0, math.inf])
+def test_vector_norm_column_order_matches_numpy_sum(rho):
+    """Bit for bit up to seven coordinates; numpy sums pairwise from eight on."""
+    rng = np.random.default_rng(31)
+    for m in range(1, 10):
+        a = rng.normal(size=(64, 33, m)) * rng.uniform(1e-3, 1e3, size=(64, 33, m))
+        got, want = vector_norm(a, rho), _reference_vector_norm(a, rho)
+        if m <= 7 or math.isinf(rho):
+            assert np.array_equal(got, want), m
+        else:
+            assert np.max(np.abs(got - want) / want) <= 1e-15 * m, m
+
+
+def _reference_randomized_norm(mu, family, p, sampler, rho=2.0, label=""):
+    """randomized_norm as it was before blocking: every pattern at once."""
+    H = np.stack([np.asarray(h, dtype=float) for h in family], axis=0)
+    if H.shape[0] == 0:
+        return NormReport(0.0, "exact", 0.0, 1)
+    signs, exact = sampler.signs(H.shape[0], label=label)
+    if H.ndim == 2:                                    # scalar-valued family
+        norms = np.abs(signs @ H)                      # (P, n)
+    else:                                              # lattice-valued family
+        fields = np.tensordot(signs, H, axes=(1, 0))   # (P, n, m)
+        norms = _reference_vector_norm(fields, rho)    # (P, n)
+    per_pattern = norms ** p @ mu.weights         # (P,)
+    mean = float(np.mean(per_pattern))
+    value = mean ** (1.0 / p)
+    if exact:
+        return NormReport(value, "exact", 0.0, signs.shape[0])
+    sd = float(np.std(per_pattern, ddof=1)) / math.sqrt(signs.shape[0])
+    stderr = sd / max(p * mean ** (1.0 - 1.0 / p), 1e-300)
+    return NormReport(value, "mc", stderr, signs.shape[0])
+
+
+def _reference_cases():
+    """A seeded subsample of K x n x value shape x rho x p x path.
+
+    Cases whose all-at-once reference would hold more than 2M product
+    entries are skipped, so the reference stays small; each (K, path) keeps
+    six cases.  Every product has at most 192 or a multiple of 8 columns,
+    and Monte Carlo trial counts are multiples of 16: the domain where the
+    module docstring promises equal bits.
+    """
+    rng = np.random.default_rng(2026)
+    cases = []
+    for count in range(1, 17):
+        for path in ("exact", "mc"):
+            kept = 0
+            while kept < 6:
+                n = int(rng.choice([1, 2, 5, 64, 512]))
+                m = int(rng.choice([0, 1, 2, 3, 7]))          # 0: scalar-valued
+                trials = 2 ** count if path == "exact" else \
+                    int(rng.choice([1008, 2000, 3008, 4096]))
+                if trials * n * max(m, 1) > 2_000_000:
+                    continue
+                cases.append((count, path, n, m, trials,
+                              float(rng.choice([1.0, 2.0, 3.0, math.inf])),
+                              float(rng.choice([1.0, 1.5, 2.0, 3.0])),
+                              int(rng.integers(1 << 30))))
+                kept += 1
+    # 16 signs with few columns, 1-4 modulo 8: a block of too few rows would
+    # take BLAS's small-matrix gemm, which adds the terms in another order
+    cases += [(16, "exact", 2, 0, 2 ** 16, 2.0, 1.5, 1), (16, "exact", 2, 2, 2 ** 16, 3.0, 2.0, 2),
+              (16, "mc", 5, 7, 4096, 2.0, 1.5, 3), (16, "mc", 64, 3, 3008, math.inf, 3.0, 4)]
+    return cases
+
+
+def test_randomized_norm_matches_reference_bit_for_bit():
+    for count, path, n, m, trials, rho, p, seed in _reference_cases():
+        rng = np.random.default_rng(seed)
+        mu = AtomicMeasure(1, 1.0, np.sort(rng.uniform(0, 1, n)).reshape(-1, 1),
+                           rng.uniform(0.1, 2.0, n))
+        shape = (n,) if m == 0 else (n, m)
+        fam = [rng.normal(size=shape) for _ in range(count)]
+        sampler = RademacherSampler(n_exact=16 if path == "exact" else count - 1,
+                                    mc_trials=trials, seed=seed % 97)
+        got = randomized_norm(mu, fam, p, sampler, rho=rho, label="ref")
+        want = _reference_randomized_norm(mu, fam, p, sampler, rho=rho, label="ref")
+        assert got.method == path
+        assert got == want, (count, path, n, m, trials, rho, p)
+
+
+def test_exact_norm_memory_is_bounded():
+    """One K = 14, n = 512 exact lattice call stays far below its 128 MiB table."""
+    rng = np.random.default_rng(8)
+    mu = AtomicMeasure(1, 1.0, np.sort(rng.uniform(0, 1, 512)).reshape(-1, 1),
+                       rng.uniform(0.5, 1.5, 512))
+    fam = [rng.normal(size=(512, 2)) for _ in range(14)]
+    sampler = RademacherSampler(n_exact=14)
+    tracemalloc.start()
+    try:
+        rep = randomized_norm(mu, fam, 2.0, sampler)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.method == "exact" and rep.trials == 2 ** 14
+    assert peak < 16 * 2 ** 20
+
+
+def test_exact_sign_table_is_cached_and_read_only():
+    sampler = RademacherSampler(n_exact=6)
+    table, exact = sampler.signs(5)
+    assert exact and table.shape == (32, 5)
+    assert RademacherSampler(n_exact=9, seed=4).signs(5)[0] is table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1.0
+    grid = (np.arange(32)[:, None] >> np.arange(5)[None, :]) & 1
+    assert np.array_equal(table, 1.0 - 2.0 * grid)
+    # row P-1-i is -(row i): the symmetry the evaluation mirrors
+    assert np.array_equal(table[::-1], -table)
+
+
+def test_empty_family_has_documented_zero_norm():
+    mu = small_measure()
+    assert randomized_norm(mu, [], 2.0, SAMPLER) == NormReport(0.0, "exact", 0.0, 1)
+    assert square_function_norm(mu, [], 2.0) == 0.0
 
 
 # =============================================================================
@@ -248,6 +382,18 @@ def test_rmf_lp_bound_over_ensemble():
     for p in (1.5, 2.0, 3.0):
         for f in random_ensemble(12, ctx.measure, 4, p):
             assert rmf_norm(ctx, f, p) <= 20.0     # finite, stable envelope
+
+
+@pytest.mark.parametrize("shape", [(), (2,), (3,)])
+def test_rmf_norm_equals_per_atom_maximal(shape):
+    ctx = fixture_ctx()
+    rng = np.random.default_rng(12)
+    f = rng.normal(size=(ctx.measure.atom_count,) + shape)
+    for rho in (1.0, 2.0, 3.0, math.inf):
+        per_atom = np.array([rmf_maximal(ctx, f, a, rho=rho)
+                             for a in range(ctx.measure.atom_count)])
+        for p in (1.5, 2.0, 3.0):
+            assert rmf_norm(ctx, f, p, rho=rho) == lp_norm(ctx.measure, per_atom, p)
 
 
 # =============================================================================
