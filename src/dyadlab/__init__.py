@@ -18,6 +18,6 @@ from dyadlab.accretive import (AccretiveSystem, Layers, build_layers,
 from dyadlab.martingale import MartingaleContext, reconstruct
 from dyadlab.randnorms import RademacherSampler, randomized_norm
 from dyadlab.operator import (DiscreteOperator, KernelSpec, PairClass,
-                              classify_pair, kernel_by_name, pairing_decomposition)
+                              kernel_by_name, pairing_decomposition)
 
 __version__ = "0.1.0"

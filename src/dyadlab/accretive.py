@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from dyadlab._seeds import rng_for
-from dyadlab.grid import Cube, DyadicSystem, GridIndex
+from dyadlab.grid import Cube, GridIndex
 from dyadlab.measure import AtomicMeasure
 
 __all__ = [
@@ -55,9 +55,10 @@ class AccretiveSystem:
 
     ``values[key]`` holds b_Q at the atoms of Q, ordered like
     ``index.atoms_of(Q)``; unoccupied cubes implicitly carry b_Q = 0 and are
-    excluded from every stopping scan.  ``testing_bound`` is the measured
-    sup bound of the operator applied to the b_Q's, filled in by the kernel
-    module when available.
+    excluded from every stopping scan.  ``testing_bound`` is an optional
+    sup bound of the operator applied to the b_Q's; fixture files carry it
+    as given, and no suite sets or reads it (the suites measure that bound
+    with ``operator.measure_testing_bound``).
     """
 
     delta: float
@@ -96,7 +97,6 @@ class Layers:
 
     generations: List[List[CubeKey]]
     ancestor: Dict[CubeKey, CubeKey]
-    tau_emp: float
 
     @property
     def depth(self) -> int:
@@ -132,8 +132,7 @@ def verify_accretive(sys_b: AccretiveSystem, mu: AtomicMeasure, index: GridIndex
                 raise ValueError(f"test function for {cube.key} has wrong length")
             if np.max(np.abs(vals)) > 1.0 + tolerance:
                 sup_bad.append(cube.key)
-            mass = float(np.sum(mu.weights[atoms]))
-            mean = float(np.dot(mu.weights[atoms], vals)) / mass
+            mean = float(np.dot(mu.weights[atoms], vals)) / index.mass_of(cube)
             margins[cube.key] = abs(mean) - sys_b.delta
             if abs(mean) < sys_b.delta * (1.0 - 1e-12) - tolerance:
                 mean_bad.append(cube.key)
@@ -161,30 +160,21 @@ def build_layers(sys_b: AccretiveSystem, mu: AtomicMeasure, index: GridIndex) ->
         next_gen: List[Cube] = []
         for parent_cube in current:
             b_full = sys_b.as_function(index, parent_cube)
-            frontier = _occupied_children(index, parent_cube)
+            frontier = [c for _, c in index.occupied_children(parent_cube)]
             while frontier:
                 q = frontier.pop()
                 atoms = index.atoms_of(q)
-                mass = float(np.sum(mu.weights[atoms]))
                 integral = float(np.dot(mu.weights[atoms], b_full[atoms]))
-                if abs(integral) < delta2 * mass:
+                if abs(integral) < delta2 * index.mass_of(q):
                     next_gen.append(q)
                 else:
-                    frontier.extend(_occupied_children(index, q))
+                    frontier.extend(c for _, c in index.occupied_children(q))
         if not next_gen:
             break
         generations.append([q.key for q in next_gen])
         current = next_gen
 
-    ancestor = _ancestor_map(index, generations)
-    tau_emp = _empirical_tau(mu, index, generations)
-    return Layers(generations, ancestor, tau_emp)
-
-
-def _occupied_children(index: GridIndex, cube: Cube) -> List[Cube]:
-    if cube.scale <= index.system.k_min:
-        return []
-    return [c for c in cube.children() if index.atoms_of(c).size > 0]
+    return Layers(generations, _ancestor_map(index, generations))
 
 
 def _ancestor_map(index: GridIndex, generations: List[List[CubeKey]]) -> Dict[CubeKey, CubeKey]:
@@ -193,39 +183,12 @@ def _ancestor_map(index: GridIndex, generations: List[List[CubeKey]]) -> Dict[Cu
     top_key = system.top_cube().key
     ancestor: Dict[CubeKey, CubeKey] = {top_key: top_key}
     for k in reversed(range(system.k_min, system.s)):       # top-down in size
-        for m in index.occupied_keys(k):
-            cube = system.cube(k, m)
+        for cube in index.occupied(k):
             if cube.key in layer_set:
                 ancestor[cube.key] = cube.key
             else:
                 ancestor[cube.key] = ancestor[cube.parent().key]
     return ancestor
-
-
-def _empirical_tau(mu: AtomicMeasure, index: GridIndex,
-                   generations: List[List[CubeKey]]) -> float:
-    """Largest observed one-generation mass ratio, as 1 - ratio."""
-    worst = 0.0
-    system = index.system
-    for j in range(1, len(generations)):
-        masses: Dict[CubeKey, float] = {}
-        for key in generations[j]:
-            cube = system.cube(*key)
-            parent = _containing_key(system, cube, generations[j - 1])
-            masses[parent] = masses.get(parent, 0.0) + index.mass_of(cube)
-        for parent, child_mass in masses.items():
-            pm = index.mass_of(system.cube(*parent))
-            if pm > 0:
-                worst = max(worst, child_mass / pm)
-    return 1.0 - worst
-
-
-def _containing_key(system: DyadicSystem, cube: Cube, keys: List[CubeKey]) -> CubeKey:
-    walk = cube
-    key_set = set(keys)
-    while walk.key not in key_set:
-        walk = walk.parent()
-    return walk.key
 
 
 # =============================================================================
@@ -354,7 +317,7 @@ def _signed_perturbation(rng, mu, index, cube, delta):
     atoms = index.atoms_of(cube)
     vals = np.ones(atoms.size)
     w = mu.weights[atoms]
-    mass = float(np.sum(w))
+    mass = index.mass_of(cube)
     if atoms.size > 1:
         # mild signed jitter, then retreat until the mean constraint clears
         jitter = rng.uniform(-0.35, 0.35, size=atoms.size)
@@ -379,13 +342,13 @@ def _small_descendant(rng, mu, index, cube, delta):
     mass = index.mass_of(cube)
     limit = 0.5 * (1.0 - delta) * mass
     pool = []
-    stack = _occupied_children(index, cube)
+    stack = [c for _, c in index.occupied_children(cube)]
     while stack:
         q = stack.pop()
         if index.mass_of(q) <= limit:
             pool.append(q)
         else:
-            stack.extend(_occupied_children(index, q))
+            stack.extend(c for _, c in index.occupied_children(q))
     if not pool:
         return None
     return pool[int(rng.integers(0, len(pool)))]
@@ -396,7 +359,7 @@ def _oscillatory(rng, mu, index, cube, delta):
     if atoms.size == 1:
         return np.ones(1)
     w = mu.weights[atoms]
-    mass = float(np.sum(w))
+    mass = index.mass_of(cube)
     theta_dir = rng.normal(size=mu.dimension)
     theta_dir /= max(np.max(np.abs(theta_dir)), 1e-12)
     phase = rng.uniform(0.0, 2.0 * math.pi)

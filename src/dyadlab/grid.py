@@ -222,13 +222,6 @@ class Cube:
         return Cube(self.system, self.scale + 1,
                     tuple((m - bi) >> 1 for m, bi in zip(self.index, b)))
 
-    def ancestor(self, n: int) -> "Cube":
-        """The unique ancestor with side 2^n times this cube's side."""
-        q = self
-        for _ in range(n):
-            q = q.parent()
-        return q
-
     def children(self) -> List["Cube"]:
         if self.scale <= self.system.k_min:
             raise ValueError("children would leave the scale window")
@@ -369,7 +362,23 @@ def _common_top_index(system: DyadicSystem, mu: AtomicMeasure) -> Optional[Tuple
 # =============================================================================
 
 class GridIndex:
-    """Scale-by-scale partition of the atoms of a measure by a dyadic system."""
+    """Scale-by-scale partition of the atoms of a measure by a dyadic system.
+
+    The one owner of the partition; other modules read it from here.  Per
+    scale k it holds the occupied cubes sorted lexicographically by index (a
+    cube's *position* is its place in that order), each cube's atoms in
+    increasing atom order (read-only), each atom's cube position, and each
+    cube's mass, computed once as ``float(np.sum(mu.weights[atoms]))`` over
+    those atoms (0.0 for an empty cube).
+
+    Report bits depend on these orders: the masses divide every average, and
+    the cube and child orders fix the order of every per-cube loop and sum.
+    Keeping atoms in increasing order inside each cube is what keeps every
+    mass the sum the reports were built with.  Storing the atoms in tree
+    order instead (sorted by cube at every scale, so each cube is a
+    contiguous slice) would regroup these sums and move last bits; such a
+    change needs a golden update.
+    """
 
     def __init__(self, mu: AtomicMeasure, system: DyadicSystem):
         self.measure = mu
@@ -377,30 +386,60 @@ class GridIndex:
         top = system.cube_index_at(mu.positions, system.s)
         if not np.all(top == np.asarray(system.top_index, dtype=np.int64)[None, :]):
             raise ValueError("atom outside the window top cube")
-        self._cubes: Dict[int, Dict[Tuple[int, ...], np.ndarray]] = {}
+        self._cubes: Dict[int, List[Cube]] = {}
+        self._position: Dict[Tuple[int, Tuple[int, ...]], int] = {}   # by cube key
+        self._atoms: Dict[int, List[np.ndarray]] = {}
+        self._cube_ids: Dict[int, np.ndarray] = {}
+        self._masses: Dict[int, np.ndarray] = {}
         for k in system.scales:
-            idx = system.cube_index_at(mu.positions, k)
-            buckets: Dict[Tuple[int, ...], List[int]] = {}
-            for a in range(mu.atom_count):
-                buckets.setdefault(tuple(int(i) for i in idx[a]), []).append(a)
-            self._cubes[k] = {m: np.asarray(v, dtype=np.int64) for m, v in buckets.items()}
+            # unique rows come back in lexicographic order, the order of
+            # sorted() on the index tuples
+            keys, ids, counts = np.unique(system.cube_index_at(mu.positions, k), axis=0,
+                                          return_inverse=True, return_counts=True)
+            ids = ids.reshape(-1)
+            order = np.argsort(ids, kind="stable")      # atoms ascending per cube
+            atoms = np.split(order, np.cumsum(counts)[:-1])
+            masses = np.array([float(np.sum(mu.weights[a])) for a in atoms])
+            for table in (order, ids, masses):
+                table.flags.writeable = False
+            self._cubes[k] = [Cube(system, k, m) for m in map(tuple, keys.tolist())]
+            self._position.update((c.key, i) for i, c in enumerate(self._cubes[k]))
+            self._atoms[k] = atoms
+            self._cube_ids[k] = ids
+            self._masses[k] = masses
 
     # -- queries ----------------------------------------------------------
     def occupied(self, k: int) -> List[Cube]:
-        return [self.system.cube(k, m) for m in sorted(self._cubes[k])]
-
-    def occupied_keys(self, k: int) -> List[Tuple[int, ...]]:
-        return sorted(self._cubes[k])
+        return list(self._cubes[k])
 
     def atoms_of(self, cube: Cube) -> np.ndarray:
-        got = self._cubes.get(cube.scale, {}).get(cube.index)
-        if got is None:
+        i = self._position.get(cube.key)
+        if i is None:
             return np.empty(0, dtype=np.int64)
-        return got
+        return self._atoms[cube.scale][i]
 
     def mass_of(self, cube: Cube) -> float:
-        atoms = self.atoms_of(cube)
-        return float(np.sum(self.measure.weights[atoms]))
+        i = self._position.get(cube.key)
+        return 0.0 if i is None else float(self._masses[cube.scale][i])
+
+    def cube_ids(self, k: int) -> np.ndarray:
+        """Each atom's cube position at scale k."""
+        return self._cube_ids[k]
+
+    def masses(self, k: int) -> np.ndarray:
+        """The masses of the occupied scale-k cubes, by cube position."""
+        return self._masses[k]
+
+    def occupied_children(self, cube: Cube) -> List[Tuple[int, Cube]]:
+        """(i, Q_i) for the children Q_i = cube.children()[i] that hold atoms.
+
+        Empty at the bottom scale of the window and for an unoccupied cube.
+        """
+        if cube.scale <= self.system.k_min:
+            return []
+        below = self._cubes[cube.scale - 1]
+        return [(i, below[self._position[c.key]])
+                for i, c in enumerate(cube.children()) if c.key in self._position]
 
 
 def locate(mu: AtomicMeasure, system: DyadicSystem) -> GridIndex:

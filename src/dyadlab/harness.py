@@ -334,18 +334,16 @@ class _Runner:
             for cube in ctx.index.occupied(k):
                 dq = mg.adapted_diff_local(ctx, f, cube)
                 combo = np.zeros(mu.atom_count)
-                for i, child in enumerate(cube.children()):
-                    atoms = ctx.index.atoms_of(child)
-                    mean = ms.average(mu, f, atoms) if atoms.size else 0.0
+                for i, child in ctx.index.occupied_children(cube):
+                    mass_child = ctx.index.mass_of(child)
+                    mean = ms.integrate(mu, f, ctx.index.atoms_of(child)) / mass_child
                     pv = mg.phi(ctx, cube, i)
                     combo += mean * pv
                     worst_mean = max(worst_mean, abs(ms.integrate(mu, pv))
                                      / max(ctx.index.mass_of(cube), 1e-30))
                     worst_sup = max(worst_sup, float(np.max(np.abs(pv))))
-                    mass_child = ctx.index.mass_of(child)
-                    if atoms.size:
-                        worst_l1 = max(worst_l1, ms.lp_norm(mu, pv, 1.0)
-                                       / (2.0 / delta ** 2 * mass_child))
+                    worst_l1 = max(worst_l1, ms.lp_norm(mu, pv, 1.0)
+                                   / (2.0 / delta ** 2 * mass_child))
                     outside = np.delete(np.arange(mu.atom_count),
                                         ctx.index.atoms_of(cube))
                     if outside.size and np.any(pv[outside] != 0.0):
@@ -832,8 +830,7 @@ def _decoupling_blocks(index: gr.GridIndex, rng, max_blocks: int = 10):
         if k == index.system.k_min:
             continue
         for cube in index.occupied(k):
-            cells = [index.atoms_of(c) for c in cube.children()
-                     if index.atoms_of(c).size > 0]
+            cells = [index.atoms_of(c) for _, c in index.occupied_children(cube)]
             candidates.append((len(cells), k, cube, cells))
     candidates.sort(key=lambda t: (-t[0], t[1], t[2].key))
     chosen_scales = sorted({k for ncells, k, _, _ in candidates[:max_blocks]

@@ -30,7 +30,7 @@ omega_k E_k.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -69,7 +69,7 @@ class BrokenAccretivityError(RuntimeError):
 # =============================================================================
 
 class MartingaleContext:
-    """Caches per-scale cube assignments, stopped test functions and layer sets.
+    """Caches the stopped test functions and layer sets of each scale.
 
     Parameters
     ----------
@@ -88,34 +88,17 @@ class MartingaleContext:
         self.delta = system_b.delta
 
         n = mu.atom_count
-        sys = self.system
-        self._cube_id: Dict[int, np.ndarray] = {}
-        self._cube_atoms: Dict[int, List[np.ndarray]] = {}
-        self._cube_keys: Dict[int, List] = {}
-        self._cube_mass: Dict[int, np.ndarray] = {}
         self.b_adapted: Dict[int, np.ndarray] = {}
         self.eb_adapted: Dict[int, np.ndarray] = {}
         self.chi: Dict[int, np.ndarray] = {}
 
-        top_key = sys.top_cube().key
+        top_key = self.system.top_cube().key
         layer_set = {key for gen in layers.generations for key in gen}
-        for k in sys.scales:
-            keys = index.occupied_keys(k)
-            self._cube_keys[k] = keys
-            atom_lists = [index.atoms_of(sys.cube(k, m)) for m in keys]
-            self._cube_atoms[k] = atom_lists
-            cid = np.empty(n, dtype=np.int64)
-            for i, atoms in enumerate(atom_lists):
-                cid[atoms] = i
-            self._cube_id[k] = cid
-            self._cube_mass[k] = np.array(
-                [float(np.sum(mu.weights[a])) for a in atom_lists])
-
+        for k in self.scales:
             b_k = np.empty(n)
             chi_k = np.zeros(n, dtype=bool)
-            for i, m in enumerate(keys):
-                cube = sys.cube(k, m)
-                atoms = atom_lists[i]
+            for cube in index.occupied(k):
+                atoms = index.atoms_of(cube)
                 b_k[atoms] = self.b_anc(cube)[atoms]
                 if cube.key in layer_set and cube.key != top_key:
                     chi_k[atoms] = True
@@ -127,16 +110,14 @@ class MartingaleContext:
     # -- internals ---------------------------------------------------------
     def _average_by_cube(self, values: np.ndarray, k: int) -> np.ndarray:
         w = self.measure.weights
-        cid = self._cube_id[k]
-        mass = self._cube_mass[k]
-        if values.ndim == 1:
-            sums = np.bincount(cid, weights=w * values, minlength=mass.size)
-            return (sums / mass)[cid]
-        out = np.empty_like(values)
-        for j in range(values.shape[1]):
-            sums = np.bincount(cid, weights=w * values[:, j], minlength=mass.size)
+        cid = self.index.cube_ids(k)
+        mass = self.index.masses(k)
+        columns = values.reshape(values.shape[0], -1)     # scalar values: one column
+        out = np.empty_like(columns)
+        for j in range(columns.shape[1]):
+            sums = np.bincount(cid, weights=w * columns[:, j], minlength=mass.size)
             out[:, j] = (sums / mass)[cid]
-        return out
+        return out.reshape(values.shape)
 
     def _guard(self, k: int) -> None:
         floor = np.min(np.abs(self.eb_adapted[k]))
@@ -154,9 +135,6 @@ class MartingaleContext:
     def diff_scales(self):
         """Scales k where D_k and D^a_k act: (k_min, s]."""
         return range(self.system.k_min + 1, self.system.s + 1)
-
-    def atoms_of(self, cube: Cube) -> np.ndarray:
-        return self.index.atoms_of(cube)
 
     def chi_mask(self, k: int) -> np.ndarray:
         """Indicator of {b_k != b_{k+1}}: layer cubes at scale k, top excluded."""
@@ -190,7 +168,7 @@ def diff(ctx: MartingaleContext, values: np.ndarray, k: int) -> np.ndarray:
 
 def local_expectation(ctx: MartingaleContext, values: np.ndarray, cube: Cube) -> np.ndarray:
     """1_Q E_k f for Q at scale k."""
-    return restrict(expectation(ctx, values, cube.scale), ctx.atoms_of(cube))
+    return restrict(expectation(ctx, values, cube.scale), ctx.index.atoms_of(cube))
 
 
 # =============================================================================
@@ -212,7 +190,7 @@ def adapted_diff(ctx: MartingaleContext, values: np.ndarray, k: int) -> np.ndarr
 
 def adapted_diff_local(ctx: MartingaleContext, values: np.ndarray, cube: Cube) -> np.ndarray:
     """D^a_Q f = 1_Q D^a_k f for Q at scale k."""
-    return restrict(adapted_diff(ctx, values, cube.scale), ctx.atoms_of(cube))
+    return restrict(adapted_diff(ctx, values, cube.scale), ctx.index.atoms_of(cube))
 
 
 def phi(ctx: MartingaleContext, cube: Cube, i: int) -> np.ndarray:
@@ -232,8 +210,8 @@ def phi(ctx: MartingaleContext, cube: Cube, i: int) -> np.ndarray:
     if atoms_child.size == 0:
         return out
     atoms_cube = index.atoms_of(cube)
-    mass_child = float(np.sum(mu.weights[atoms_child]))
-    mass_cube = float(np.sum(mu.weights[atoms_cube]))
+    mass_child = index.mass_of(child)
+    mass_cube = index.mass_of(cube)
 
     b_child = ctx.b_anc(child)
     b_cube = ctx.b_anc(cube)
@@ -257,7 +235,7 @@ def omega(ctx: MartingaleContext, k: int) -> np.ndarray:
 def omega_local(ctx: MartingaleContext, cube: Cube, i: Optional[int] = None) -> np.ndarray:
     """omega_Q = 1_Q omega_k, or its restriction to the i-th child."""
     target = cube if i is None else cube.children()[i]
-    return restrict(omega(ctx, cube.scale), ctx.atoms_of(target))
+    return restrict(omega(ctx, cube.scale), ctx.index.atoms_of(target))
 
 
 def adapted_adjoint_expectation(ctx: MartingaleContext, values: np.ndarray, k: int) -> np.ndarray:
@@ -321,9 +299,9 @@ def expectation_matrix(ctx: MartingaleContext, k: int) -> np.ndarray:
     n = ctx.measure.atom_count
     out = np.zeros((n, n))
     w = ctx.measure.weights
-    for atoms in ctx._cube_atoms[k]:
-        mass = float(np.sum(w[atoms]))
-        out[np.ix_(atoms, atoms)] = w[atoms][None, :] / mass
+    for cube in ctx.index.occupied(k):
+        atoms = ctx.index.atoms_of(cube)
+        out[np.ix_(atoms, atoms)] = w[atoms][None, :] / ctx.index.mass_of(cube)
     return out
 
 

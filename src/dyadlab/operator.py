@@ -49,7 +49,6 @@ __all__ = [
     "validate_kernel",
     "chain_constant",
     "measure_testing_bound",
-    "classify_pair",
     "pairing_decomposition",
     "decay_bound_check",
     "decay_slope_fit",
@@ -294,10 +293,6 @@ class PairClassifier:
             f"sides=({q.side}, {r.side})")
 
 
-def classify_pair(q: Cube, r: Cube, params: DyadicParams) -> PairClass:
-    return PairClassifier(params).classify(q, r)
-
-
 # =============================================================================
 # The exact ledger
 # =============================================================================
@@ -310,7 +305,6 @@ class PairLedger:
     boundary_large: float        # <g, T top_f>
     identity_residual: float
     class_mass: Dict[str, float]
-    class_pairs: Dict[str, int]
     pair_rows: List[dict]
 
     @property
@@ -345,7 +339,6 @@ def pairing_decomposition(op: DiscreteOperator, ctx_f: MartingaleContext,
 
     classifier = PairClassifier(params)
     class_mass: Dict[str, float] = {}
-    class_pairs: Dict[str, int] = {}
     rows: List[dict] = []
     block_sum = 0.0
     for (r_cube, dg) in g_blocks:
@@ -359,7 +352,6 @@ def pairing_decomposition(op: DiscreteOperator, ctx_f: MartingaleContext,
                 cls = classifier.classify(r_cube, q_cube)
             name = cls.value
             class_mass[name] = class_mass.get(name, 0.0) + abs(val)
-            class_pairs[name] = class_pairs.get(name, 0) + 1
             if collect_rows:
                 rows.append({
                     "q": q_cube.key, "r": r_cube.key, "class": name,
@@ -374,7 +366,7 @@ def pairing_decomposition(op: DiscreteOperator, ctx_f: MartingaleContext,
     scale = max(abs(total), 1e-30)
     residual = abs(total - explained) / scale
     return PairLedger(total, block_sum, boundary_small, boundary_large, residual,
-                      class_mass, class_pairs, rows)
+                      class_mass, rows)
 
 
 def _local_diff_blocks(ctx: MartingaleContext, values: np.ndarray):
@@ -383,7 +375,7 @@ def _local_diff_blocks(ctx: MartingaleContext, values: np.ndarray):
     for k in ctx.diff_scales:
         full = adapted_diff(ctx, values, k)
         for cube in ctx.index.occupied(k):
-            out.append((cube, restrict(full, ctx.atoms_of(cube))))
+            out.append((cube, restrict(full, ctx.index.atoms_of(cube))))
     return out
 
 
@@ -405,8 +397,7 @@ class DecayCheckResult:
 
 def decay_bound_check(op: DiscreteOperator, ctx_f: MartingaleContext,
                       ctx_g: MartingaleContext, params: DyadicParams,
-                      collect_rows: bool = False,
-                      max_pairs_per_class: Optional[int] = None) -> DecayCheckResult:
+                      collect_rows: bool = False) -> DecayCheckResult:
     """Assert the off-diagonal decay bounds on separated and nested good pairs.
 
     Separated pairs (phi mean zero on the small cube) carry the smoothness
@@ -423,22 +414,16 @@ def decay_bound_check(op: DiscreteOperator, ctx_f: MartingaleContext,
     classifier = PairClassifier(params)
     result = DecayCheckResult(0, [], math.inf, [])
     f_menu = _pair_menu(ctx_f)
-    counts = {"separated": 0, "deep_nested": 0}
 
     for r_cube, psis in _pair_menu(ctx_g):
         for q_cube, phis in f_menu:
             if q_cube.side > r_cube.side or q_cube.system is r_cube.system:
                 continue
             cls = classifier.classify(q_cube, r_cube)
-            if cls not in (PairClass.SEPARATED, PairClass.DEEP_NESTED):
-                continue
-            if max_pairs_per_class is not None and counts[cls.value] >= max_pairs_per_class:
-                continue
-            counts[cls.value] += 1
             if cls is PairClass.SEPARATED:
                 _check_separated(op, params, c_chain, q_cube, phis, r_cube, psis,
                                  result, collect_rows)
-            else:
+            elif cls is PairClass.DEEP_NESTED:
                 _check_nested(op, ctx_g, c_chain, q_cube, phis, r_cube, psis,
                               result, collect_rows)
     return result
@@ -457,9 +442,7 @@ def _pair_menu(ctx: MartingaleContext):
     for k in ctx.diff_scales:
         for cube in ctx.index.occupied(k):
             entries = []
-            for i, child in enumerate(cube.children()):
-                if ctx.index.atoms_of(child).size == 0:
-                    continue
+            for i, child in ctx.index.occupied_children(cube):
                 mass = ctx.index.mass_of(child)
                 entries.append((i, mass, phi(ctx, cube, i)))
                 om = omega_local(ctx, cube, i)
@@ -508,13 +491,10 @@ def _check_nested(op, ctx_g, c_chain, q_cube, phis, r_cube, psis, result,
 
     # off-host children of R against the frame menu of R
     for _, mass_rj, psi_full in psis:
-        for m, child in enumerate(kids):
+        for m, child in ctx_g.index.occupied_children(r_cube):
             if m == host:
                 continue
-            atoms_m = ctx_g.index.atoms_of(child)
-            if atoms_m.size == 0:
-                continue
-            psi_vals = restrict(psi_full, atoms_m)
+            psi_vals = restrict(psi_full, ctx_g.index.atoms_of(child))
             for _, mass_qi, phi_vals in phis:
                 val = abs(op.matrix_element(psi_vals, phi_vals))
                 bound = c_chain * ratio * mass_rj * mass_qi / mass_r
@@ -638,14 +618,13 @@ def paraproduct_apply(op: DiscreteOperator, ctx_f: MartingaleContext,
             s_cube = smap.get(q_cube.key)
             if s_cube is None:
                 continue
-            atoms_s = ctx_g.index.atoms_of(s_cube)
-            coeff = _paraproduct_coeff(ctx_g, s_cube, atoms_s, g)
+            coeff = _paraproduct_coeff(ctx_g, s_cube, g)
             if coeff is None:
                 continue
             anc_key = ctx_g.layers.ancestor[s_cube.key]
             if anc_key not in cache:
                 cache[anc_key] = op.adjoint_apply(ctx_g.b_anc(s_cube))
-            localized = restrict(cache[anc_key], ctx_f.atoms_of(q_cube))
+            localized = restrict(cache[anc_key], ctx_f.index.atoms_of(q_cube))
             term = adapted_diff_adjoint(ctx_f, localized, q_cube.scale)
             if g.ndim == 1:
                 out += coeff * term
@@ -654,9 +633,10 @@ def paraproduct_apply(op: DiscreteOperator, ctx_f: MartingaleContext,
     return out
 
 
-def _paraproduct_coeff(ctx_g, s_cube, atoms_s, g):
+def _paraproduct_coeff(ctx_g, s_cube, g):
     mu = ctx_g.measure
-    mass = float(np.sum(mu.weights[atoms_s]))
+    atoms_s = ctx_g.index.atoms_of(s_cube)
+    mass = ctx_g.index.mass_of(s_cube)
     if mass == 0.0:
         return None
     b_anc = ctx_g.b_anc(s_cube)
@@ -682,8 +662,7 @@ def paraproduct_direct_pairing(op: DiscreteOperator, ctx_f: MartingaleContext,
             s_cube = smap.get(q_cube.key)
             if s_cube is None:
                 continue
-            atoms_s = ctx_g.index.atoms_of(s_cube)
-            coeff = _paraproduct_coeff(ctx_g, s_cube, atoms_s, g)
+            coeff = _paraproduct_coeff(ctx_g, s_cube, g)
             if coeff is None:
                 continue
             h = op.adjoint_apply(ctx_g.b_anc(s_cube))

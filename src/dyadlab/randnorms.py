@@ -254,7 +254,7 @@ def carleson_norm(index: GridIndex, d_fns: Dict[int, np.ndarray], p: float,
     for k in index.system.scales:
         for cube in index.occupied(k):
             atoms = index.atoms_of(cube)
-            mass = float(np.sum(mu.weights[atoms]))
+            mass = index.mass_of(cube)
             scales = [j for j in sorted(d_fns) if j <= cube.scale]
             if not scales or mass == 0.0:
                 continue

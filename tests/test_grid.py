@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dyadlab._seeds import rng_for
+from dyadlab.fixtures import battery_measure, battery_params
 from dyadlab.measure import AtomicMeasure, generate_random_measure
 from dyadlab.grid import (Cube, DyadicParams, DyadicSystem, bad_probability_bound,
                           bad_probability_mc, badness_scan, boundary_distance,
@@ -176,6 +177,48 @@ def test_atom_outside_top_cube_rejected():
     shifted = DyadicSystem(1, system.k_min, system.s, system.betas, (40,))
     with pytest.raises(ValueError, match="outside"):
         locate(mu, shifted)
+
+
+def _bucket_atoms(mu, system, k):
+    """Brute-force partition: atom a goes to the bucket of its floor index."""
+    idx = system.cube_index_at(mu.positions, k)
+    buckets = {}
+    for a in range(mu.atom_count):
+        buckets.setdefault(tuple(int(v) for v in idx[a]), []).append(a)
+    return buckets
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("grids", ["standard", "random"])
+def test_grid_index_matches_bruteforce_bucketing(dimension, grids):
+    mu = battery_measure(3, dimension, 40)
+    params = battery_params(4)
+    if grids == "standard":
+        system = standard_system(mu, params)
+    else:
+        system = build_random_system(5, mu, params)
+    index = locate(mu, system)
+    w = mu.weights
+    parts = {k: _bucket_atoms(mu, system, k) for k in system.scales}
+    for k, buckets in parts.items():
+        keys = sorted(buckets)
+        cubes = index.occupied(k)
+        assert [c.key for c in cubes] == [(k, m) for m in keys]
+        assert all(c.system == system for c in cubes)
+        for pos, cube in enumerate(cubes):
+            atoms = index.atoms_of(cube)
+            assert atoms.tolist() == buckets[cube.index]
+            assert (index.cube_ids(k)[atoms] == pos).all()
+            assert index.mass_of(cube) == float(np.sum(w[atoms]))
+            assert index.masses(k)[pos] == float(np.sum(w[atoms]))
+            expected = [] if k == system.k_min else [
+                (i, c.key) for i, c in enumerate(cube.children()) if c.index in parts[k - 1]]
+            assert [(i, c.key) for i, c in index.occupied_children(cube)] == expected
+        empty = system.cube(k, tuple(v + 7 for v in keys[-1]))
+        assert index.atoms_of(empty).size == 0
+        assert index.mass_of(empty) == 0.0
+        if k > system.k_min:
+            assert index.occupied_children(empty) == []
 
 
 # =============================================================================

@@ -11,7 +11,7 @@ from dyadlab.fixtures import battery_measure, battery_params, build_fixture_pair
 from dyadlab.martingale import MartingaleContext, adapted_diff_local
 from dyadlab.operator import (DiscreteOperator, GeometryError, KernelSpec, PairClass,
                               PairClassifier, boundary_probability, chain_constant,
-                              classify_pair, comparable_msum, comparable_partition,
+                              comparable_msum, comparable_partition,
                               collar_membership, decay_bound_check, decay_slope_fit,
                               dipole_kernel, hilbert_kernel, kernel_by_name,
                               measure_testing_bound, pairing_decomposition,
@@ -115,7 +115,7 @@ def test_classify_deep_nested_example():
     params = DyadicParams(gamma=0.4, r=3, alpha=1.0, d=0.25)
     q = sysd.cube_containing([1.0 / 3.0], -6)
     r_cube = sysd2.cube(0, (0,))
-    assert classify_pair(q, r_cube, params) is PairClass.DEEP_NESTED
+    assert PairClassifier(params).classify(q, r_cube) is PairClass.DEEP_NESTED
 
 
 def test_classify_comparable_same_cube():
@@ -125,7 +125,7 @@ def test_classify_comparable_same_cube():
     q = sysd.cube_containing([1.0 / 3.0], -2)
     r_cube = sysd2.cube_containing([1.0 / 3.0], -2)
     assert set_distance(q, r_cube) == 0.0
-    assert classify_pair(q, r_cube, params) is PairClass.COMPARABLE
+    assert PairClassifier(params).classify(q, r_cube) is PairClass.COMPARABLE
 
 
 def test_classify_boundary_touching_bad():
@@ -134,7 +134,7 @@ def test_classify_boundary_touching_bad():
     params = DyadicParams(gamma=0.4, r=2, alpha=1.0, d=0.25)
     q = sysd.cube(-6, (0,))      # touches the origin boundary at every scale
     r_cube = sysd2.cube(0, (0,))
-    assert classify_pair(q, r_cube, params) is PairClass.BAD
+    assert PairClassifier(params).classify(q, r_cube) is PairClass.BAD
 
 
 def test_classify_separated_across_clusters():
@@ -146,7 +146,7 @@ def test_classify_separated_across_clusters():
     q = sysd.cube_containing([1.0 / 3.0], -7)
     r_cube = sysd2.cube_containing([2.0 / 3.0], -1)
     assert set_distance(q, r_cube) >= q.side
-    assert classify_pair(q, r_cube, params) is PairClass.SEPARATED
+    assert PairClassifier(params).classify(q, r_cube) is PairClass.SEPARATED
 
 
 def test_classify_requires_size_order():
@@ -156,7 +156,7 @@ def test_classify_requires_size_order():
     big = sysd.cube(0, (0,))
     small = sysd2.cube(-3, (2,))
     with pytest.raises(ValueError):
-        classify_pair(big, small, params)
+        PairClassifier(params).classify(big, small)
 
 
 @pytest.mark.parametrize("r", [2, 4, 6])
