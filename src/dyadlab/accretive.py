@@ -69,7 +69,7 @@ class AccretiveSystem:
         if not (0.0 < self.delta < 1.0):
             raise ValueError("delta must lie in (0, 1)")
 
-    def on(self, index: GridIndex, cube: Cube) -> np.ndarray:
+    def on(self, cube: Cube) -> np.ndarray:
         """Values of b_Q at the atoms of Q."""
         got = self.values.get(cube.key)
         if got is None:
@@ -79,7 +79,7 @@ class AccretiveSystem:
     def as_function(self, index: GridIndex, cube: Cube) -> np.ndarray:
         """b_Q extended by zero to all atoms."""
         out = np.zeros(index.measure.atom_count)
-        out[index.atoms_of(cube)] = self.on(index, cube)
+        out[index.atoms_of(cube)] = self.on(cube)
         return out
 
     def cube_integral(self, index: GridIndex, cube: Cube, over: Cube) -> float:
@@ -127,7 +127,7 @@ def verify_accretive(sys_b: AccretiveSystem, mu: AtomicMeasure, index: GridIndex
     for k in index.system.scales:
         for cube in index.occupied(k):
             atoms = index.atoms_of(cube)
-            vals = sys_b.on(index, cube)
+            vals = sys_b.on(cube)
             if vals.shape[0] != atoms.shape[0]:
                 raise ValueError(f"test function for {cube.key} has wrong length")
             if np.max(np.abs(vals)) > 1.0 + tolerance:

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,6 +48,7 @@ __all__ = [
     "badness_scan",
     "collar_witness",
     "is_n_bad",
+    "shift_walk_hits",
     "bad_probability_mc",
     "bad_probability_bound",
     "dumps_system",
@@ -511,6 +512,86 @@ def bad_probability_bound(dimension: int, n: int, params: DyadicParams) -> float
     return 2.0 * dimension * 2.0 ** (-max(n, params.r) * g) / (1.0 - 2.0 ** (-g))
 
 
+def _fmod_pow2(x: np.ndarray, j: int, out: np.ndarray) -> np.ndarray:
+    """fmod(x, 2^j) for x >= 0, computed as x - floor(x 2^-j) 2^j into ``out``.
+
+    Every step is exact: scaling by a power of two, an integer floor, a
+    multiple of 2^j, and a difference that is the remainder itself, a
+    multiple of x's own ulp below 2^j (0 once x is beyond 2^53 2^j, where x
+    is a multiple of 2^j).  So it equals ``np.fmod(x, 2.0 ** j)`` bit for bit.
+    """
+    np.multiply(x, 2.0 ** -j, out=out)
+    np.floor(out, out=out)
+    np.multiply(out, 2.0 ** j, out=out)
+    return np.subtract(x, out, out=out)
+
+
+def shift_walk_hits(rng: np.random.Generator, trials: int, dimension: int,
+                    base: int, first: int, stop: int,
+                    event: Callable[[float, np.ndarray, np.ndarray], None]) -> int:
+    """Count the trials of a random dyadic shift walk that meet an event.
+
+    Each trial's shift starts uniform on [0, 2^base)^N, drawn as one
+    ``rng.uniform`` array, and after each scale j it gains beta_j 2^j per
+    axis, with the digits beta_j of all trials drawn as one
+    ``rng.integers(0, 2, size=(trials, N))`` array per scale.  At each scale
+    j in [first, stop), ``event(period, pos, flags)`` receives period = 2^j
+    and pos = period - fmod(shift, period) for the live trials as an (m, N)
+    array that it may overwrite, and fills the (m, N) boolean ``flags`` with
+    the axes on which the event occurs.  A trial flagged on any axis is hit.
+
+    Compaction invariant: a hit trial stays hit whatever its later digits
+    are, so it is dropped from the arithmetic.  The live trials keep their
+    original order in the first m rows of two (trials, N) buffers allocated
+    once, the digit arrays are still drawn for all trials, and each live
+    trial adds the digits of its own row, so every live trial sees the
+    shifts and verdicts of the uncompacted walk bit for bit.  The walk stops
+    once no trial is live, and never draws the digits of the last scale:
+    the count is fixed by then and the generator belongs to the caller, so
+    the skipped draws change nothing observable.
+
+    The remainder is ``_fmod_pow2``: ``np.fmod`` bit for bit, at a fraction
+    of its cost.
+    """
+    shift = rng.uniform(0.0, 2.0 ** base, size=(trials, dimension))
+    pos = np.empty_like(shift)
+    flags = np.empty(shift.shape, dtype=bool)
+    hit = np.empty(trials, dtype=bool)
+    live = np.arange(trials)        # the original index of each live trial
+    m = trials
+    for j in range(base, stop):
+        if j > base:
+            digits = rng.integers(0, 2, size=(trials, dimension))
+            if m < trials:
+                digits = np.take(digits, live, axis=0, mode="clip")
+            np.add(shift[:m], np.multiply(digits, 2.0 ** (j - 1), out=pos[:m]),
+                   out=shift[:m])
+            del digits
+        if j < first:
+            continue
+        period = 2.0 ** j
+        s, p = shift[:m], pos[:m]
+        np.subtract(period, _fmod_pow2(s, j, p), out=p)
+        event(period, p, flags[:m])
+        np.copyto(hit[:m], flags[:m, 0])
+        for axis in range(1, dimension):
+            hit[:m] |= flags[:m, axis]
+        caught = int(np.count_nonzero(hit[:m]))
+        if caught:
+            kept = np.flatnonzero(np.logical_not(hit[:m], out=hit[:m]))
+            # the indices are in range, so "clip" changes none of them; it
+            # lets take write straight into ``out``, which the default mode
+            # would fill through a temporary copy
+            np.take(s, kept, axis=0, out=pos[:m - caught], mode="clip")
+            shift, pos = pos, shift
+            live = np.take(live, kept, mode="clip")
+            del kept
+            m -= caught
+            if m == 0:
+                break
+    return trials - m
+
+
 def bad_probability_mc(dimension: int, q_scale: int, n: int, params: DyadicParams,
                        trials: int, seed: int,
                        extra_scales: Optional[int] = None) -> Tuple[float, float]:
@@ -523,11 +604,10 @@ def bad_probability_mc(dimension: int, q_scale: int, n: int, params: DyadicParam
     enumerated.  Scales are scanned from the badness gap up to a tail cutoff
     whose contribution is far below the Monte-Carlo standard error.
 
-    The scan stops as soon as every trial is bad: badness only accumulates,
-    so the estimate is then exactly 1.0 whatever the remaining scales hold,
-    and the generator is local to the call, so skipping its remaining draws
-    changes nothing observable.  The draws that are made keep their shapes
-    and order.
+    The low-order digits below q_scale act as one shared uniform offset;
+    ``shift_walk_hits`` builds the nested shifts scale by scale, drops a
+    trial once it is bad (badness only accumulates) and stops when every
+    trial is bad.
     """
     if trials < 1000:
         raise ValueError("need at least 1e3 trials")
@@ -536,38 +616,23 @@ def bad_probability_mc(dimension: int, q_scale: int, n: int, params: DyadicParam
     if extra_scales is None:
         extra_scales = max(12, math.ceil(16.0 / params.gamma))
     side = 2.0 ** q_scale
-    # low-order digits below the scanned scales act as one shared uniform
-    # offset; binary digits build the nested shifts scale by scale
-    base = q_scale
-    shift = rng.uniform(0.0, 2.0 ** base, size=(trials, dimension))
-    bad = np.zeros(trials, dtype=bool)
-    pos = np.empty_like(shift)
-    margin = np.empty_like(shift)
-    flags = np.empty(shift.shape, dtype=bool)
-    for j in range(base, q_scale + gap + extra_scales + 1):
-        if j >= q_scale + gap:
-            period = 2.0 ** j
-            thr = side ** params.gamma * period ** (1.0 - params.gamma)
-            # pos = (-shift) % period: shift >= 0, so by the definition of the
-            # floored modulo it is period - fmod(shift, period) with an exact
-            # fmod, bit for bit; only where that fmod is 0 is it period, not
-            # 0, and both put Q on a cell face, so the margin is 0 either way
-            np.fmod(shift, period, out=pos)
-            np.subtract(period, pos, out=pos)
-            # margin = min(pos, period - pos - side), zero where Q straddles
-            np.subtract(period, pos, out=margin)
-            margin -= side
-            np.minimum(pos, margin, out=margin)
-            np.add(pos, side, out=pos)
-            np.greater(pos, period, out=flags)
-            np.copyto(margin, 0.0, where=flags)
-            np.less_equal(margin, thr, out=flags)
-            for axis in range(dimension):
-                bad |= flags[:, axis]
-            if bad.all():
-                break
-        shift += rng.integers(0, 2, size=(trials, dimension)) * (2.0 ** j)
-    p_hat = float(np.mean(bad))
+
+    def near_boundary(period, pos, flags):
+        thr = side ** params.gamma * period ** (1.0 - params.gamma)
+        # Q is bad at scale j when its margin min(pos, period - pos - side)
+        # to the faces of its cell is at most thr, that is when either term
+        # is.  Where Q straddles a face (pos + side > period, which includes
+        # pos = period where fmod(shift, period) is 0) the second term is
+        # negative, so Q is bad there with no separate test: side <= period/2
+        # makes period - pos exact, and the exact difference is then < 0
+        np.less_equal(pos, thr, out=flags)
+        np.subtract(period, pos, out=pos)
+        pos -= side
+        flags |= pos <= thr
+
+    bad = shift_walk_hits(rng, trials, dimension, q_scale, q_scale + gap,
+                          q_scale + gap + extra_scales + 1, near_boundary)
+    p_hat = bad / trials
     stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 1e-30) / trials)
     return p_hat, stderr
 

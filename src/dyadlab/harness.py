@@ -865,9 +865,27 @@ def _smap_iff_check(pairf: fx.FixturePair, smap, params) -> Tuple[bool, int]:
     return True, nonempty
 
 
+def _comparable_pairs(pairf: fx.FixturePair):
+    """The comparable pairs (Q, R): Q occupied at a difference scale of the f
+    system, R occupied in the g system at a scale >= Q's; in the order of
+    Q, then R's scale, then R."""
+    classifier = czop.PairClassifier(pairf.params)
+    comparable = czop.PAIR_CLASSES.index(czop.PairClass.COMPARABLE)
+    for k in pairf.ctx_f.diff_scales:
+        q_cubes = pairf.index_f.occupied(k)
+        is_comparable = {}      # by R's scale j, built when first reached
+        for a, q_cube in enumerate(q_cubes):
+            for j in range(k, pairf.index_g.system.s + 1):
+                r_cubes = pairf.index_g.occupied(j)
+                if j not in is_comparable:
+                    is_comparable[j] = classifier.classify_block(q_cubes,
+                                                                 r_cubes) == comparable
+                for b in np.flatnonzero(is_comparable[j][a]):
+                    yield q_cube, r_cubes[b]
+
+
 def _comparable_scan(op, pairf: fx.FixturePair, eta: float):
     params = pairf.params
-    classifier = czop.PairClassifier(params)
     mu = pairf.measure
     found = 0
     worst = 0.0
@@ -875,29 +893,19 @@ def _comparable_scan(op, pairf: fx.FixturePair, eta: float):
     rng = rng_for(0, "cmp-funcs")
     psi = rng.normal(size=mu.atom_count)
     phiv = rng.normal(size=mu.atom_count)
-    for k in pairf.ctx_f.diff_scales:
-        for q_cube in pairf.index_f.occupied(k):
-            for j in range(k, pairf.index_g.system.s + 1):
-                for r_cube in pairf.index_g.occupied(j):
-                    if q_cube.side > r_cube.side:
-                        continue
-                    if not (2.0 ** (-params.r) * r_cube.side <= q_cube.side
-                            and gr.set_distance(q_cube, r_cube) < q_cube.side):
-                        continue
-                    if classifier.classify(q_cube, r_cube) is not czop.PairClass.COMPARABLE:
-                        continue
-                    found += 1
-                    if found > 40:
-                        return found, worst, part_ok
-                    for i in range(min(2, len(q_cube.children()))):
-                        for jj in range(min(2, len(r_cube.children()))):
-                            regions = czop.comparable_partition(mu, q_cube, r_cube,
-                                                                i, jj, eta, params)
-                            if not _regions_partition(mu, regions):
-                                part_ok = False
-                            res = czop.comparable_msum(op, psi, phiv, regions)
-                            denom = max(abs(res["full"]), 1e-14)
-                            worst = max(worst, res["residual"] / denom)
+    for q_cube, r_cube in _comparable_pairs(pairf):
+        found += 1
+        if found > 40:
+            return found, worst, part_ok
+        for i in range(min(2, len(q_cube.children()))):
+            for jj in range(min(2, len(r_cube.children()))):
+                regions = czop.comparable_partition(mu, q_cube, r_cube, i, jj, eta,
+                                                    params)
+                if not _regions_partition(mu, regions):
+                    part_ok = False
+                res = czop.comparable_msum(op, psi, phiv, regions)
+                denom = max(abs(res["full"]), 1e-14)
+                worst = max(worst, res["residual"] / denom)
     return found, worst, part_ok
 
 

@@ -31,7 +31,7 @@ import numpy as np
 from dyadlab._seeds import rng_for
 from dyadlab.accretive import AccretiveSystem
 from dyadlab.grid import (Cube, DyadicParams, DyadicSystem, GridIndex, collar_witness,
-                          contains, long_distance, set_distance)
+                          contains, long_distance, set_distance, shift_walk_hits)
 from dyadlab.martingale import (MartingaleContext, adapted_diff, adapted_diff_adjoint,
                                 adapted_diff_local, adapted_expectation, omega_local,
                                 phi)
@@ -41,6 +41,7 @@ __all__ = [
     "KernelSpec",
     "DiscreteOperator",
     "PairClass",
+    "PAIR_CLASSES",
     "PairClassifier",
     "riesz_kernel",
     "dipole_kernel",
@@ -194,19 +195,50 @@ class DiscreteOperator:
         v = np.asarray(values, dtype=float)
         return (self.kernel_matrix.T * self.measure.weights[None, :]) @ v
 
+    def row(self, psi: np.ndarray) -> np.ndarray:
+        """The row (w psi) M of <psi, T .>, so <psi, T phi> = row(psi) @ phi.
+
+        ``matrix_element`` is ``float(row(psi) @ phi)``.  Python evaluates
+        the product (w psi) @ M @ phi left to right: this row first, then
+        one dot product with phi.  So a caller pairing one psi with many phi
+        may form the row once and take the dot products itself: the same
+        two products on the same operands, so every value keeps its bits.
+        """
+        w = self.measure.weights
+        return (w * np.asarray(psi, dtype=float)) @ self.action
+
     def matrix_element(self, psi: np.ndarray, phi_vals: np.ndarray) -> float:
         """<psi, T phi> = sum_{x != y} psi(x) K(x, y) phi(y) w(x) w(y)."""
-        w = self.measure.weights
-        return float((w * np.asarray(psi, dtype=float))
-                     @ self.action @ np.asarray(phi_vals, dtype=float))
+        return float(self.row(psi) @ np.asarray(phi_vals, dtype=float))
 
     def bilinear(self, g: np.ndarray, f: np.ndarray) -> float:
         """<g, Tf> for scalar or lattice-valued f, g (coordinatewise action)."""
-        g = np.asarray(g, dtype=float)
         f = np.asarray(f, dtype=float)
-        if f.ndim == 1:
-            return self.matrix_element(g, f)
-        return sum(self.matrix_element(g[:, j], f[:, j]) for j in range(f.shape[1]))
+        return _pair_stack(_coordinate_rows(self, np.asarray(g, dtype=float)), f[None])[0]
+
+
+def _coordinate_rows(op: DiscreteOperator, g: np.ndarray):
+    """``op.row`` of g, or the list of rows of its coordinates if lattice-valued."""
+    if g.ndim == 1:
+        return op.row(g)
+    return [op.row(g[:, j]) for j in range(g.shape[1])]
+
+
+def _pair_stack(rows, fs: np.ndarray) -> List[float]:
+    """<g, T f> for each f of the stack ``fs``, from ``_coordinate_rows(op, g)``.
+
+    Each value is the dot product row @ f, per coordinate for lattice
+    values, summed over the coordinates in order with ``sum``.  numpy's
+    matmul takes every (1 x n) @ (n x 1) product of a batch with the same
+    dot routine, on the same strides, as the 1-D product row @ f, so each
+    value keeps its bits; a matrix-vector product would sum in another
+    order.
+    """
+    if fs.ndim == 2:
+        return (rows[None, None, :] @ fs[:, :, None]).ravel().tolist()
+    cols = [(rows[j][None, None, :] @ fs[:, :, j, None]).ravel().tolist()
+            for j in range(fs.shape[2])]
+    return [sum(vals) for vals in zip(*cols)]
 
 
 def measure_testing_bound(op: DiscreteOperator, sys_b: AccretiveSystem,
@@ -242,6 +274,14 @@ class GeometryError(RuntimeError):
     """A good pair matched no class: the goodness geometry is violated."""
 
 
+# the pair classes by code, as ``PairClassifier.classify_block`` reports them
+PAIR_CLASSES = (PairClass.SEPARATED, PairClass.DEEP_NESTED, PairClass.COMPARABLE,
+                PairClass.BAD)
+_SEPARATED, _DEEP_NESTED, _COMPARABLE, _BAD = range(4)
+_UNMATCHED = -1     # a good pair that matches no class
+_SKIPPED = -2       # a pair left unclassified (``_class_matrix``)
+
+
 class PairClassifier:
     """Memoized badness profiles for pairs between two fixed systems.
 
@@ -249,6 +289,9 @@ class PairClassifier:
     other system's boundary comes within the collar threshold; a cube is then
     n-bad exactly when scale(Q) + max(n, r) stays below that witness scale,
     which turns per-pair badness into one integer comparison.
+
+    ``classify`` classifies one pair; ``classify_block`` classifies every
+    pair of two one-scale cube lists at once with the same rules.
     """
 
     def __init__(self, params: DyadicParams):
@@ -269,11 +312,14 @@ class PairClassifier:
         return None
 
     def is_bad(self, q: Cube, r: Cube) -> bool:
-        n = r.scale - q.scale - 1
-        jmax = self._profile(q, r.system)
+        return self._is_bad(q, r.system, r.scale)
+
+    def _is_bad(self, q: Cube, other: DyadicSystem, r_scale: int) -> bool:
+        """Q is bad against every cube of the other system at scale r_scale."""
+        jmax = self._profile(q, other)
         if jmax is None:
             return False
-        return q.scale + max(n, self.params.r) <= jmax
+        return q.scale + max(r_scale - q.scale - 1, self.params.r) <= jmax
 
     def classify(self, q: Cube, r: Cube) -> PairClass:
         """Classify a pair with l(Q) <= l(R); Q and R live in different systems."""
@@ -292,6 +338,67 @@ class PairClassifier:
             f"good pair {q.key} / {r.key} matches no class: dist={dist}, "
             f"sides=({q.side}, {r.side})")
 
+    def classify_block(self, qs: Sequence[Cube], rs: Sequence[Cube]) -> np.ndarray:
+        """Class codes of every pair (Q, R), Q in qs and R in rs, as an array.
+
+        All Q share one scale k and one system, all R one scale j >= k and
+        the other system.  Entry [a, b] is the index in ``PAIR_CLASSES`` of
+        ``classify(qs[a], rs[b])``, or -1 where that raises GeometryError.
+        Badness depends on Q and the two scales only, so it is one profile
+        lookup per Q; the distances and containments compare the per-axis
+        float bounds, which are dyadic and exact, so every code is the
+        scalar class.
+        """
+        q_side, r_side = qs[0].side, rs[0].side
+        other, r_scale = rs[0].system, rs[0].scale
+        bad = np.array([self._is_bad(q, other, r_scale) for q in qs], dtype=bool)
+        qb = np.array([q.bounds for q in qs])[:, None]      # (Q, 1, N, 2)
+        rb = np.array([r.bounds for r in rs])[None, :]      # (1, R, N, 2)
+        ql, qu, rl, ru = qb[..., 0], qb[..., 1], rb[..., 0], rb[..., 1]
+        dist = np.maximum(np.maximum(ql - ru, rl - qu).max(axis=2), 0.0)
+        # later assignments take precedence, in the order ``classify`` tests
+        codes = np.full(dist.shape, _UNMATCHED, dtype=np.int8)
+        codes[dist >= q_side] = _SEPARATED
+        if q_side < 2.0 ** (-self.params.r) * r_side:
+            codes[np.all((rl <= ql) & (qu <= ru), axis=2)] = _DEEP_NESTED
+        if 2.0 ** (-self.params.r) * r_side <= q_side:
+            codes[dist < q_side] = _COMPARABLE
+        codes[bad] = _BAD
+        return codes
+
+
+def _scale_runs(cubes: Sequence[Cube]) -> List[Tuple[int, int]]:
+    """(start, stop) of each run of consecutive cubes on one scale."""
+    starts = [i for i in range(len(cubes))
+              if i == 0 or cubes[i].scale != cubes[i - 1].scale]
+    return list(zip(starts, starts[1:] + [len(cubes)]))
+
+
+def _class_matrix(classifier: PairClassifier, rs: Sequence[Cube], qs: Sequence[Cube],
+                  smaller_q_only: bool = False) -> np.ndarray:
+    """Class codes of every pair (R, Q), R in rs and Q in qs, in list order.
+
+    Each list holds the cubes of one system, grouped by scale.  The smaller
+    cube is classified against the larger one's system (Q when the sides are
+    equal).  With ``smaller_q_only`` the pairs with l(Q) > l(R) are left
+    unclassified (-2).  A good pair that matches no class raises
+    GeometryError, as ``classify`` does.
+    """
+    codes = np.full((len(rs), len(qs)), _SKIPPED, dtype=np.int8)
+    for r0, r1 in _scale_runs(rs):
+        for q0, q1 in _scale_runs(qs):
+            if qs[q0].scale <= rs[r0].scale:
+                codes[r0:r1, q0:q1] = classifier.classify_block(qs[q0:q1], rs[r0:r1]).T
+            elif not smaller_q_only:
+                codes[r0:r1, q0:q1] = classifier.classify_block(rs[r0:r1], qs[q0:q1])
+    unmatched = np.argwhere(codes == _UNMATCHED)
+    if unmatched.size:
+        a, b = unmatched[0]
+        small, large = sorted((qs[b], rs[a]), key=lambda c: c.scale)
+        classifier.classify(small, large)      # raises with the pair's geometry
+        raise GeometryError(f"good pair {small.key} / {large.key} matches no class")
+    return codes
+
 
 # =============================================================================
 # The exact ledger
@@ -299,7 +406,6 @@ class PairClassifier:
 
 @dataclass
 class PairLedger:
-    total_pairing: float
     block_sum: float
     boundary_small: float        # <T* top_g, f - top_f>
     boundary_large: float        # <g, T top_f>
@@ -328,29 +434,25 @@ def pairing_decomposition(op: DiscreteOperator, ctx_f: MartingaleContext,
     is exact up to roundoff because the adapted reconstruction has no
     truncation error on the finite window.
     """
-    mu = op.measure
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
 
-    f_blocks = _local_diff_blocks(ctx_f, f)
-    g_blocks = _local_diff_blocks(ctx_g, g)
+    q_cubes, f_blocks = _local_diff_blocks(ctx_f, f)
+    r_cubes, g_blocks = _local_diff_blocks(ctx_g, g)
     top_f = adapted_expectation(ctx_f, f, ctx_f.system.s)
     top_g = adapted_expectation(ctx_g, g, ctx_g.system.s)
 
-    classifier = PairClassifier(params)
+    codes = _class_matrix(PairClassifier(params), r_cubes, q_cubes)
+    names = [cls.value for cls in PAIR_CLASSES]
     class_mass: Dict[str, float] = {}
     rows: List[dict] = []
     block_sum = 0.0
-    for (r_cube, dg) in g_blocks:
-        tdg_action = None
-        for (q_cube, df) in f_blocks:
-            val = op.bilinear(dg, df)
+    for r_cube, dg, r_codes in zip(r_cubes, g_blocks, codes):
+        # one row of <D_R g, T .> per R; each pair is then one dot product
+        values = _pair_stack(_coordinate_rows(op, dg), f_blocks)
+        for q_cube, val, code in zip(q_cubes, values, r_codes.tolist()):
             block_sum += val
-            if q_cube.side <= r_cube.side:
-                cls = classifier.classify(q_cube, r_cube)
-            else:
-                cls = classifier.classify(r_cube, q_cube)
-            name = cls.value
+            name = names[code]
             class_mass[name] = class_mass.get(name, 0.0) + abs(val)
             if collect_rows:
                 rows.append({
@@ -365,18 +467,22 @@ def pairing_decomposition(op: DiscreteOperator, ctx_f: MartingaleContext,
     explained = block_sum + boundary_small + boundary_large
     scale = max(abs(total), 1e-30)
     residual = abs(total - explained) / scale
-    return PairLedger(total, block_sum, boundary_small, boundary_large, residual,
+    return PairLedger(block_sum, boundary_small, boundary_large, residual,
                       class_mass, rows)
 
 
 def _local_diff_blocks(ctx: MartingaleContext, values: np.ndarray):
-    """All nonzero local adapted differences (cube, D_Q values) in the window."""
-    out = []
+    """The occupied cubes Q at the difference scales, and their local adapted
+    differences D_Q values stacked in that order into one array."""
+    cubes = [cube for k in ctx.diff_scales for cube in ctx.index.occupied(k)]
+    out = np.empty((len(cubes),) + values.shape)
+    i = 0
     for k in ctx.diff_scales:
         full = adapted_diff(ctx, values, k)
         for cube in ctx.index.occupied(k):
-            out.append((cube, restrict(full, ctx.index.atoms_of(cube))))
-    return out
+            out[i] = restrict(full, ctx.index.atoms_of(cube))
+            i += 1
+    return cubes, out
 
 
 # =============================================================================
@@ -411,21 +517,26 @@ def decay_bound_check(op: DiscreteOperator, ctx_f: MartingaleContext,
     bound.  All bounds are scaled by the explicit chain constant.
     """
     c_chain = chain_constant(op.kernel, min(ctx_f.delta, ctx_g.delta))
-    classifier = PairClassifier(params)
     result = DecayCheckResult(0, [], math.inf, [])
+    if ctx_f.index.system is ctx_g.index.system:
+        return result            # only pairs across two systems are checked
     f_menu = _pair_menu(ctx_f)
+    g_menu = _pair_menu(ctx_g)
+    codes = _class_matrix(PairClassifier(params), [r for r, _ in g_menu],
+                          [q for q, _ in f_menu], smaller_q_only=True)
+    phi_l1: Dict[int, List[float]] = {}       # by position in the Q menu
 
-    for r_cube, psis in _pair_menu(ctx_g):
-        for q_cube, phis in f_menu:
-            if q_cube.side > r_cube.side or q_cube.system is r_cube.system:
-                continue
-            cls = classifier.classify(q_cube, r_cube)
-            if cls is PairClass.SEPARATED:
-                _check_separated(op, params, c_chain, q_cube, phis, r_cube, psis,
-                                 result, collect_rows)
-            elif cls is PairClass.DEEP_NESTED:
+    for (r_cube, psis), r_codes in zip(g_menu, codes):
+        psi_rows = _RowCache(op)
+        for b, ((q_cube, phis), code) in enumerate(zip(f_menu, r_codes.tolist())):
+            if code == _SEPARATED:
+                if b not in phi_l1:
+                    phi_l1[b] = [_l1(op.measure, v) for _, _, v in phis]
+                _check_separated(op, params, c_chain, q_cube, phis, phi_l1[b], r_cube,
+                                 psis, psi_rows, result, collect_rows)
+            elif code == _DEEP_NESTED:
                 _check_nested(op, ctx_g, c_chain, q_cube, phis, r_cube, psis,
-                              result, collect_rows)
+                              psi_rows, result, collect_rows)
     return result
 
 
@@ -453,18 +564,36 @@ def _pair_menu(ctx: MartingaleContext):
     return out
 
 
-def _check_separated(op, params, c_chain, q_cube, phis, r_cube, psis, result,
-                     collect_rows):
+class _RowCache:
+    """``op.row`` of the test functions of one R, each formed once by key and
+    reused against every Q of the menu (see ``DiscreteOperator.row``)."""
+
+    def __init__(self, op: DiscreteOperator):
+        self.op = op
+        self._rows: Dict[tuple, np.ndarray] = {}
+
+    def get(self, key: tuple, make: Callable[[], np.ndarray]) -> np.ndarray:
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = self.op.row(make())
+        return row
+
+
+def _l1(mu: AtomicMeasure, values: np.ndarray) -> float:
+    return lp_norm(mu, np.abs(values), 1.0)
+
+
+def _check_separated(op, params, c_chain, q_cube, phis, phi_l1s, r_cube, psis,
+                     psi_rows, result, collect_rows):
     alpha, d = op.kernel.alpha, op.kernel.d
     dist = set_distance(q_cube, r_cube)
     ddist = long_distance(q_cube, r_cube)
     deep = q_cube.side <= 2.0 ** (-params.r) * r_cube.side
-    mu = op.measure
-    for _, mass_rj, psi_vals in psis:
-        psi_l1 = lp_norm(mu, np.abs(psi_vals), 1.0)
-        for _, mass_qi, phi_vals in phis:
-            val = abs(op.matrix_element(psi_vals, phi_vals))
-            phi_l1 = lp_norm(mu, np.abs(phi_vals), 1.0)
+    for e, (_, mass_rj, psi_vals) in enumerate(psis):
+        row = psi_rows.get(("psi", e), lambda: psi_vals)
+        psi_l1 = _l1(op.measure, psi_vals)
+        for (_, mass_qi, phi_vals), phi_l1 in zip(phis, phi_l1s):
+            val = abs(float(row @ phi_vals))
             bound = c_chain * q_cube.side ** alpha / dist ** (d + alpha) * phi_l1 * psi_l1
             _record(result, "separated-smooth", q_cube, r_cube, val, bound,
                     collect_rows, ddist)
@@ -476,7 +605,7 @@ def _check_separated(op, params, c_chain, q_cube, phis, r_cube, psis, result,
                         collect_rows, ddist)
 
 
-def _check_nested(op, ctx_g, c_chain, q_cube, phis, r_cube, psis, result,
+def _check_nested(op, ctx_g, c_chain, q_cube, phis, r_cube, psis, psi_rows, result,
                   collect_rows):
     kids = r_cube.children()
     host = [m for m, child in enumerate(kids) if contains(child, q_cube)]
@@ -490,24 +619,28 @@ def _check_nested(op, ctx_g, c_chain, q_cube, phis, r_cube, psis, result,
     ddist = long_distance(q_cube, r_cube)
 
     # off-host children of R against the frame menu of R
-    for _, mass_rj, psi_full in psis:
-        for m, child in ctx_g.index.occupied_children(r_cube):
-            if m == host:
-                continue
-            psi_vals = restrict(psi_full, ctx_g.index.atoms_of(child))
+    off_host = [(m, child) for m, child in ctx_g.index.occupied_children(r_cube)
+                if m != host]
+    for e, (_, mass_rj, psi_full) in enumerate(psis):
+        for m, child in off_host:
+            row = psi_rows.get(("off", e, m), lambda: restrict(
+                psi_full, ctx_g.index.atoms_of(child)))
             for _, mass_qi, phi_vals in phis:
-                val = abs(op.matrix_element(psi_vals, phi_vals))
+                val = abs(float(row @ phi_vals))
                 bound = c_chain * ratio * mass_rj * mass_qi / mass_r
                 _record(result, "nested-offchild", q_cube, r_cube, val, bound,
                         collect_rows, ddist)
 
     # complement of the host child against the stopped test functions
-    comp_mask = np.ones(op.measure.atom_count, dtype=bool)
-    comp_mask[ctx_g.index.atoms_of(kids[host])] = False
-    for src in (r_cube, kids[host]):
-        psi_vals = ctx_g.b_anc(src) * comp_mask
+    def complement(src):
+        comp_mask = np.ones(op.measure.atom_count, dtype=bool)
+        comp_mask[ctx_g.index.atoms_of(kids[host])] = False
+        return ctx_g.b_anc(src) * comp_mask
+
+    for s, src in enumerate((r_cube, kids[host])):
+        row = psi_rows.get(("complement", host, s), lambda: complement(src))
         for _, mass_qi, phi_vals in phis:
-            val = abs(op.matrix_element(psi_vals, phi_vals))
+            val = abs(float(row @ phi_vals))
             _record(result, "nested-complement", q_cube, r_cube, val,
                     c_chain * ratio * mass_qi, collect_rows, ddist)
 
@@ -782,8 +915,9 @@ def boundary_probability(dimension: int, r: int, eta: float, k_scale: int,
     The collar at scale k is the union over the r+1 scales below k of the
     eta-collars of all grid cubes; for a fixed point only its position inside
     the random cell matters, so the event is computed in closed form per
-    scale and trial.  The linear envelope 4N(r+1)eta dominates the union
-    bound N(r+1)eta with room for discretization.
+    scale and trial (``shift_walk_hits`` drops a trial once it is hit).  The
+    linear envelope 4N(r+1)eta dominates the union bound N(r+1)eta with room
+    for discretization.
     """
     if not (0.0 < eta < 0.25):
         raise ValueError("eta must lie in (0, 1/4)")
@@ -791,16 +925,19 @@ def boundary_probability(dimension: int, r: int, eta: float, k_scale: int,
         raise ValueError("need at least 1e4 trials")
     rng = rng_for(seed, f"collar:{dimension}:{r}:{eta}")
     guard = math.ceil(math.log2(1.0 / eta)) + 8
-    base = k_scale - r - 1 - guard
-    shift = rng.uniform(0.0, 2.0 ** base, size=(trials, dimension))
-    hit = np.zeros(trials, dtype=bool)
-    for m in range(base, k_scale):
-        period = 2.0 ** m
-        if m >= k_scale - r - 1:
-            pos = (-shift) % period
-            near = np.minimum(pos, period - pos) <= eta * period / 2.0
-            hit |= np.any(near, axis=1)
-        shift = shift + rng.integers(0, 2, size=(trials, dimension)) * period
-    p_hat = float(np.mean(hit))
+
+    def in_collar(period, pos, flags):
+        # the point is in a collar when its distance min(pos, period - pos)
+        # to the nearest cell face is at most half the collar width, that is
+        # when either term is; where fmod(shift, period) is 0, pos is period
+        # where (-shift) % period would give 0, and the distance is 0 either way
+        half_width = eta * period / 2.0
+        np.less_equal(pos, half_width, out=flags)
+        np.subtract(period, pos, out=pos)
+        flags |= pos <= half_width
+
+    hits = shift_walk_hits(rng, trials, dimension, k_scale - r - 1 - guard,
+                           k_scale - r - 1, k_scale, in_collar)
+    p_hat = hits / trials
     stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 1e-30) / trials)
     return p_hat, stderr

@@ -11,24 +11,21 @@ import time
 import numpy as np
 import pytest
 
-from dyadlab.measure import AtomicMeasure, LatticeSpace, average, integrate, lp_norm, \
-    pair
+from dyadlab.measure import LatticeSpace, average, integrate, lp_norm, pair
 from dyadlab.grid import (DyadicParams, bad_probability_bound, bad_probability_mc,
-                          contains, locate, set_distance, standard_system)
-from dyadlab.accretive import build_layers, check_layer_decay, layer_decay_tau
+                          contains)
+from dyadlab.accretive import check_layer_decay
 from dyadlab.fixtures import (battery_measure, battery_params, build_fixture_pair,
                               random_ensemble)
-from dyadlab.martingale import (MartingaleContext, adapted_diff, adapted_diff_adjoint,
+from dyadlab.martingale import (adapted_diff, adapted_diff_adjoint,
                                 adapted_diff_local, adapted_expectation,
                                 expectation, local_expectation, omega, omega_local,
                                 phi, reconstruct)
 from dyadlab.operator import (DiscreteOperator, PairClass, PairClassifier,
                               boundary_probability, comparable_msum,
                               comparable_partition, decay_bound_check,
-                              decay_slope_fit, hilbert_kernel, kernel_by_name,
-                              pairing_decomposition, paraproduct_apply,
-                              paraproduct_direct_pairing, paraproduct_smap,
-                              riesz_kernel)
+                              decay_slope_fit, hilbert_kernel, pairing_decomposition,
+                              paraproduct_smap, riesz_kernel)
 from dyadlab.randnorms import (RademacherSampler, DecouplingBlock, carleson_norm,
                                decoupling_check, randomized_norm)
 

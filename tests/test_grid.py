@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from dyadlab._seeds import rng_for
 from dyadlab.fixtures import battery_measure, battery_params
 from dyadlab.measure import AtomicMeasure, generate_random_measure
-from dyadlab.grid import (Cube, DyadicParams, DyadicSystem, bad_probability_bound,
+from dyadlab.grid import (DyadicParams, DyadicSystem, _fmod_pow2, bad_probability_bound,
                           bad_probability_mc, badness_scan, boundary_distance,
                           build_random_system, contains, dumps_system, is_n_bad,
                           loads_system, locate, long_distance, set_distance,
@@ -432,11 +432,13 @@ def test_bad_probability_vacuous_regime_sanity():
     assert bound > 1.0 and p_hat <= bound + 3.0 * se
 
 
-def _ref_bad_probability_mc(dimension, q_scale, n, params, trials, seed):
+def _ref_bad_probability_mc(dimension, q_scale, n, params, trials, seed,
+                            extra_scales=None):
     """The pre-early-exit kernel: every scale scanned, fresh arrays per scale."""
     rng = rng_for(seed, f"badmc:{dimension}:{q_scale}:{n}")
     gap = max(n, params.r)
-    extra_scales = max(12, math.ceil(16.0 / params.gamma))
+    if extra_scales is None:
+        extra_scales = max(12, math.ceil(16.0 / params.gamma))
     side = 2.0 ** q_scale
     offset = rng.uniform(0.0, 2.0 ** q_scale, size=(trials, dimension))
     bad = np.zeros(trials, dtype=bool)
@@ -465,6 +467,53 @@ def test_bad_probability_matches_reference_kernel(dimension, gamma, r, n):
         assert got == _ref_bad_probability_mc(dimension, 0, n, p, 2_000, seed)
     if gamma == 0.1:
         assert got[0] == 1.0      # the early exit is taken
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("q_scale", [-3, 0, 2])
+@pytest.mark.parametrize("gamma,r,n", [(0.1, 2, 2), (0.1, 2, 10), (0.3, 4, 12),
+                                       (0.4, 4, 4), (0.4, 6, 14)])
+def test_compacted_walk_matches_reference_kernel(dimension, q_scale, gamma, r, n):
+    # dropping bad trials, and stopping once all are, keeps every estimate;
+    # gamma = 0.1 makes every trial bad early, so p_hat is 1.0 there
+    p = DyadicParams(gamma=gamma, r=r, alpha=1.0, d=0.25)
+    for seed in (3, 7):
+        got = bad_probability_mc(dimension, q_scale, n, p, trials=1_500, seed=seed)
+        assert got == _ref_bad_probability_mc(dimension, q_scale, n, p, 1_500, seed)
+    if gamma == 0.1:
+        assert got[0] == 1.0
+
+
+def test_compacted_walk_short_tail_matches_reference_kernel():
+    p = DyadicParams(gamma=0.4, r=4, alpha=1.0, d=0.25)
+    for extra in (0, 1, 5):
+        got = bad_probability_mc(2, 0, 4, p, trials=1_000, seed=2, extra_scales=extra)
+        assert got == _ref_bad_probability_mc(2, 0, 4, p, 1_000, 2, extra)
+
+
+@pytest.mark.parametrize("j", [-40, -3, 0, 1, 5, 30])
+def test_exact_remainder_matches_fmod(j):
+    period = 2.0 ** j
+    rng = np.random.default_rng(11)
+    values = np.concatenate([
+        [0.0, 2.0 ** -60 * period, 1.5 * 2.0 ** -70 * period],
+        [period, 2.0 * period, 3.0 * period, 2.0 ** 52 * period,
+         2.0 ** 53 * period, 2.0 ** 60 * period, 3.0 * 2.0 ** 55 * period],
+        np.nextafter(np.array([period, 2.0 * period]), np.inf),
+        np.nextafter(np.array([period, 2.0 * period]), 0.0),
+        rng.uniform(0.0, 4.0 * period, size=200),
+        rng.uniform(0.0, 2.0 ** 20 * period, size=200),
+        rng.uniform(2.0 ** 53 * period, 2.0 ** 58 * period, size=200),
+        rng.integers(0, 2 ** 40, size=50) * period,
+    ])
+    shift = np.stack([values, values[::-1]], axis=1)
+    got = _fmod_pow2(shift, j, np.empty_like(shift))
+    want = np.fmod(shift, period)
+    assert np.array_equal(got, want)
+    assert not np.any(np.signbit(got))
+    # the floored modulo the kernels replaced agrees wherever fmod is not 0
+    nonzero = want != 0.0
+    assert np.array_equal((period - got)[nonzero], ((-shift) % period)[nonzero])
 
 
 def test_bad_probability_reproducible():

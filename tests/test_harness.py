@@ -8,7 +8,7 @@ from dyadlab import martingale as mg
 from dyadlab.accretive import loads_accretive
 from dyadlab.cli import main as cli_main
 from dyadlab.grid import loads_system
-from dyadlab.harness import (ALL_SUITES, COVERAGE_ANCHORS, ExperimentConfig, _Runner,
+from dyadlab.harness import (COVERAGE_ANCHORS, ExperimentConfig, _Runner,
                              emit_report, run_suite)
 from dyadlab.measure import loads_measure
 

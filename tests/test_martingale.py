@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from dyadlab.measure import AtomicMeasure, average, integrate, pair
+from dyadlab.measure import average, integrate, pair
 from dyadlab.grid import DyadicParams, locate, standard_system, build_random_system
-from dyadlab.accretive import AccretiveSystem, build_layers, generate_accretive
-from dyadlab.fixtures import battery_measure, build_fixture_pair
+from dyadlab.accretive import build_layers, generate_accretive
+from dyadlab.fixtures import battery_measure
 from dyadlab.martingale import (BrokenAccretivityError, MartingaleContext,
                                 adapted_adjoint_expectation, adapted_diff,
                                 adapted_diff_adjoint, adapted_diff_local,

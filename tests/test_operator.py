@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from dyadlab._seeds import rng_for
 from dyadlab.measure import AtomicMeasure, pair
 from dyadlab.grid import (DyadicParams, contains, dumps_system, is_n_bad, loads_system,
-                          locate, set_distance, standard_system)
-from dyadlab.accretive import build_layers, generate_accretive
+                          set_distance, standard_system)
 from dyadlab.fixtures import battery_measure, battery_params, build_fixture_pair
-from dyadlab.martingale import MartingaleContext, adapted_diff_local
-from dyadlab.operator import (DiscreteOperator, GeometryError, KernelSpec, PairClass,
+from dyadlab.operator import (DiscreteOperator, KernelSpec, PairClass,
                               PairClassifier, boundary_probability, chain_constant,
                               comparable_msum, comparable_partition,
                               collar_membership, decay_bound_check, decay_slope_fit,
@@ -480,6 +479,43 @@ def test_collar_probability_envelope_and_linearity():
 def test_collar_probability_small_eta_limit():
     p, _ = boundary_probability(1, 2, 0.001, 0, 10_000, seed=4)
     assert p <= 0.02
+
+
+def _ref_boundary_probability(dimension, r, eta, k_scale, trials, seed):
+    """The full-width collar kernel: every trial at every scale, floored modulo."""
+    rng = rng_for(seed, f"collar:{dimension}:{r}:{eta}")
+    guard = math.ceil(math.log2(1.0 / eta)) + 8
+    base = k_scale - r - 1 - guard
+    shift = rng.uniform(0.0, 2.0 ** base, size=(trials, dimension))
+    hit = np.zeros(trials, dtype=bool)
+    for m in range(base, k_scale):
+        period = 2.0 ** m
+        if m >= k_scale - r - 1:
+            pos = (-shift) % period
+            near = np.minimum(pos, period - pos) <= eta * period / 2.0
+            hit |= np.any(near, axis=1)
+        shift = shift + rng.integers(0, 2, size=(trials, dimension)) * period
+    p_hat = float(np.mean(hit))
+    stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 1e-30) / trials)
+    return p_hat, stderr
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("k_scale", [-3, 0, 2])
+@pytest.mark.parametrize("r,eta", [(1, 0.2), (2, 0.05), (4, 0.025), (6, 0.001)])
+def test_collar_probability_matches_reference_kernel(dimension, k_scale, r, eta):
+    for seed in (1, 7):
+        got = boundary_probability(dimension, r, eta, k_scale, 10_000, seed)
+        assert got == _ref_boundary_probability(dimension, r, eta, k_scale, 10_000,
+                                                seed)
+
+
+def test_collar_probability_all_hit_matches_reference_kernel():
+    # eta near 1/4 over many scales: every trial ends in some collar, so the
+    # walk stops early
+    got = boundary_probability(2, 40, 0.24, 0, 10_000, seed=5)
+    assert got[0] == 1.0
+    assert got == _ref_boundary_probability(2, 40, 0.24, 0, 10_000, 5)
 
 
 def test_collar_probability_validation():

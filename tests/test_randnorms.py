@@ -7,7 +7,7 @@ import pytest
 from dyadlab.measure import AtomicMeasure, lp_norm, vector_norm
 from dyadlab.fixtures import battery_measure, build_fixture_pair, random_ensemble, \
     battery_params
-from dyadlab.martingale import adapted_diff, diff, expectation
+from dyadlab.martingale import expectation
 from dyadlab.randnorms import (DecouplingBlock, NormReport, RademacherSampler,
                                carleson_norm, carleson_embedding_check, contraction_check,
                                decoupling_check, improved_contraction_check,
