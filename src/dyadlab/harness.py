@@ -591,14 +591,14 @@ class _Runner:
                  car.value <= bound + 3.0 * car.stderr, car.value, bound, car.stderr)
 
         ensemble = fx.random_ensemble(derive_seed(cfg.seed, "carleson"), mu, 4, cfg.p)
-        res = rn.carleson_embedding_check(ctx, chi_fns, ensemble, cfg.p, sampler)
+        res = rn.carleson_embedding_check(ctx, chi_fns, car, ensemble, cfg.p, sampler)
         self.add("carleson", "embedding", "carleson.embedding",
                  res["max_ratio"] <= cfg.ratio_cap, res["max_ratio"], cfg.ratio_cap)
 
         rng = rng_for(cfg.seed, "ylcarl")
         signs = {k: np.full(mu.atom_count, float(rng.choice([-1.0, 1.0])))
                  for k in chi_fns}
-        res_pm = rn.carleson_embedding_check(ctx, chi_fns, ensemble, cfg.p, sampler,
+        res_pm = rn.carleson_embedding_check(ctx, chi_fns, car, ensemble, cfg.p, sampler,
                                              multipliers=signs)
         ref = max(res["max_ratio"], 1e-300)
         self.add("carleson", "lattice-multiplier", "carleson.multiplier-embedding",

@@ -172,27 +172,37 @@ def vector_norm(values: np.ndarray, rho: float) -> np.ndarray:
     and the two orders may differ in the last bit.  The column loop never
     builds a strided reduction over a short last axis, which is what makes
     the lattice-valued randomized norms cheap.
+
+    Each column goes through one reused buffer, and the input is never
+    copied.  At rho = 2 the signed coordinates are squared: x * x equals
+    |x| * |x| bit for bit except in the sign of a NaN, and the final
+    ``abs`` clears that sign (a sum of squares is never negative, so it
+    moves no other bit).
     """
-    a = np.abs(np.asarray(values, dtype=float))
-    if a.ndim <= 1:
-        return a
+    v = np.asarray(values, dtype=float)
+    if v.ndim <= 1:
+        return np.abs(v)
     # every term is >= 0, so starting from zeros changes no bit
-    total = np.zeros(a.shape[:-1])
-    for j in range(a.shape[-1]):
-        c = a[..., j]
-        if math.isinf(rho):
-            np.maximum(total, c, out=total)
-        elif rho == 1.0:
-            total += c
-        elif rho == 2.0:
-            total += c * c
+    total = np.zeros(v.shape[:-1])
+    buf = np.empty_like(total)
+    for j in range(v.shape[-1]):
+        c = v[..., j]
+        if rho == 2.0:
+            np.multiply(c, c, out=buf)
         else:
-            total += c ** rho
+            np.abs(c, out=buf)
+            if not (math.isinf(rho) or rho == 1.0):
+                buf **= rho                    # the same power path as c ** rho
+        if math.isinf(rho):
+            np.maximum(total, buf, out=total)
+        else:
+            total += buf
     if math.isinf(rho) or rho == 1.0:
         return total
     if rho == 2.0:
-        return np.sqrt(total)
-    return total ** (1.0 / rho)
+        return np.abs(np.sqrt(total, out=total), out=total)
+    total **= 1.0 / rho
+    return total
 
 
 # =============================================================================

@@ -46,6 +46,14 @@ The mean and standard deviation then reduce one full per-pattern array,
 so the reported value and standard error are as if every row had been
 evaluated at once.
 
+Work whose result is fixed in advance is skipped.  ``carleson_norm``
+evaluates no cube whose family is identically zero: such a norm is exactly
+0.0 (stderr 0) for p > 0, and the running maximum, which starts at 0.0 and
+only takes a strictly larger value, would never take it; Monte Carlo signs
+are seeded per cube label, so no other draw moves.  ``decoupling_check``
+computes each block's resampling probabilities once, with the same
+division per entry.
+
 Limits, as checked against the all-at-once product with OpenBLAS 0.3.31
 on x86-64: the values agree bit for bit when the product has at most 192
 columns (atom values n*m) or a multiple of 8 columns, which covers every
@@ -248,16 +256,34 @@ def carleson_norm(index: GridIndex, d_fns: Dict[int, np.ndarray], p: float,
 
     For each occupied cube Q the family {d_k : 2^k <= l(Q)} is restricted to
     Q and its randomized L^p norm is divided by mu(Q)^(1/p).
+
+    A cube with no live atom -- one where every d_k of its family is zero,
+    in every lattice coordinate -- is skipped: its family is all zeros, so
+    its normalized norm is exactly 0.0 for p > 0, and the strict ``>`` of
+    the running maximum (which starts at 0.0) never takes it.  Monte Carlo
+    signs are drawn per cube label, so skipping a cube moves no other
+    cube's draw.  A NaN counts as live.
     """
     mu = index.measure
     best = NormReport(0.0, "exact", 0.0, 1)
+    keys = sorted(d_fns)
+    live = np.zeros(mu.atom_count, dtype=bool)     # some d_j, j <= k, nonzero
+    added = 0
     for k in index.system.scales:
-        for cube in index.occupied(k):
-            atoms = index.atoms_of(cube)
+        while added < len(keys) and keys[added] <= k:
+            d = np.asarray(d_fns[keys[added]], dtype=float)
+            live |= (d != 0.0).reshape(d.shape[0], -1).any(axis=1)
+            added += 1
+        if not added:
+            continue
+        scales = keys[:added]
+        live_cube = np.zeros(len(index.masses(k)), dtype=bool)
+        live_cube[index.cube_ids(k)[live]] = True
+        for i, cube in enumerate(index.occupied(k)):
             mass = index.mass_of(cube)
-            scales = [j for j in sorted(d_fns) if j <= cube.scale]
-            if not scales or mass == 0.0:
+            if not live_cube[i] or mass == 0.0:
                 continue
+            atoms = index.atoms_of(cube)
             family = [restrict(d_fns[j], atoms) for j in scales]
             rep = randomized_norm(mu, family, p, sampler,
                                   label=f"car:{cube.key}")
@@ -269,14 +295,16 @@ def carleson_norm(index: GridIndex, d_fns: Dict[int, np.ndarray], p: float,
 
 
 def carleson_embedding_check(ctx: MartingaleContext, d_fns: Dict[int, np.ndarray],
-                             ensemble: Sequence[np.ndarray], p: float,
+                             car: NormReport, ensemble: Sequence[np.ndarray], p: float,
                              sampler: RademacherSampler, rho: float = 2.0,
                              multipliers: Optional[Dict[int, np.ndarray]] = None) -> dict:
     """Embedding ratio ||sum eps_k d_k E_k(c_k f)||_p / (Car^1 ||f||_p).
 
-    The coefficient functions must be scale-measurable (d_k = E_k d_k); a
-    violation is an error, not a failed estimate.  Multipliers c_k default
-    to one and must be bounded by one in modulus.
+    ``car`` is Car^1 of ``d_fns``, ``carleson_norm(ctx.index, d_fns, 1.0,
+    sampler)``, computed once by the caller.  The coefficient functions must
+    be scale-measurable (d_k = E_k d_k); a violation is an error, not a
+    failed estimate.  Multipliers c_k default to one and must be bounded by
+    one in modulus.
     """
     mu = ctx.measure
     for k, d in d_fns.items():
@@ -287,7 +315,6 @@ def carleson_embedding_check(ctx: MartingaleContext, d_fns: Dict[int, np.ndarray
         for k, c in multipliers.items():
             if np.max(np.abs(c)) > 1.0 + 1e-12:
                 raise ValueError(f"multiplier c_{k} exceeds modulus one")
-    car = carleson_norm(ctx.index, d_fns, 1.0, sampler)
     ratios = []
     for idx, f in enumerate(ensemble):
         f = np.asarray(f, dtype=float)
@@ -505,6 +532,10 @@ def decoupling_check(mu: AtomicMeasure, blocks: Sequence[DecouplingBlock], p: fl
     for b in blocks:
         combos *= b.atoms.size
     exact = combos * 2 ** min(len(scales), sampler.n_exact) <= exact_limit
+    # each block's resampling law; w[i] / sum(w) is one division per entry
+    # whether taken from this array or one at a time
+    block_probs = [mu.weights[b.atoms] / float(np.sum(mu.weights[b.atoms]))
+                   for b in blocks]
 
     def norm_p_for_choice(choice: Sequence[int]) -> float:
         fam = []
@@ -522,9 +553,8 @@ def decoupling_check(mu: AtomicMeasure, blocks: Sequence[DecouplingBlock], p: fl
         ranges = [range(b.atoms.size) for b in blocks]
         for choice in itertools.product(*ranges):
             prob = 1.0
-            for bi, b in enumerate(blocks):
-                w = mu.weights[b.atoms]
-                prob *= w[choice[bi]] / float(np.sum(w))
+            for bi, probs in enumerate(block_probs):
+                prob *= probs[choice[bi]]
             total += prob * norm_p_for_choice(choice)
             weight_total += prob
         rhs = (total / weight_total) ** (1.0 / p)
@@ -533,10 +563,8 @@ def decoupling_check(mu: AtomicMeasure, blocks: Sequence[DecouplingBlock], p: fl
     else:
         rng = rng_for(seed, "dec:resample")
         samples = np.empty(mc_trials)
-        pick = []
-        for b in blocks:
-            w = mu.weights[b.atoms]
-            pick.append(rng.choice(b.atoms.size, size=mc_trials, p=w / np.sum(w)))
+        pick = [rng.choice(b.atoms.size, size=mc_trials, p=probs)
+                for b, probs in zip(blocks, block_probs)]
         for t in range(mc_trials):
             samples[t] = norm_p_for_choice([pk[t] for pk in pick])
         mean = float(np.mean(samples))

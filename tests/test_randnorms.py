@@ -284,13 +284,15 @@ def test_embedding_zero_and_measurability_guard():
     ctx = fixture_ctx()
     mu = ctx.measure
     zeros = {k: np.zeros(mu.atom_count) for k in list(ctx.diff_scales)[:4]}
-    res = carleson_embedding_check(ctx, zeros, [np.ones(mu.atom_count)], 2.0, SAMPLER)
+    res = carleson_embedding_check(ctx, zeros, carleson_norm(ctx.index, zeros, 1.0, SAMPLER),
+                                   [np.ones(mu.atom_count)], 2.0, SAMPLER)
     assert res["max_ratio"] == 0.0
     rng = np.random.default_rng(7)
     # a random function cannot be constant on the top cube
     bad = {ctx.system.s: rng.normal(size=mu.atom_count)}
     with pytest.raises(ValueError, match="measurable"):
-        carleson_embedding_check(ctx, bad, [np.ones(mu.atom_count)], 2.0, SAMPLER)
+        carleson_embedding_check(ctx, bad, carleson_norm(ctx.index, bad, 1.0, SAMPLER),
+                                 [np.ones(mu.atom_count)], 2.0, SAMPLER)
 
 
 def test_embedding_sign_multipliers_comparable():
@@ -299,10 +301,11 @@ def test_embedding_sign_multipliers_comparable():
     chi = {k: ctx.chi_mask(k).astype(float)
            for k in range(ctx.system.k_min, ctx.system.s)}
     ens = random_ensemble(9, mu, 3, 2.0)
-    base = carleson_embedding_check(ctx, chi, ens, 2.0, SAMPLER)
+    car = carleson_norm(ctx.index, chi, 1.0, SAMPLER)
+    base = carleson_embedding_check(ctx, chi, car, ens, 2.0, SAMPLER)
     rng = np.random.default_rng(8)
     signs = {k: np.full(mu.atom_count, float(rng.choice([-1.0, 1.0]))) for k in chi}
-    flipped = carleson_embedding_check(ctx, chi, ens, 2.0, SAMPLER,
+    flipped = carleson_embedding_check(ctx, chi, car, ens, 2.0, SAMPLER,
                                        multipliers=signs)
     if base["max_ratio"] > 0:
         assert flipped["max_ratio"] <= 2.0 * base["max_ratio"] + 1e-12
