@@ -21,12 +21,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from dyadlab._seeds import rng_for
-from dyadlab.grid import Cube, GridIndex
+from dyadlab.grid import Cube, GridIndex, contains
 from dyadlab.measure import AtomicMeasure
 
 __all__ = [
@@ -55,15 +55,11 @@ class AccretiveSystem:
 
     ``values[key]`` holds b_Q at the atoms of Q, ordered like
     ``index.atoms_of(Q)``; unoccupied cubes implicitly carry b_Q = 0 and are
-    excluded from every stopping scan.  ``testing_bound`` is an optional
-    sup bound of the operator applied to the b_Q's; fixture files carry it
-    as given, and no suite sets or reads it (the suites measure that bound
-    with ``operator.measure_testing_bound``).
+    excluded from every stopping scan.
     """
 
     delta: float
     values: Dict[CubeKey, np.ndarray]
-    testing_bound: Optional[float] = None
 
     def __post_init__(self):
         if not (0.0 < self.delta < 1.0):
@@ -221,7 +217,7 @@ def layer_decay_report(layers: Layers, mu: AtomicMeasure, index: GridIndex) -> d
                 total = 0.0
                 for skey in deeper:
                     s_cube = system.cube(*skey)
-                    if skey != key and _strictly_inside(q, s_cube):
+                    if s_cube.scale < q.scale and contains(q, s_cube):
                         total += index.mass_of(s_cube)
                 ratio = total / mass_q
                 rows.append({"layer": m_gen, "cube": key, "j": j, "ratio": ratio})
@@ -246,15 +242,6 @@ def check_layer_decay(layers: Layers, delta: float, mu: AtomicMeasure,
         if slack < -1e-12:
             ok = False
     return ok, worst
-
-
-def _strictly_inside(outer: Cube, inner: Cube) -> bool:
-    if inner.scale >= outer.scale:
-        return False
-    walk = inner
-    while walk.scale < outer.scale:
-        walk = walk.parent()
-    return walk.key == outer.key
 
 
 def overlap_l1_bound(layers: Layers, delta: float, mu: AtomicMeasure,
@@ -388,7 +375,6 @@ def _oscillatory(rng, mu, index, cube, delta):
 def dumps_accretive(sys_b: AccretiveSystem) -> str:
     payload = {
         "delta": sys_b.delta,
-        "testing_bound": sys_b.testing_bound,
         "cubes": {
             f"{k}|{','.join(str(i) for i in m)}": [float(v) for v in vals]
             for (k, m), vals in sorted(sys_b.values.items())
@@ -404,4 +390,4 @@ def loads_accretive(text: str) -> AccretiveSystem:
         k_str, m_str = key.split("|")
         m = tuple(int(p) for p in m_str.split(",")) if m_str else ()
         values[(int(k_str), m)] = np.asarray(vals, dtype=float)
-    return AccretiveSystem(float(data["delta"]), values, data.get("testing_bound"))
+    return AccretiveSystem(float(data["delta"]), values)

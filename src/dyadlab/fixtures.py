@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -23,6 +24,7 @@ from dyadlab.grid import DyadicParams, GridIndex, build_random_system, locate, \
     standard_system
 from dyadlab.martingale import MartingaleContext
 from dyadlab.measure import AtomicMeasure, LatticeSpace, growth_check, lp_norm
+from dyadlab.operator import PairClassifier
 
 __all__ = [
     "battery_params",
@@ -97,6 +99,11 @@ class FixturePair:
     @property
     def index_g(self) -> GridIndex:
         return self.ctx_g.index
+
+    @cached_property
+    def classifier(self) -> PairClassifier:
+        """The one pair classifier of this pair, built on first use."""
+        return PairClassifier(self.params)
 
 
 def build_fixture_pair(seed: int, mu: AtomicMeasure, params: DyadicParams,

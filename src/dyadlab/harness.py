@@ -302,10 +302,16 @@ class _Runner:
         self.add("identities", "reconstruction", "reconstruction.telescoping",
                  rec.residual <= 1e-10, rec.residual, 1e-10)
 
+        # D^a_k f, omega_k and E_k f once per scale; each local version is
+        # the restriction of these to the cube
+        diffs = rec.diff_terms
+        omegas = {k: mg.omega(ctx, k) for k in ctx.diff_scales}
+        means = {k: mg.expectation(ctx, f, k) for k in ctx.diff_scales}
+
         worst = 0.0
         for k in ctx.diff_scales:
-            lhs = mg.adapted_diff(ctx, mg.adapted_diff(ctx, f, k), k)
-            rhs = mg.adapted_diff(ctx, f, k) + mg.omega(ctx, k) * mg.expectation(ctx, f, k)
+            lhs = mg.adapted_diff(ctx, diffs[k], k)
+            rhs = diffs[k] + omegas[k] * means[k]
             worst = max(worst, _relsup(lhs - rhs, f))
         self.add("identities", "projection-square", "adapted.projection-square",
                  worst <= tol, worst, tol)
@@ -313,9 +319,10 @@ class _Runner:
         worst = 0.0
         for k in ctx.diff_scales:
             for cube in ctx.index.occupied(k):
-                dq = mg.adapted_diff_local(ctx, f, cube)
+                atoms = ctx.index.atoms_of(cube)
+                dq = ms.restrict(diffs[k], atoms)
                 lhs = mg.adapted_diff_local(ctx, dq, cube)
-                rhs = dq + mg.omega_local(ctx, cube) * mg.local_expectation(ctx, f, cube)
+                rhs = dq + ms.restrict(omegas[k], atoms) * ms.restrict(means[k], atoms)
                 worst = max(worst, _relsup(lhs - rhs, f))
         self.add("identities", "local-projection-square", "adapted.local-projection-square",
                  worst <= tol, worst, tol)
@@ -323,7 +330,7 @@ class _Runner:
         worst = 0.0
         for k in ctx.diff_scales:
             lhs = ms.pair(mu, mg.adapted_diff_adjoint(ctx, g, k), f)
-            rhs = ms.pair(mu, g, mg.adapted_diff(ctx, f, k))
+            rhs = ms.pair(mu, g, diffs[k])
             scale = max(abs(lhs), abs(rhs), 1e-30)
             worst = max(worst, abs(lhs - rhs) / scale)
         self.add("identities", "adjoint-duality", "adapted.adjoint-duality",
@@ -332,7 +339,7 @@ class _Runner:
         worst_exp, worst_mean, worst_sup, worst_l1, bad_supp = 0.0, 0.0, 0.0, 0.0, 0
         for k in ctx.diff_scales:
             for cube in ctx.index.occupied(k):
-                dq = mg.adapted_diff_local(ctx, f, cube)
+                dq = ms.restrict(diffs[k], ctx.index.atoms_of(cube))
                 combo = np.zeros(mu.atom_count)
                 for i, child in ctx.index.occupied_children(cube):
                     mass_child = ctx.index.mass_of(child)
@@ -363,7 +370,7 @@ class _Runner:
         worst_sup, worst_cond, bad_supp = 0.0, 0.0, 0
         om_bound = delta ** -2 + delta ** -4
         for k in ctx.diff_scales:
-            om = mg.omega(ctx, k)
+            om = omegas[k]
             worst_sup = max(worst_sup, float(np.max(np.abs(om))))
             worst_cond = max(worst_cond, float(np.max(np.abs(
                 mg.expectation(ctx, om, k - 1)))))
@@ -666,7 +673,7 @@ class _Runner:
 
         pairf = self.pair(grids="standard")
         t0 = time.perf_counter()
-        dec = czop.decay_bound_check(op, pairf.ctx_f, pairf.ctx_g, pairf.params,
+        dec = czop.decay_bound_check(op, pairf.ctx_f, pairf.ctx_g, pairf.classifier,
                                      collect_rows=True)
         self.add("matrix", "decay-bounds", "matrix.decay-bounds",
                  dec.passed, float(len(dec.failures)), 0.0,
@@ -703,16 +710,15 @@ class _Runner:
         pairf = self.pair(grids="standard")
         op = self.operator()
         mu = pairf.measure
-        params = pairf.params
         try:
-            smap = czop.paraproduct_smap(pairf.ctx_f, pairf.index_g, params)
+            smap = czop.paraproduct_smap(pairf.ctx_f, pairf.index_g, pairf.classifier)
             geom_ok = True
         except czop.GeometryError:
             smap, geom_ok = {}, False
         self.add("paraproduct", "smap-monotone", "paraproduct.smap-monotone",
                  geom_ok, float(geom_ok), None)
 
-        iff_ok, n_nonempty = _smap_iff_check(pairf, smap, params)
+        iff_ok, n_nonempty = _smap_iff_check(pairf, smap)
         self.add("paraproduct", "smap-iff", "paraproduct.smap-characterization",
                  iff_ok, float(n_nonempty), None)
 
@@ -737,8 +743,6 @@ class _Runner:
         cfg = self.cfg
         pairf = self.pair(grids="standard")
         op = self.operator()
-        mu = pairf.measure
-        params = pairf.params
         found, worst_resid, part_ok = _comparable_scan(op, pairf, cfg.eta)
         self.add("comparable", "partition-exact", "comparable.partition",
                  part_ok, float(found), None)
@@ -772,7 +776,7 @@ class _Runner:
         for r in (2, 4, 6):
             pairf = self.pair(r=r, grids="standard")
             led = czop.pairing_decomposition(op, pairf.ctx_f, pairf.ctx_g, f, g,
-                                             pairf.params, collect_rows=(r == cfg.r))
+                                             pairf.classifier, collect_rows=(r == cfg.r))
             worst_resid = max(worst_resid, led.identity_residual)
             fractions.append(led.bad_fraction)
             if r == cfg.r:
@@ -786,7 +790,7 @@ class _Runner:
 
         pairf = self.pair(grids="random")
         led = czop.pairing_decomposition(op, pairf.ctx_f, pairf.ctx_g, f, g,
-                                         pairf.params)
+                                         pairf.classifier)
         self.add("ledger", "identity-random-grids", "ledger.exact-identity-random",
                  led.identity_residual <= 1e-10, led.identity_residual, 1e-10)
 
@@ -846,8 +850,10 @@ def _decoupling_blocks(index: gr.GridIndex, rng, max_blocks: int = 10):
     return blocks
 
 
-def _smap_iff_check(pairf: fx.FixturePair, smap, params) -> Tuple[bool, int]:
-    classifier = czop.PairClassifier(params)
+def _smap_iff_check(pairf: fx.FixturePair, smap) -> Tuple[bool, int]:
+    """S(Q) against chi(Q, R) on the chain of R containing Q's centre, pair by
+    pair through the scalar ``classify``.  It cannot raise there: a good Q
+    that straddles R at a scale gap above r is bad."""
     sys2 = pairf.index_g.system
     nonempty = 0
     for k in pairf.ctx_f.diff_scales:
@@ -857,7 +863,8 @@ def _smap_iff_check(pairf: fx.FixturePair, smap, params) -> Tuple[bool, int]:
                 nonempty += 1
             for j in range(q_cube.scale, sys2.s + 1):
                 r_cube = sys2.cube_containing(q_cube.center, j)
-                chi = czop._chi(classifier, params, q_cube, r_cube)
+                chi = (pairf.classifier.classify(q_cube, r_cube)
+                       is czop.PairClass.DEEP_NESTED)
                 s_strict = (s_cube is not None and gr.contains(r_cube, s_cube)
                             and r_cube.key != s_cube.key)
                 if chi != s_strict:
@@ -869,7 +876,6 @@ def _comparable_pairs(pairf: fx.FixturePair):
     """The comparable pairs (Q, R): Q occupied at a difference scale of the f
     system, R occupied in the g system at a scale >= Q's; in the order of
     Q, then R's scale, then R."""
-    classifier = czop.PairClassifier(pairf.params)
     comparable = czop.PAIR_CLASSES.index(czop.PairClass.COMPARABLE)
     for k in pairf.ctx_f.diff_scales:
         q_cubes = pairf.index_f.occupied(k)
@@ -878,8 +884,8 @@ def _comparable_pairs(pairf: fx.FixturePair):
             for j in range(k, pairf.index_g.system.s + 1):
                 r_cubes = pairf.index_g.occupied(j)
                 if j not in is_comparable:
-                    is_comparable[j] = classifier.classify_block(q_cubes,
-                                                                 r_cubes) == comparable
+                    is_comparable[j] = pairf.classifier.classify_block(
+                        q_cubes, r_cubes) == comparable
                 for b in np.flatnonzero(is_comparable[j][a]):
                     yield q_cube, r_cubes[b]
 

@@ -33,8 +33,7 @@ from dyadlab.accretive import AccretiveSystem
 from dyadlab.grid import (Cube, DyadicParams, DyadicSystem, GridIndex, collar_witness,
                           contains, long_distance, set_distance, shift_walk_hits)
 from dyadlab.martingale import (MartingaleContext, adapted_diff, adapted_diff_adjoint,
-                                adapted_diff_local, adapted_expectation, omega_local,
-                                phi)
+                                adapted_diff_local, adapted_expectation, omega, phi)
 from dyadlab.measure import AtomicMeasure, lp_norm, pair, restrict
 
 __all__ = [
@@ -285,6 +284,10 @@ _SKIPPED = -2       # a pair left unclassified (``_class_matrix``)
 class PairClassifier:
     """Memoized badness profiles for pairs between two fixed systems.
 
+    One classifier lives on each fixture pair (``FixturePair.classifier``),
+    so every pair-class consumer of that pair reads the same profiles and
+    each cube is scanned once against each system.
+
     For each cube the scan records the largest witness scale at which the
     other system's boundary comes within the collar threshold; a cube is then
     n-bad exactly when scale(Q) + max(n, r) stays below that witness scale,
@@ -421,7 +424,7 @@ class PairLedger:
 
 def pairing_decomposition(op: DiscreteOperator, ctx_f: MartingaleContext,
                           ctx_g: MartingaleContext, f: np.ndarray, g: np.ndarray,
-                          params: DyadicParams,
+                          classifier: PairClassifier,
                           collect_rows: bool = False) -> PairLedger:
     """Decompose <g, Tf> into adapted blocks plus two boundary terms.
 
@@ -442,7 +445,7 @@ def pairing_decomposition(op: DiscreteOperator, ctx_f: MartingaleContext,
     top_f = adapted_expectation(ctx_f, f, ctx_f.system.s)
     top_g = adapted_expectation(ctx_g, g, ctx_g.system.s)
 
-    codes = _class_matrix(PairClassifier(params), r_cubes, q_cubes)
+    codes = _class_matrix(classifier, r_cubes, q_cubes)
     names = [cls.value for cls in PAIR_CLASSES]
     class_mass: Dict[str, float] = {}
     rows: List[dict] = []
@@ -502,7 +505,7 @@ class DecayCheckResult:
 
 
 def decay_bound_check(op: DiscreteOperator, ctx_f: MartingaleContext,
-                      ctx_g: MartingaleContext, params: DyadicParams,
+                      ctx_g: MartingaleContext, classifier: PairClassifier,
                       collect_rows: bool = False) -> DecayCheckResult:
     """Assert the off-diagonal decay bounds on separated and nested good pairs.
 
@@ -522,8 +525,8 @@ def decay_bound_check(op: DiscreteOperator, ctx_f: MartingaleContext,
         return result            # only pairs across two systems are checked
     f_menu = _pair_menu(ctx_f)
     g_menu = _pair_menu(ctx_g)
-    codes = _class_matrix(PairClassifier(params), [r for r, _ in g_menu],
-                          [q for q, _ in f_menu], smaller_q_only=True)
+    codes = _class_matrix(classifier, [r for r, _ in g_menu], [q for q, _ in f_menu],
+                          smaller_q_only=True)
     phi_l1: Dict[int, List[float]] = {}       # by position in the Q menu
 
     for (r_cube, psis), r_codes in zip(g_menu, codes):
@@ -532,8 +535,8 @@ def decay_bound_check(op: DiscreteOperator, ctx_f: MartingaleContext,
             if code == _SEPARATED:
                 if b not in phi_l1:
                     phi_l1[b] = [_l1(op.measure, v) for _, _, v in phis]
-                _check_separated(op, params, c_chain, q_cube, phis, phi_l1[b], r_cube,
-                                 psis, psi_rows, result, collect_rows)
+                _check_separated(op, classifier.params.r, c_chain, q_cube, phis,
+                                 phi_l1[b], r_cube, psis, psi_rows, result, collect_rows)
             elif code == _DEEP_NESTED:
                 _check_nested(op, ctx_g, c_chain, q_cube, phis, r_cube, psis,
                               psi_rows, result, collect_rows)
@@ -551,12 +554,13 @@ def _pair_menu(ctx: MartingaleContext):
     """
     out = []
     for k in ctx.diff_scales:
+        omega_k = omega(ctx, k)
         for cube in ctx.index.occupied(k):
             entries = []
             for i, child in ctx.index.occupied_children(cube):
                 mass = ctx.index.mass_of(child)
                 entries.append((i, mass, phi(ctx, cube, i)))
-                om = omega_local(ctx, cube, i)
+                om = restrict(omega_k, ctx.index.atoms_of(child))
                 if np.any(om != 0.0):
                     entries.append((i, mass, om))
             if entries:
@@ -583,12 +587,12 @@ def _l1(mu: AtomicMeasure, values: np.ndarray) -> float:
     return lp_norm(mu, np.abs(values), 1.0)
 
 
-def _check_separated(op, params, c_chain, q_cube, phis, phi_l1s, r_cube, psis,
+def _check_separated(op, r, c_chain, q_cube, phis, phi_l1s, r_cube, psis,
                      psi_rows, result, collect_rows):
     alpha, d = op.kernel.alpha, op.kernel.d
     dist = set_distance(q_cube, r_cube)
     ddist = long_distance(q_cube, r_cube)
-    deep = q_cube.side <= 2.0 ** (-params.r) * r_cube.side
+    deep = q_cube.side <= 2.0 ** (-r) * r_cube.side
     for e, (_, mass_rj, psi_vals) in enumerate(psis):
         row = psi_rows.get(("psi", e), lambda: psi_vals)
         psi_l1 = _l1(op.measure, psi_vals)
@@ -684,58 +688,43 @@ def decay_slope_fit(kernel: KernelSpec, separations: Sequence[float],
 # =============================================================================
 
 def paraproduct_smap(ctx_f: MartingaleContext, other: GridIndex,
-                     params: DyadicParams) -> Dict[Tuple, Optional[Cube]]:
+                     classifier: PairClassifier) -> Dict[Tuple, Optional[Cube]]:
     """The stopping map Q -> S(Q) of the deeply nested interaction.
 
-    chi(Q, R) = 1 when Q is R-good, Q inside R, and l(Q) < 2^-r l(R); it is
-    monotone along the ancestor chain of R, so when any R qualifies there is
-    a unique minimal one, and S(Q) is its child containing Q (single-child
-    containment is the nesting geometry of good cubes).  Cubes with no
-    qualifying R map to None.
+    chi(Q, R) = 1 when the pair (Q, R) classifies as deeply nested: Q is
+    R-good, Q inside R, and l(Q) < 2^-r l(R), so only the scales of R above
+    scale(Q) + r can qualify.  chi is monotone along the ancestor chain of R,
+    so when any R qualifies there is a unique minimal one, and S(Q) is its
+    child containing Q (single-child containment is the nesting geometry of
+    good cubes).  Cubes with no qualifying R map to None.
     """
-    classifier = PairClassifier(params)
-    sys2 = other.system
     out: Dict[Tuple, Optional[Cube]] = {}
     for k in ctx_f.diff_scales:
-        for q_cube in ctx_f.index.occupied(k):
-            chain = _containing_chain(q_cube, sys2)
-            flags = [(r, _chi(classifier, params, q_cube, r)) for r in chain]
-            qualifying = [r for r, ok in flags if ok]
+        q_cubes = ctx_f.index.occupied(k)
+        r_min: List[Optional[Cube]] = [None] * len(q_cubes)
+        seen = np.zeros(len(q_cubes), dtype=bool)
+        for j in range(k + classifier.params.r + 1, other.system.s + 1):
+            r_cubes = other.occupied(j)
+            chi = classifier.classify_block(q_cubes, r_cubes) == _DEEP_NESTED
+            has = chi.any(axis=1)
             # monotonicity along the chain: once 1, always 1
-            seen = False
-            for r, ok in flags:
-                if seen and not ok:
-                    raise GeometryError("stopping indicator is not monotone "
-                                        f"along the chain of {q_cube.key}")
-                seen = seen or ok
-            if not qualifying:
+            lost = np.flatnonzero(seen & ~has)
+            if lost.size:
+                raise GeometryError("stopping indicator is not monotone "
+                                    f"along the chain of {q_cubes[lost[0]].key}")
+            for a in np.flatnonzero(has & ~seen):
+                r_min[a] = r_cubes[int(np.argmax(chi[a]))]
+            seen |= has
+        for q_cube, r_cube in zip(q_cubes, r_min):
+            if r_cube is None:
                 out[q_cube.key] = None
                 continue
-            r_min = qualifying[0]
-            host = [c for c in r_min.children() if contains(c, q_cube)]
+            host = [c for c in r_cube.children() if contains(c, q_cube)]
             if len(host) != 1:
-                raise GeometryError(f"no single child of {r_min.key} hosts "
+                raise GeometryError(f"no single child of {r_cube.key} hosts "
                                     f"{q_cube.key}")
             out[q_cube.key] = host[0]
     return out
-
-
-def _containing_chain(q_cube: Cube, sys2: DyadicSystem) -> List[Cube]:
-    chain = []
-    for j in range(q_cube.scale, sys2.s + 1):
-        r = sys2.cube_containing(q_cube.center, j)
-        if contains(r, q_cube):
-            chain.append(r)
-    return chain
-
-
-def _chi(classifier: PairClassifier, params: DyadicParams, q_cube: Cube,
-         r_cube: Cube) -> bool:
-    if not q_cube.side < 2.0 ** (-params.r) * r_cube.side:
-        return False
-    if not contains(r_cube, q_cube):
-        return False
-    return not classifier.is_bad(q_cube, r_cube)
 
 
 def paraproduct_apply(op: DiscreteOperator, ctx_f: MartingaleContext,

@@ -237,7 +237,7 @@ def test_criterion_5_matrix_decay():
                                        grids="standard")
             op = DiscreteOperator(hilbert_kernel(0.25) if dim == 1
                                   else riesz_kernel(0.25), mu)
-            res = decay_bound_check(op, pairf.ctx_f, pairf.ctx_g, pairf.params)
+            res = decay_bound_check(op, pairf.ctx_f, pairf.ctx_g, pairf.classifier)
             total_checked += res.checked
             failures += len(res.failures)
     slopes_ok = True
@@ -263,7 +263,7 @@ def test_criterion_6_exact_ledger():
     fractions = []
     for r in (2, 4, 6):
         pairf = build_fixture_pair(7, mu, battery_params(r), 0.5, grids="standard")
-        led = pairing_decomposition(op, pairf.ctx_f, pairf.ctx_g, f, g, pairf.params)
+        led = pairing_decomposition(op, pairf.ctx_f, pairf.ctx_g, f, g, pairf.classifier)
         worst = max(worst, led.identity_residual)
         fractions.append(led.bad_fraction)
     # every fixture of the standard battery reproduces the pairing
@@ -274,7 +274,7 @@ def test_criterion_6_exact_ledger():
         fi = rngi.normal(size=(pairf.measure.atom_count, 2))
         gi = rngi.normal(size=(pairf.measure.atom_count, 2))
         led = pairing_decomposition(op_i, pairf.ctx_f, pairf.ctx_g, fi, gi,
-                                    pairf.params)
+                                    pairf.classifier)
         worst = max(worst, led.identity_residual)
     decreasing = fractions[0] > fractions[1] > fractions[2]
     ok = worst <= 1e-10 and decreasing
@@ -472,7 +472,7 @@ def test_criterion_9_geometry_partitions():
                             msum_worst = max(
                                 msum_worst,
                                 res["residual"] / max(abs(res["full"]), 1e-14))
-        smap = paraproduct_smap(pairf.ctx_f, pairf.index_g, pairf.params)
+        smap = paraproduct_smap(pairf.ctx_f, pairf.index_g, pairf.classifier)
         sys2 = pairf.index_g.system
         for k in pairf.ctx_f.diff_scales:
             for q in pairf.index_f.occupied(k):

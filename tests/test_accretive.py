@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -235,3 +237,13 @@ def test_accretive_roundtrip():
     assert set(back.values) == set(sys_b.values)
     for key in sys_b.values:
         assert np.array_equal(back.values[key], sys_b.values[key])
+
+
+def test_accretive_file_without_testing_bound():
+    # files written before carry a "testing_bound" key; it is read past
+    _, _, sys_b = four_atom_fixture()
+    payload = json.loads(dumps_accretive(sys_b))
+    assert "testing_bound" not in payload
+    payload["testing_bound"] = 3.5
+    back = loads_accretive(json.dumps(payload))
+    assert back.delta == sys_b.delta and set(back.values) == set(sys_b.values)

@@ -49,3 +49,27 @@ def _unused_imports(path: Path) -> list:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+def _private_reads(path: Path) -> list:
+    """``alias._name`` reads where ``alias`` is bound to a dyadlab module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "dyadlab":
+            aliases.update(alias.asname or alias.name for alias in node.names
+                           if alias.name in MODULES)
+        elif isinstance(node, ast.Import):
+            aliases.update(alias.asname for alias in node.names
+                           if alias.asname and alias.name.startswith("dyadlab."))
+    return sorted(f"{node.lineno}: {node.value.id}.{node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in aliases and node.attr.startswith("_"))
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.parent == PACKAGE],
+                         ids=lambda p: p.name)
+def test_no_private_reads_across_modules(path):
+    # a module that needs another module's private helper should use its
+    # public API, or the helper should become public
+    assert _private_reads(path) == []

@@ -235,7 +235,7 @@ def test_ledger_identity_indicator_systems():
     op = small_operator(pairf)
     rng = np.random.default_rng(3)
     f, g = rng.normal(size=mu.atom_count), rng.normal(size=mu.atom_count)
-    led = pairing_decomposition(op, pairf.ctx_f, pairf.ctx_g, f, g, pairf.params)
+    led = pairing_decomposition(op, pairf.ctx_f, pairf.ctx_g, f, g, pairf.classifier)
     assert led.identity_residual <= 1e-10
 
 
@@ -248,7 +248,7 @@ def test_ledger_annihilation_constant_input():
     f = np.ones(mu.atom_count)
     rng = np.random.default_rng(4)
     g = rng.normal(size=mu.atom_count)
-    led = pairing_decomposition(op, pairf.ctx_f, pairf.ctx_g, f, g, pairf.params)
+    led = pairing_decomposition(op, pairf.ctx_f, pairf.ctx_g, f, g, pairf.classifier)
     assert abs(led.block_sum) <= 1e-12
     assert led.identity_residual <= 1e-10
 
@@ -259,7 +259,7 @@ def test_ledger_vector_valued():
     rng = np.random.default_rng(5)
     f = rng.normal(size=(pairf.measure.atom_count, 2))
     g = rng.normal(size=(pairf.measure.atom_count, 2))
-    led = pairing_decomposition(op, pairf.ctx_f, pairf.ctx_g, f, g, pairf.params)
+    led = pairing_decomposition(op, pairf.ctx_f, pairf.ctx_g, f, g, pairf.classifier)
     assert led.identity_residual <= 1e-10
 
 
@@ -271,7 +271,7 @@ def test_bad_fraction_decreases_with_r():
     fractions = []
     for r in (2, 4, 6):
         pairf = build_fixture_pair(7, mu, battery_params(r), 0.5, grids="standard")
-        led = pairing_decomposition(op, pairf.ctx_f, pairf.ctx_g, f, g, pairf.params)
+        led = pairing_decomposition(op, pairf.ctx_f, pairf.ctx_g, f, g, pairf.classifier)
         assert led.identity_residual <= 1e-10
         fractions.append(led.bad_fraction)
     assert fractions[0] > fractions[1] > fractions[2]
@@ -284,7 +284,7 @@ def test_bad_fraction_decreases_with_r():
 def test_decay_bounds_pass_on_battery():
     pairf = small_pair(r=4)
     op = small_operator(pairf)
-    res = decay_bound_check(op, pairf.ctx_f, pairf.ctx_g, pairf.params)
+    res = decay_bound_check(op, pairf.ctx_f, pairf.ctx_g, pairf.classifier)
     assert res.checked > 0
     assert res.passed
     assert res.worst_margin > 1.0
@@ -345,7 +345,7 @@ def test_decay_slope_within_ten_percent(d):
 def test_smap_characterization_and_duality():
     pairf = small_pair(r=3, atoms=32)
     op = small_operator(pairf)
-    smap = paraproduct_smap(pairf.ctx_f, pairf.index_g, pairf.params)
+    smap = paraproduct_smap(pairf.ctx_f, pairf.index_g, pairf.classifier)
     classifier = PairClassifier(pairf.params)
     sys2 = pairf.index_g.system
     nonempty = 0
@@ -377,7 +377,7 @@ def test_smap_characterization_and_duality():
 def test_paraproduct_zero_function():
     pairf = small_pair(r=3, atoms=32)
     op = small_operator(pairf)
-    smap = paraproduct_smap(pairf.ctx_f, pairf.index_g, pairf.params)
+    smap = paraproduct_smap(pairf.ctx_f, pairf.index_g, pairf.classifier)
     out = paraproduct_apply(op, pairf.ctx_f, pairf.ctx_g,
                             np.zeros(pairf.measure.atom_count), smap)
     assert np.all(out == 0.0)
@@ -388,7 +388,7 @@ def test_paraproduct_empty_when_window_shallow():
     mu = battery_measure(9, 1, 16)
     pairf = build_fixture_pair(5, mu, battery_params(2), 0.5, grids="standard")
     deep_params = DyadicParams(gamma=0.4, r=30, alpha=1.0, d=0.25)
-    smap = paraproduct_smap(pairf.ctx_f, pairf.index_g, deep_params)
+    smap = paraproduct_smap(pairf.ctx_f, pairf.index_g, PairClassifier(deep_params))
     assert all(v is None for v in smap.values())
     op = small_operator(pairf)
     rng = np.random.default_rng(8)

@@ -3,7 +3,9 @@
 ``PairClassifier.classify_block`` must give every pair the class the scalar
 ``classify`` gives it, and the ledger and the decay check, which pair cached
 rows against stacked functions, must reproduce a per-pair evaluation of
-(w psi) @ M @ phi with ``==``: same values, same sums, same row order.
+(w psi) @ M @ phi with ``==``: same values, same sums, same row order.  The
+stopping map, read from the block classes, must equal the map found by
+walking each cube's containing chain.
 """
 import math
 
@@ -11,14 +13,14 @@ import numpy as np
 import pytest
 
 from dyadlab.fixtures import battery_measure, battery_params, build_fixture_pair
-from dyadlab.grid import contains, long_distance, set_distance
-from dyadlab.harness import _comparable_pairs
+from dyadlab.grid import DyadicParams, contains, long_distance, set_distance
+from dyadlab.harness import ExperimentConfig, _comparable_pairs, run_suite
 from dyadlab.martingale import adapted_diff, adapted_expectation
 from dyadlab.measure import lp_norm, restrict
 from dyadlab.operator import (PAIR_CLASSES, DiscreteOperator, GeometryError, PairClass,
                               PairClassifier, _class_matrix, _pair_menu,
                               chain_constant, decay_bound_check, kernel_by_name,
-                              pairing_decomposition)
+                              pairing_decomposition, paraproduct_smap)
 
 FIXTURES = [(1, "standard"), (1, "random"), (2, "standard"), (2, "random")]
 
@@ -147,6 +149,93 @@ def test_comparable_pairs_equal_scalar_scan(dim, grids):
     assert got == want and got
 
 
+def test_run_scans_each_profile_once(monkeypatch):
+    # every pair-class consumer of a fixture pair reads that pair's one
+    # classifier, so no badness profile is scanned twice
+    scan = PairClassifier._scan
+    scans, systems = [], []
+
+    def counted(self, q, other):
+        systems.append(other)       # pinned, so each id stays one system's
+        scans.append((id(other), q.key))
+        return scan(self, q, other)
+
+    monkeypatch.setattr(PairClassifier, "_scan", counted)
+    run_suite(ExperimentConfig(atom_count=16, mc_trials=20_000, seed=3,
+                               suites=("matrix", "paraproduct", "comparable", "ledger")))
+    assert scans and len(scans) == len(set(scans))
+
+
+# =============================================================================
+# Stopping map
+# =============================================================================
+
+def _reference_smap(ctx_f, other, params):
+    """The stopping map by each cube's containing chain and a separate
+    deeply-nested rule ``_chi``, one pair at a time."""
+    classifier = PairClassifier(params)
+    sys2 = other.system
+    out = {}
+    for k in ctx_f.diff_scales:
+        for q_cube in ctx_f.index.occupied(k):
+            chain = _containing_chain(q_cube, sys2)
+            flags = [(r, _chi(classifier, params, q_cube, r)) for r in chain]
+            qualifying = [r for r, ok in flags if ok]
+            # monotonicity along the chain: once 1, always 1
+            seen = False
+            for r, ok in flags:
+                if seen and not ok:
+                    raise GeometryError("stopping indicator is not monotone "
+                                        f"along the chain of {q_cube.key}")
+                seen = seen or ok
+            if not qualifying:
+                out[q_cube.key] = None
+                continue
+            r_min = qualifying[0]
+            host = [c for c in r_min.children() if contains(c, q_cube)]
+            if len(host) != 1:
+                raise GeometryError(f"no single child of {r_min.key} hosts "
+                                    f"{q_cube.key}")
+            out[q_cube.key] = host[0]
+    return out
+
+
+def _containing_chain(q_cube, sys2):
+    chain = []
+    for j in range(q_cube.scale, sys2.s + 1):
+        r = sys2.cube_containing(q_cube.center, j)
+        if contains(r, q_cube):
+            chain.append(r)
+    return chain
+
+
+def _chi(classifier, params, q_cube, r_cube):
+    if not q_cube.side < 2.0 ** (-params.r) * r_cube.side:
+        return False
+    if not contains(r_cube, q_cube):
+        return False
+    return not classifier.is_bad(q_cube, r_cube)
+
+
+@pytest.mark.parametrize("dim,grids", FIXTURES)
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_smap_equals_chain_reference(dim, grids, r):
+    pairf, _ = _fixture(dim, grids, r=r)
+    smap = paraproduct_smap(pairf.ctx_f, pairf.index_g, pairf.classifier)
+    assert smap == _reference_smap(pairf.ctx_f, pairf.index_g, pairf.params)
+    assert any(s is not None for s in smap.values())
+
+
+@pytest.mark.parametrize("dim,grids", FIXTURES)
+def test_smap_equals_chain_reference_past_the_window(dim, grids):
+    # with r larger than the whole window no cube can be deeply nested
+    pairf, _ = _fixture(dim, grids)
+    deep_params = DyadicParams(gamma=0.4, r=30, alpha=1.0, d=0.25)
+    smap = paraproduct_smap(pairf.ctx_f, pairf.index_g, PairClassifier(deep_params))
+    assert smap == _reference_smap(pairf.ctx_f, pairf.index_g, deep_params)
+    assert smap and all(s is None for s in smap.values())
+
+
 # =============================================================================
 # Ledger
 # =============================================================================
@@ -187,7 +276,7 @@ def test_ledger_equals_per_pair_reference(dim, grids, coords):
     shape = (pairf.measure.atom_count,) if coords is None \
         else (pairf.measure.atom_count, coords)
     f, g = rng.normal(size=shape), rng.normal(size=shape)
-    led = pairing_decomposition(op, pairf.ctx_f, pairf.ctx_g, f, g, pairf.params,
+    led = pairing_decomposition(op, pairf.ctx_f, pairf.ctx_g, f, g, pairf.classifier,
                                 collect_rows=True)
     block_sum, class_mass, rows, small, large, total = _reference_ledger(
         op, pairf.ctx_f, pairf.ctx_g, f, g, pairf.params)
@@ -274,7 +363,7 @@ def _reference_decay(op, ctx_f, ctx_g, params):
 @pytest.mark.parametrize("dim,grids", FIXTURES)
 def test_decay_check_equals_per_pair_reference(dim, grids):
     pairf, op = _fixture(dim, grids, r=2)
-    res = decay_bound_check(op, pairf.ctx_f, pairf.ctx_g, pairf.params,
+    res = decay_bound_check(op, pairf.ctx_f, pairf.ctx_g, pairf.classifier,
                             collect_rows=True)
     ref = _reference_decay(op, pairf.ctx_f, pairf.ctx_g, pairf.params)
     assert res.checked == ref["checked"] > 0
