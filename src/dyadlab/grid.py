@@ -392,6 +392,7 @@ class GridIndex:
         self._atoms: Dict[int, List[np.ndarray]] = {}
         self._cube_ids: Dict[int, np.ndarray] = {}
         self._masses: Dict[int, np.ndarray] = {}
+        self._children: Dict[Tuple[int, Tuple[int, ...]], List[Tuple[int, Cube]]] = {}
         for k in system.scales:
             # unique rows come back in lexicographic order, the order of
             # sorted() on the index tuples
@@ -435,12 +436,19 @@ class GridIndex:
         """(i, Q_i) for the children Q_i = cube.children()[i] that hold atoms.
 
         Empty at the bottom scale of the window and for an unoccupied cube.
+        Computed once per cube key (the cube is one of this system's) and
+        returned as a fresh list.
         """
-        if cube.scale <= self.system.k_min:
-            return []
-        below = self._cubes[cube.scale - 1]
-        return [(i, below[self._position[c.key]])
-                for i, c in enumerate(cube.children()) if c.key in self._position]
+        children = self._children.get(cube.key)
+        if children is None:
+            children = []
+            if cube.scale > self.system.k_min:
+                below = self._cubes[cube.scale - 1]
+                children = [(i, below[self._position[c.key]])
+                            for i, c in enumerate(cube.children())
+                            if c.key in self._position]
+            self._children[cube.key] = children
+        return list(children)
 
 
 def locate(mu: AtomicMeasure, system: DyadicSystem) -> GridIndex:

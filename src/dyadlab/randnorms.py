@@ -46,6 +46,22 @@ The mean and standard deviation then reduce one full per-pattern array,
 so the reported value and standard error are as if every row had been
 evaluated at once.
 
+Stacked families.  ``decoupling_check`` evaluates its resampled twins a
+chunk of choices at a time.  The chunk's families form one (T, K, n) stack,
+built with the same ``+=`` per block, and ``_stack_pattern_values`` takes
+``np.matmul(signs, stack)``, ``abs``, ``** p`` and ``@ mu.weights`` over it,
+the scalar steps of ``randomized_norm``, which is its T = 1 case.  Each item
+keeps its bits: ``np.matmul`` on a stack calls the BLAS routine of the 2-D
+product once per item, on the same operands; the row-wise ``np.mean``
+reduces each row in the order of the 1-D mean; and every choice shares one
+sign table (Monte Carlo signs are seeded by count and label, so each
+per-choice call drew the same table).  The ``** (1/p)`` and ``** p`` steps
+and the sums over choices stay per choice, in Python floats and in their old
+order.  A chunk holds about ``CHUNK_ELEMENTS`` = 2^17 elements (1 MiB) per
+(choices x sign rows x atoms) array, and at least one choice: 512 choices
+at 4 sign rows and 64 atoms, 128 at 2 sign rows and 512 atoms.  So its
+temporaries stay the same size at any trial count.
+
 Work whose result is fixed in advance is skipped.  ``carleson_norm``
 evaluates no cube whose family is identically zero: such a norm is exactly
 0.0 (stderr 0) for p > 0, and the running maximum, which starts at 0.0 and
@@ -100,6 +116,8 @@ __all__ = [
 
 # fewest multiply-adds (sign rows x signs x atom values) in an evaluated block
 BLOCK_MULADDS = 1 << 21
+# about the most elements of a (choices x sign rows x atoms) decoupling chunk
+CHUNK_ELEMENTS = 1 << 17
 
 
 # =============================================================================
@@ -181,6 +199,40 @@ def _stack_family(family: Sequence[np.ndarray]) -> np.ndarray:
     return np.stack(arrs, axis=0)
 
 
+def _per_pattern(signs: np.ndarray, exact: bool, row_muladds: int,
+                 evaluate: Callable[[np.ndarray], np.ndarray],
+                 lead: Tuple[int, ...] = ()) -> np.ndarray:
+    """The values of every sign row, (*lead, P), evaluated in blocks along the rows.
+
+    ``evaluate(s)`` returns the values of the rows of ``s`` as (*lead, B);
+    ``row_muladds`` is the multiply-add count of one row (signs x atom values).
+    """
+    total = signs.shape[0]
+    out = np.empty(lead + (total,))
+    # the fewest rows, a multiple of 64, that do BLOCK_MULADDS multiply-adds
+    rows = -(-BLOCK_MULADDS // max(64 * row_muladds, 1)) * 64
+    # exact row total-1-i is -(row i): evaluate the first half, mirror the rest
+    mirror = exact and total // 2 >= rows
+    evaluated = total // 2 if mirror else total
+    lo = 0
+    while lo < evaluated:
+        hi = evaluated if evaluated - lo < 2 * rows else lo + rows
+        out[..., lo:hi] = evaluate(signs[lo:hi])
+        lo = hi
+    if mirror:
+        out[..., evaluated:] = out[..., evaluated - 1::-1]
+    return out
+
+
+def _stack_pattern_values(weights: np.ndarray, stack: np.ndarray, p: float,
+                          signs: np.ndarray, exact: bool) -> np.ndarray:
+    """(T, P): int |sum_k s_k h_k|^p dmu for every sign row s and every
+    scalar family (h_k) of a (T, K, n) stack."""
+    return _per_pattern(signs, exact, stack.shape[1] * stack.shape[2],
+                        lambda s: np.abs(np.matmul(s, stack)) ** p @ weights,
+                        lead=stack.shape[:1])
+
+
 def randomized_norm(mu: AtomicMeasure, family: Sequence[np.ndarray], p: float,
                     sampler: RademacherSampler, rho: float = 2.0,
                     label: str = "") -> NormReport:
@@ -190,24 +242,12 @@ def randomized_norm(mu: AtomicMeasure, family: Sequence[np.ndarray], p: float,
         return NormReport(0.0, "exact", 0.0, 1)
     signs, exact = sampler.signs(H.shape[0], label=label)
     total = signs.shape[0]
-    per_pattern = np.empty(total)
-    # the fewest rows, a multiple of 64, that do BLOCK_MULADDS multiply-adds
-    rows = -(-BLOCK_MULADDS // max(64 * H.size, 1)) * 64
-    # exact row total-1-i is -(row i): evaluate the first half, mirror the rest
-    mirror = exact and total // 2 >= rows
-    evaluated = total // 2 if mirror else total
-    lo = 0
-    while lo < evaluated:
-        hi = evaluated if evaluated - lo < 2 * rows else lo + rows
-        s = signs[lo:hi]
-        if H.ndim == 2:                                    # scalar-valued family
-            norms = np.abs(s @ H)                          # (B, n)
-        else:                                              # lattice-valued family
-            norms = vector_norm(np.tensordot(s, H, axes=(1, 0)), rho)
-        per_pattern[lo:hi] = norms ** p @ mu.weights
-        lo = hi
-    if mirror:
-        per_pattern[evaluated:] = per_pattern[evaluated - 1::-1]
+    if H.ndim == 2:                                        # scalar-valued family
+        per_pattern = _stack_pattern_values(mu.weights, H[None], p, signs, exact)[0]
+    else:                                                  # lattice-valued family
+        per_pattern = _per_pattern(
+            signs, exact, H.size,
+            lambda s: vector_norm(np.tensordot(s, H, axes=(1, 0)), rho) ** p @ mu.weights)
     mean = float(np.mean(per_pattern))
     value = mean ** (1.0 / p)
     if exact:
@@ -487,7 +527,12 @@ def decoupling_check(mu: AtomicMeasure, blocks: Sequence[DecouplingBlock], p: fl
     trick: the LHS block data is averaged through a kernel,
     (1_A(x)/mu(A)) int_A k_A(x, z) f_A(z) dmu(z) with |k_A| <= 1, and the
     reported ratio compares against the plain undecoupled norm.
+
+    Any other mode is a ``ValueError``, and so is a Monte Carlo RHS with
+    fewer than 2 trials, whose standard error would be NaN.
     """
+    if mode not in ("tangent", "trick"):
+        raise ValueError(f"unknown decoupling mode {mode!r}: use 'tangent' or 'trick'")
     scales = sorted({b.scale for b in blocks})
     n = mu.atom_count
     if require_cell_constant or mode == "trick":
@@ -532,41 +577,52 @@ def decoupling_check(mu: AtomicMeasure, blocks: Sequence[DecouplingBlock], p: fl
     for b in blocks:
         combos *= b.atoms.size
     exact = combos * 2 ** min(len(scales), sampler.n_exact) <= exact_limit
+    if not exact and mc_trials < 2:
+        raise ValueError("need at least 2 Monte Carlo trials for a standard error")
     # each block's resampling law; w[i] / sum(w) is one division per entry
     # whether taken from this array or one at a time
     block_probs = [mu.weights[b.atoms] / float(np.sum(mu.weights[b.atoms]))
                    for b in blocks]
+    block_values = [np.asarray(b.values)[b.atoms] for b in blocks]
+    signs, signs_exact = sampler.signs(len(scales), label="dec:rhs")
+    chunk = max(1, CHUNK_ELEMENTS // (signs.shape[0] * n))
 
-    def norm_p_for_choice(choice: Sequence[int]) -> float:
-        fam = []
-        for k in scales:
-            g = np.zeros(n)
+    def norms_p(choices: np.ndarray) -> List[float]:
+        """||resampled sum||_p^p for each row of ``choices`` (one atom per block)."""
+        stack = np.zeros((choices.shape[0], len(scales), n))
+        for ki, k in enumerate(scales):
             for bi, b in enumerate(blocks):
                 if b.scale == k:
-                    g[b.atoms] += np.asarray(b.values)[b.atoms[choice[bi]]]
-            fam.append(g)
-        rep = randomized_norm(mu, fam, p, sampler, label="dec:rhs")
-        return rep.value ** p
+                    stack[:, ki, b.atoms] += block_values[bi][choices[:, bi], None]
+        means = np.mean(_stack_pattern_values(mu.weights, stack, p, signs, signs_exact),
+                        axis=1)
+        return [(float(m) ** (1.0 / p)) ** p for m in means]
 
     if exact:
         total, weight_total = 0.0, 0.0
-        ranges = [range(b.atoms.size) for b in blocks]
-        for choice in itertools.product(*ranges):
-            prob = 1.0
-            for bi, probs in enumerate(block_probs):
-                prob *= probs[choice[bi]]
-            total += prob * norm_p_for_choice(choice)
-            weight_total += prob
+        product = itertools.product(*(range(b.atoms.size) for b in blocks))
+        while True:
+            rows = list(itertools.islice(product, chunk))
+            if not rows:
+                break
+            choices = np.array(rows, dtype=np.intp).reshape(len(rows), len(blocks))
+            probs = np.ones(len(rows))
+            for bi, bp in enumerate(block_probs):
+                probs *= bp[choices[:, bi]]
+            for prob, norm_p in zip(probs, norms_p(choices)):
+                total += prob * norm_p
+                weight_total += prob
         rhs = (total / weight_total) ** (1.0 / p)
         stderr = 0.0
         method = "exact"
     else:
         rng = rng_for(seed, "dec:resample")
+        choices = np.empty((mc_trials, len(blocks)), dtype=np.intp)
+        for bi, (b, probs) in enumerate(zip(blocks, block_probs)):
+            choices[:, bi] = rng.choice(b.atoms.size, size=mc_trials, p=probs)
         samples = np.empty(mc_trials)
-        pick = [rng.choice(b.atoms.size, size=mc_trials, p=probs)
-                for b, probs in zip(blocks, block_probs)]
-        for t in range(mc_trials):
-            samples[t] = norm_p_for_choice([pk[t] for pk in pick])
+        for lo in range(0, mc_trials, chunk):
+            samples[lo:lo + chunk] = norms_p(choices[lo:lo + chunk])
         mean = float(np.mean(samples))
         rhs = mean ** (1.0 / p)
         sd = float(np.std(samples, ddof=1)) / math.sqrt(mc_trials)

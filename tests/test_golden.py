@@ -1,0 +1,40 @@
+"""The ``full-d2-n64`` reports against the golden sha256 table.
+
+The reports are built in a fresh interpreter whose BLAS threads are pinned
+by ``bench/workloads.pin_environment`` before numpy loads, as
+``bench/check_golden.py`` does; this test only reads ``bench/golden.json``.
+"""
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
+WORKLOAD = "full-d2-n64"
+SEEDS = (7, 11)
+
+SCRIPT = f"""
+import json, sys
+sys.path.insert(0, {str(BENCH)!r})
+from workloads import make_config, pin_environment, report_sha
+pin_environment()
+from dyadlab.harness import run_suite
+print(json.dumps({{str(seed): report_sha(run_suite(make_config({WORKLOAD!r}, seed)))
+                  for seed in {SEEDS!r}}}))
+"""
+
+
+def test_full_d2_n64_reports_match_golden():
+    golden = json.loads((BENCH / "golden.json").read_text(encoding="utf-8"))[WORKLOAD]
+    done = subprocess.run([sys.executable, "-c", SCRIPT], capture_output=True, text=True,
+                          timeout=600)
+    assert done.returncode == 0, done.stderr
+    fresh = json.loads(done.stdout.splitlines()[-1])
+    want = {str(seed): golden[str(seed)] for seed in SEEDS}
+    assert fresh == want, (
+        f"{WORKLOAD} report sha256 differs from bench/golden.json. Report bits "
+        "depend on the BLAS build, CPU and thread count (see the FOUND line on "
+        "BLAS in CHANGES.md), so the table holds for one host set-up; run "
+        "`python3 bench/check_golden.py` on the parent commit of this host "
+        "before treating a mismatch as a change in the program")

@@ -213,6 +213,9 @@ def test_grid_index_matches_bruteforce_bucketing(dimension, grids):
             assert index.masses(k)[pos] == float(np.sum(w[atoms]))
             expected = [] if k == system.k_min else [
                 (i, c.key) for i, c in enumerate(cube.children()) if c.index in parts[k - 1]]
+            children = index.occupied_children(cube)
+            assert [(i, c.key) for i, c in children] == expected
+            children.append(None)         # each call returns a fresh list
             assert [(i, c.key) for i, c in index.occupied_children(cube)] == expected
         empty = system.cube(k, tuple(v + 7 for v in keys[-1]))
         assert index.atoms_of(empty).size == 0

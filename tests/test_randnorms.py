@@ -481,6 +481,28 @@ def test_decoupling_kernel_variant_bounded():
     assert res["lhs"] <= 4.0 * res["rhs"] + 1e-12
 
 
+@pytest.mark.parametrize("mode", ["Tangent", "kernel", ""])
+def test_decoupling_unknown_mode_rejected(mode):
+    ctx = fixture_ctx(atoms=16)
+    blocks = _two_scale_blocks(ctx, np.random.default_rng(18))
+    with pytest.raises(ValueError, match="'tangent' or 'trick'"):
+        decoupling_check(ctx.measure, blocks, 2.0, SAMPLER, mode=mode)
+
+
+@pytest.mark.parametrize("trials", [0, 1])
+def test_decoupling_mc_needs_two_trials(trials):
+    ctx = fixture_ctx(atoms=16)
+    blocks = _two_scale_blocks(ctx, np.random.default_rng(15))
+    with pytest.raises(ValueError, match="at least 2 Monte Carlo trials"):
+        decoupling_check(ctx.measure, blocks, 3.0, SAMPLER, mc_trials=trials,
+                         exact_limit=1)
+    # the exact path draws no trials
+    res = decoupling_check(ctx.measure, blocks, 3.0, SAMPLER, mc_trials=trials)
+    assert res["method"] == "exact" and res["rhs_stderr"] == 0.0
+    two = decoupling_check(ctx.measure, blocks, 3.0, SAMPLER, mc_trials=2, exact_limit=1)
+    assert math.isfinite(two["rhs"]) and math.isfinite(two["rhs_stderr"])
+
+
 # =============================================================================
 # Classical randomized checks
 # =============================================================================

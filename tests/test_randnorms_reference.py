@@ -1,12 +1,14 @@
 """The randomized-norm layer against verbatim references.
 
 ``carleson_norm`` skips cubes whose family vanishes, ``decoupling_check``
-computes each block's resampling law once, and ``measure.vector_norm``
-reuses one column buffer.  Each must return exactly what the plain versions
-below return (``==`` on the whole result, sign bits included).
+computes each block's resampling law once and evaluates the resampled
+families in stacked chunks, and ``measure.vector_norm`` reuses one column
+buffer.  Each must return exactly what the plain versions below return
+(``==`` on the whole result, sign bits included).
 """
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -342,6 +344,117 @@ def test_decoupling_trick_matches_reference(p):
         b.kernel = lambda x, z: np.tanh(x[:, :1] - z[:, 0][None, :])
     want = _reference_decoupling_check(mu, blocks, p, SAMPLER, mode="trick")
     assert decoupling_check(mu, blocks, p, SAMPLER, mode="trick") == want
+
+
+def _scale_blocks(scales, per_scale=2, dim=1, atoms=32, seed=5):
+    """Blocks on the ``scales`` finest scales that have cubes with several
+    occupied children, ``per_scale`` cubes each, values constant on the cells."""
+    index = _index(dim, "random", atoms=atoms, seed=seed).index
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for k in index.system.scales[1:]:
+        cubes = [c for c in index.occupied(k) if len(index.occupied_children(c)) > 1]
+        for cube in cubes[:per_scale]:
+            cells = [index.atoms_of(c) for _, c in index.occupied_children(cube)]
+            vals = np.zeros(index.measure.atom_count)
+            for cell in cells:
+                vals[cell] = rng.normal()
+            blocks.append(DecouplingBlock(k, index.atoms_of(cube), vals, cells=cells))
+        if len({b.scale for b in blocks}) == scales:
+            return index.measure, blocks
+    raise AssertionError(f"fewer than {scales} scales with split cubes")
+
+
+def _count_kernel(monkeypatch):
+    """Count the calls of the stacked per-pattern kernel and of randomized_norm."""
+    calls = {"kernel": 0, "norm": 0}
+    kernel, norm = rn._stack_pattern_values, rn.randomized_norm
+
+    def counting_kernel(*args):
+        calls["kernel"] += 1
+        return kernel(*args)
+
+    def counting_norm(*args, **kwargs):
+        calls["norm"] += 1
+        return norm(*args, **kwargs)
+
+    monkeypatch.setattr(rn, "_stack_pattern_values", counting_kernel)
+    monkeypatch.setattr(rn, "randomized_norm", counting_norm)
+    return calls
+
+
+def _choice_count(blocks):
+    return math.prod(b.atoms.size for b in blocks)
+
+
+@pytest.mark.parametrize("scales", [1, 2, 3])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_decoupling_exact_over_several_chunks(monkeypatch, scales, p):
+    mu, blocks = _scale_blocks(scales, per_scale=3 if scales == 1 else 2)
+    want = _reference_decoupling_check(mu, blocks, p, SAMPLER)
+    choices = _choice_count(blocks)
+    chunk = 5
+    assert want["method"] == "exact" and choices > chunk
+    monkeypatch.setattr(rn, "CHUNK_ELEMENTS", chunk * 2 ** scales * mu.atom_count)
+    calls = _count_kernel(monkeypatch)
+    assert decoupling_check(mu, blocks, p, SAMPLER) == want
+    # the undecoupled norm, then one kernel call per chunk of choices
+    assert calls == {"norm": 1, "kernel": 1 + -(-choices // chunk)}
+
+
+@pytest.mark.parametrize("scales", [1, 2, 3])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_decoupling_mc_partial_last_chunk(monkeypatch, scales, p):
+    mu, blocks = _scale_blocks(scales)
+    chunk = rn.CHUNK_ELEMENTS // (2 ** scales * mu.atom_count)
+    trials = 2 * chunk + 37
+    kw = dict(mc_trials=trials, seed=3, exact_limit=1)
+    want = _reference_decoupling_check(mu, blocks, p, SAMPLER, **kw)
+    assert want["method"] == "mc"
+    calls = _count_kernel(monkeypatch)
+    assert decoupling_check(mu, blocks, p, SAMPLER, **kw) == want
+    # one kernel call per chunk (two full, one partial), not one per choice
+    assert calls == {"norm": 1, "kernel": 4}
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_decoupling_monte_carlo_signs_match_reference(p):
+    # three scales with n_exact = 1: every resampled norm draws 256 sign rows
+    mu, blocks = _scale_blocks(3)
+    sampler = RademacherSampler(n_exact=1, mc_trials=256, seed=5)
+    for kw in ({}, dict(mc_trials=45, seed=3, exact_limit=1)):
+        want = _reference_decoupling_check(mu, blocks, p, sampler, **kw)
+        assert decoupling_check(mu, blocks, p, sampler, **kw) == want
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_decoupling_three_scales_match_reference(dim):
+    mu, blocks = _scale_blocks(3, per_scale=1, dim=dim, atoms=24)
+    for p in (1.0, 3.0):
+        want = _reference_decoupling_check(mu, blocks, p, SAMPLER)
+        assert decoupling_check(mu, blocks, p, SAMPLER) == want
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_decoupling_one_choice_per_chunk(monkeypatch, p):
+    # 8 sign rows x 8193 atoms is more than half of CHUNK_ELEMENTS, so each
+    # chunk holds one choice; the tangent check reads only the atom count
+    # and weights of the measure
+    n = 8193
+    rng = np.random.default_rng(9)
+    mu = SimpleNamespace(atom_count=n, weights=rng.uniform(0.5, 1.5, n) / n)
+    assert rn.CHUNK_ELEMENTS // (8 * n) == 1
+    blocks = []
+    for scale, size in ((3, 3), (3, 2), (5, 2), (7, 3)):
+        atoms = np.sort(rng.choice(n, size=size, replace=False))
+        blocks.append(DecouplingBlock(scale, atoms, rng.normal(size=n)))
+    for kw, choices in (({}, _choice_count(blocks)),
+                        (dict(mc_trials=5, seed=3, exact_limit=1), 5)):
+        want = _reference_decoupling_check(mu, blocks, p, SAMPLER, **kw)
+        calls = _count_kernel(monkeypatch)
+        assert decoupling_check(mu, blocks, p, SAMPLER, **kw) == want
+        assert calls == {"norm": 1, "kernel": 1 + choices}
+        monkeypatch.undo()
 
 
 # =============================================================================
