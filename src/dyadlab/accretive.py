@@ -78,14 +78,6 @@ class AccretiveSystem:
         out[index.atoms_of(cube)] = self.on(cube)
         return out
 
-    def cube_integral(self, index: GridIndex, cube: Cube, over: Cube) -> float:
-        """int_{over} b_cube dmu, for ``over`` a subcube of ``cube``."""
-        atoms_o = index.atoms_of(over)
-        if atoms_o.size == 0:
-            return 0.0
-        full = self.as_function(index, cube)
-        return float(np.dot(index.measure.weights[atoms_o], full[atoms_o]))
-
 
 @dataclass
 class Layers:
@@ -93,10 +85,6 @@ class Layers:
 
     generations: List[List[CubeKey]]
     ancestor: Dict[CubeKey, CubeKey]
-
-    @property
-    def depth(self) -> int:
-        return len(self.generations) - 1
 
 
 @dataclass
@@ -114,9 +102,10 @@ class AccretiveReport:
 # Verification
 # =============================================================================
 
-def verify_accretive(sys_b: AccretiveSystem, mu: AtomicMeasure, index: GridIndex,
-                     tolerance: float = 1e-12) -> AccretiveReport:
-    """Check support, sup bound and mean lower bound on every occupied cube."""
+def verify_accretive(sys_b: AccretiveSystem, mu: AtomicMeasure,
+                     index: GridIndex) -> AccretiveReport:
+    """Check support, sup bound and mean lower bound on every occupied cube,
+    each with an absolute tolerance of 1e-12."""
     sup_bad: List[CubeKey] = []
     mean_bad: List[CubeKey] = []
     margins: Dict[CubeKey, float] = {}
@@ -126,11 +115,11 @@ def verify_accretive(sys_b: AccretiveSystem, mu: AtomicMeasure, index: GridIndex
             vals = sys_b.on(cube)
             if vals.shape[0] != atoms.shape[0]:
                 raise ValueError(f"test function for {cube.key} has wrong length")
-            if np.max(np.abs(vals)) > 1.0 + tolerance:
+            if np.max(np.abs(vals)) > 1.0 + 1e-12:
                 sup_bad.append(cube.key)
             mean = float(np.dot(mu.weights[atoms], vals)) / index.mass_of(cube)
             margins[cube.key] = abs(mean) - sys_b.delta
-            if abs(mean) < sys_b.delta * (1.0 - 1e-12) - tolerance:
+            if abs(mean) < sys_b.delta * (1.0 - 1e-12) - 1e-12:
                 mean_bad.append(cube.key)
     return AccretiveReport(not sup_bad and not mean_bad, sup_bad, mean_bad, margins)
 

@@ -1,5 +1,8 @@
 """Standard fixture battery shared by the harness and the test suite.
 
+The harness and the tests also share two suite inputs: ``sqfn_families``
+(the square-function families) and ``decoupling_blocks`` (the decoupling blocks).
+
 The battery measure keeps its atoms in tight clusters around coordinates
 whose binary expansions stay away from every dyadic boundary (thirds), on a
 fine jittered grid so that atoms separate at a moderate dyadic scale.  This
@@ -14,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -22,9 +25,11 @@ from dyadlab._seeds import rng_for
 from dyadlab.accretive import build_layers, generate_accretive
 from dyadlab.grid import DyadicParams, GridIndex, build_random_system, locate, \
     standard_system
-from dyadlab.martingale import MartingaleContext
-from dyadlab.measure import AtomicMeasure, LatticeSpace, growth_check, lp_norm
+from dyadlab.martingale import MartingaleContext, adapted_diff, adapted_diff_adjoint, \
+    diff, expectation
+from dyadlab.measure import AtomicMeasure, LatticeSpace, growth_check, lp_norm, mult
 from dyadlab.operator import PairClassifier
+from dyadlab.randnorms import DecouplingBlock
 
 __all__ = [
     "battery_params",
@@ -32,6 +37,8 @@ __all__ = [
     "FixturePair",
     "build_fixture_pair",
     "random_ensemble",
+    "sqfn_families",
+    "decoupling_blocks",
     "BATTERY_D",
     "BATTERY_GAMMA",
 ]
@@ -40,20 +47,19 @@ BATTERY_D = 0.25
 BATTERY_GAMMA = 0.4
 
 
-def battery_params(r: int, gamma: float = BATTERY_GAMMA, alpha: float = 1.0,
-                   d: float = BATTERY_D) -> DyadicParams:
-    return DyadicParams(gamma=gamma, r=r, alpha=alpha, d=d)
+def battery_params(r: int) -> DyadicParams:
+    return DyadicParams(gamma=BATTERY_GAMMA, r=r, alpha=1.0, d=BATTERY_D)
 
 
 def battery_measure(seed: int, dimension: int, atom_count: int,
-                    d: float = BATTERY_D, spread_scale: int = -6) -> AtomicMeasure:
+                    d: float = BATTERY_D) -> AtomicMeasure:
     """Clustered measure around per-coordinate thirds, growth-normalized.
 
     Atoms are split between cluster centers with coordinates in {1/3, 2/3},
-    then jittered on a dyadic cell grid inside a window of side
-    2^spread_scale per cluster.  The cell grid is the coarsest one holding a
-    cluster's share of atoms, which keeps the isolation scale (and with it
-    the window length) as high as the atom count allows.
+    then jittered on a dyadic cell grid inside a window of side 2^-6 per
+    cluster.  The cell grid is the coarsest one holding a cluster's share of
+    atoms, which keeps the isolation scale (and with it the window length)
+    as high as the atom count allows.
     """
     rng = rng_for(seed, f"battery:{dimension}:{atom_count}")
     centers = np.array([1.0 / 3.0, 2.0 / 3.0])
@@ -66,7 +72,7 @@ def battery_measure(seed: int, dimension: int, atom_count: int,
     cells_per_axis = 1
     while cells_per_axis ** dimension < max(counts):
         cells_per_axis *= 2
-    grid_scale = spread_scale - int(math.log2(cells_per_axis))
+    grid_scale = -6 - int(math.log2(cells_per_axis))
     if grid_scale < -22:
         raise ValueError("atom count too large for the battery cluster layout")
     step = 2.0 ** grid_scale
@@ -147,3 +153,44 @@ def random_ensemble(seed: int, mu: AtomicMeasure, count: int, p: float,
         nrm = lp_norm(mu, f, p, rho=rho)
         out.append(f / nrm)
     return out
+
+
+def sqfn_families(ctx: MartingaleContext) -> Dict[str, Callable]:
+    """The square-function families by name: each maps a scalar or
+    lattice-valued f to one function per difference scale k, namely D^a_k f,
+    (D^a_k)^* f, D_k f and 1_{b_{k-1} != b_k} E_{k-1} f."""
+    return {
+        "adapted-diff": lambda f: [adapted_diff(ctx, f, k) for k in ctx.diff_scales],
+        "adapted-adjoint": lambda f: [adapted_diff_adjoint(ctx, f, k)
+                                      for k in ctx.diff_scales],
+        "classical-diff": lambda f: [diff(ctx, f, k) for k in ctx.diff_scales],
+        "transition-expectation": lambda f: [
+            mult(ctx.chi_mask(k - 1).astype(float), expectation(ctx, f, k - 1))
+            for k in ctx.diff_scales],
+    }
+
+
+def decoupling_blocks(index: GridIndex, rng, max_blocks: int) -> List[DecouplingBlock]:
+    """At most ``max_blocks`` blocks on at most two scales, preferring cubes
+    whose resampling matters (several occupied child cells, so the decoupled
+    twin differs from the original); each block's values are one normal draw
+    from ``rng`` per occupied child cell."""
+    candidates = []
+    for k in index.system.scales:
+        if k == index.system.k_min:
+            continue
+        for cube in index.occupied(k):
+            cells = [index.atoms_of(c) for _, c in index.occupied_children(cube)]
+            candidates.append((len(cells), k, cube, cells))
+    candidates.sort(key=lambda t: (-t[0], t[1], t[2].key))
+    chosen_scales = sorted({k for ncells, k, _, _ in candidates[:max_blocks]
+                            if ncells > 1}) or [candidates[0][1]]
+    blocks = []
+    for ncells, k, cube, cells in candidates:
+        if k not in chosen_scales[:2] or len(blocks) >= max_blocks:
+            continue
+        vals = np.zeros(index.measure.atom_count)
+        for cell in cells:
+            vals[cell] = rng.normal()
+        blocks.append(DecouplingBlock(k, index.atoms_of(cube), vals, cells=cells))
+    return blocks

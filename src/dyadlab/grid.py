@@ -318,20 +318,20 @@ def standard_system(mu: AtomicMeasure, params: DyadicParams,
 
 
 def build_random_system(seed: int, mu: AtomicMeasure, params: DyadicParams,
-                        window: Optional[Tuple[int, int]] = None,
-                        max_retries: int = 64) -> DyadicSystem:
+                        window: Optional[Tuple[int, int]] = None) -> DyadicSystem:
     """Random shifted system with i.i.d. uniform binary shift digits.
 
     If the support is split between top-scale cubes, the top scale is raised
     by one and the shifts are resampled; almost surely this terminates, and
-    the retry budget turns the remaining probability-zero event into an error.
+    a budget of 64 tries turns the remaining probability-zero event into an
+    error.
     """
     k_min, s = window if window is not None else _default_window(mu, params)
     if s - k_min < params.r + 4:
         raise ValueError("window must span at least r + 4 scales above the "
                          "atom-separation scale")
     rng = rng_for(seed, "dyadic-system")
-    for attempt in range(max_retries):
+    for attempt in range(64):
         betas = tuple(tuple(int(b) for b in rng.integers(0, 2, size=mu.dimension))
                       for _ in range(k_min, s))
         sys0 = DyadicSystem(mu.dimension, k_min, s, betas, tuple([0] * mu.dimension))

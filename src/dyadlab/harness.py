@@ -18,7 +18,7 @@ import time
 import traceback
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -110,9 +110,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if not (1.0 < self.p < math.inf):
             raise ValueError("p must lie in (1, inf)")
-        # validates the shift-geometry constraints at load time
+        # validates the shift-geometry and lattice constraints at load time
         gr.DyadicParams(gamma=self.gamma, r=self.r, alpha=self.alpha,
                         d=self.growth_exponent)
+        self.lattice()
         unknown = set(self.suites) - set(ALL_SUITES)
         if unknown:
             raise ValueError(f"unknown suites: {sorted(unknown)}")
@@ -128,8 +129,10 @@ class ExperimentConfig:
     def t_aux(self) -> float:
         if self.t_exponent is not None:
             return self.t_exponent
-        s = max(2.0, self.lattice_rho if not math.isinf(self.lattice_rho) else 2.0)
-        return 2.0 * max(s, self.p, self.q)
+        return 2.0 * max(self.lattice().cotype, self.p, self.q)
+
+    def lattice(self) -> ms.LatticeSpace:
+        return ms.LatticeSpace(self.lattice_m, self.lattice_rho)
 
     def params(self, r: Optional[int] = None) -> gr.DyadicParams:
         return gr.DyadicParams(gamma=self.gamma, r=self.r if r is None else r,
@@ -501,22 +504,13 @@ class _Runner:
         ctx = pairf.ctx_f
         mu = pairf.measure
         sampler = cfg.sampler()
-        space = ms.LatticeSpace(cfg.lattice_m, cfg.lattice_rho)
+        space = cfg.lattice()
         ensemble = fx.random_ensemble(derive_seed(cfg.seed, "sqfn"), mu, 6, cfg.p,
                                       space)
         rho = space.rho
         cap = cfg.ratio_cap
 
-        fams = {
-            "adapted-diff": lambda f: [mg.adapted_diff(ctx, f, k)
-                                       for k in ctx.diff_scales],
-            "adapted-adjoint": lambda f: [mg.adapted_diff_adjoint(ctx, f, k)
-                                          for k in ctx.diff_scales],
-            "classical-diff": lambda f: [mg.diff(ctx, f, k) for k in ctx.diff_scales],
-            "transition-expectation": lambda f: [
-                ms.mult(ctx.chi_mask(k - 1).astype(float), mg.expectation(ctx, f, k - 1))
-                for k in ctx.diff_scales],
-        }
+        fams = fx.sqfn_families(ctx)
         for name, fam in fams.items():
             res = rn.square_function_ratio(ctx, fam, cfg.p, ensemble, sampler, rho=rho)
             self.add("sqfn", name, f"sqfn.{name}",
@@ -554,13 +548,12 @@ class _Runner:
         rng = rng_for(cfg.seed, "contraction")
         fam = fams["adapted-diff"](ensemble[0])
         lam = rng.uniform(-1.0, 1.0, size=len(fam))
-        after, before = rn.contraction_check(mu, fam, lam, sampler)
+        after, before = rn.contraction_check(mu, fam, lam, sampler, rho=rho)
         self.add("sqfn", "contraction", "sqfn.contraction-principle",
                  after <= before * (1.0 + 1e-12), after, before)
 
-        scalar_fam = [np.asarray(h if h.ndim == 1 else h[:, 0]) for h in
-                      fams["classical-diff"](ensemble[0][:, 0]
-                                             if ensemble[0].ndim == 2 else ensemble[0])]
+        scalar_fam = fams["classical-diff"](ensemble[0][:, 0] if ensemble[0].ndim == 2
+                                            else ensemble[0])
         rep = rn.randomized_norm(mu, scalar_fam, cfg.p, sampler, label="khintchine")
         sq = rn.square_function_norm(mu, scalar_fam, cfg.p)
         a_p, b_p = rn.khintchine_constants(cfg.p)
@@ -625,7 +618,7 @@ class _Runner:
         sampler = cfg.sampler()
         pairf = self.pair(grids="random")
         index = pairf.index_f
-        blocks = _decoupling_blocks(index, rng_for(cfg.seed, "dec"), max_blocks=10)
+        blocks = fx.decoupling_blocks(index, rng_for(cfg.seed, "dec"), max_blocks=10)
         lo, hi = 1.0 / 16.0, 16.0
         res = rn.decoupling_check(mu, blocks, cfg.p, sampler)
         ratio = res["ratio"]
@@ -673,8 +666,7 @@ class _Runner:
 
         pairf = self.pair(grids="standard")
         t0 = time.perf_counter()
-        dec = czop.decay_bound_check(op, pairf.ctx_f, pairf.ctx_g, pairf.classifier,
-                                     collect_rows=True)
+        dec = czop.decay_bound_check(op, pairf.ctx_f, pairf.ctx_g, pairf.classifier)
         self.add("matrix", "decay-bounds", "matrix.decay-bounds",
                  dec.passed, float(len(dec.failures)), 0.0,
                  runtime_s=time.perf_counter() - t0)
@@ -824,32 +816,6 @@ def _layers_disjoint_nested(ctx: mg.MartingaleContext) -> bool:
     return True
 
 
-def _decoupling_blocks(index: gr.GridIndex, rng, max_blocks: int = 10):
-    """Blocks on two adjacent scales, preferring cubes whose resampling matters
-    (several occupied child cells, so the decoupled twin differs from the
-    original)."""
-    mu = index.measure
-    candidates = []
-    for k in index.system.scales:
-        if k == index.system.k_min:
-            continue
-        for cube in index.occupied(k):
-            cells = [index.atoms_of(c) for _, c in index.occupied_children(cube)]
-            candidates.append((len(cells), k, cube, cells))
-    candidates.sort(key=lambda t: (-t[0], t[1], t[2].key))
-    chosen_scales = sorted({k for ncells, k, _, _ in candidates[:max_blocks]
-                            if ncells > 1}) or [candidates[0][1]]
-    blocks = []
-    for ncells, k, cube, cells in candidates:
-        if k not in chosen_scales[:2] or len(blocks) >= max_blocks:
-            continue
-        vals = np.zeros(mu.atom_count)
-        for cell in cells:
-            vals[cell] = rng.normal()
-        blocks.append(rn.DecouplingBlock(k, index.atoms_of(cube), vals, cells=cells))
-    return blocks
-
-
 def _smap_iff_check(pairf: fx.FixturePair, smap) -> Tuple[bool, int]:
     """S(Q) against chi(Q, R) on the chain of R containing Q's centre, pair by
     pair through the scalar ``classify``.  It cannot raise there: a good Q
@@ -918,10 +884,8 @@ def _comparable_scan(op, pairf: fx.FixturePair, eta: float):
 def _regions_partition(mu, regions: czop.CollarRegions) -> bool:
     in_q = np.where(regions.q_child.contains_points(mu.positions))[0]
     in_r = np.where(regions.r_child.contains_points(mu.positions))[0]
-    q_parts = [regions.delta_q, regions.q_sep, regions.q_boundary]
-    r_parts = [regions.delta_r, regions.r_sep, regions.r_boundary]
-    q_union = np.concatenate(q_parts) if q_parts else np.empty(0, dtype=int)
-    r_union = np.concatenate(r_parts) if r_parts else np.empty(0, dtype=int)
+    q_union = np.concatenate([regions.delta_q, regions.q_sep, regions.q_boundary])
+    r_union = np.concatenate([regions.delta_r, regions.r_sep, regions.r_boundary])
     return (len(set(q_union)) == len(q_union) == in_q.size
             and set(q_union) == set(in_q)
             and len(set(r_union)) == len(r_union) == in_r.size
@@ -936,8 +900,7 @@ def run_suite(config: ExperimentConfig) -> SuiteReport:
     return _Runner(config).run()
 
 
-def emit_report(report: SuiteReport, out_dir, formats: Sequence[str] = ("json", "csv")
-                ) -> List[Path]:
+def emit_report(report: SuiteReport, out_dir) -> List[Path]:
     """Write the canonical JSON report and CSV tables; re-emission is idempotent.
 
     Wall times go to ``timings.json`` beside ``report.json``, in seconds: each
@@ -946,40 +909,34 @@ def emit_report(report: SuiteReport, out_dir, formats: Sequence[str] = ("json", 
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: List[Path] = []
-    if "json" in formats:
-        path = out / "report.json"
-        path.write_text(report.canonical_json(), encoding="utf-8")
-        written.append(path)
-        path = out / "timings.json"
-        checks = sorted(report.checks, key=lambda c: (c.suite, c.name))
-        path.write_text(json.dumps({
-            "suite_s": report.suite_s,
-            "check_s": {f"{c.suite}/{c.name}": c.runtime_s for c in checks
-                        if c.runtime_s > 0.0},
-        }, indent=1) + "\n", encoding="utf-8")
-        written.append(path)
-    if "csv" in formats:
-        path = out / "checks.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["suite", "name", "anchor", "passed", "value", "bound",
-                             "stderr"])
-            for c in sorted(report.checks, key=lambda c: (c.suite, c.name)):
-                writer.writerow([c.suite, c.name, c.anchor, int(c.passed),
-                                 repr(float(c.value)),
-                                 "" if c.bound is None else repr(float(c.bound)),
-                                 repr(float(c.stderr))])
-        written.append(path)
-        for tname, rows in report.tables.items():
+    checks = sorted(report.checks, key=lambda c: (c.suite, c.name))
+    report_path, timings_path, checks_path = (
+        out / "report.json", out / "timings.json", out / "checks.csv")
+    report_path.write_text(report.canonical_json(), encoding="utf-8")
+    timings_path.write_text(json.dumps({
+        "suite_s": report.suite_s,
+        "check_s": {f"{c.suite}/{c.name}": c.runtime_s for c in checks
+                    if c.runtime_s > 0.0},
+    }, indent=1) + "\n", encoding="utf-8")
+    with open(checks_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["suite", "name", "anchor", "passed", "value", "bound",
+                         "stderr"])
+        for c in checks:
+            writer.writerow([c.suite, c.name, c.anchor, int(c.passed),
+                             repr(float(c.value)),
+                             "" if c.bound is None else repr(float(c.bound)),
+                             repr(float(c.stderr))])
+    written = [report_path, timings_path, checks_path]
+    for tname, rows in report.tables.items():
+        if rows:
             tpath = out / f"{tname}.csv"
-            if rows:
-                with open(tpath, "w", newline="", encoding="utf-8") as fh:
-                    writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-                    writer.writeheader()
-                    for row in rows:
-                        writer.writerow({k: _csv_cell(v) for k, v in row.items()})
-                written.append(tpath)
+            with open(tpath, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+                writer.writeheader()
+                for row in rows:
+                    writer.writerow({k: _csv_cell(v) for k, v in row.items()})
+            written.append(tpath)
     return written
 
 

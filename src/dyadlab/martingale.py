@@ -30,7 +30,7 @@ omega_k E_k.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -42,16 +42,13 @@ __all__ = [
     "MartingaleContext",
     "expectation",
     "diff",
-    "local_expectation",
     "adapted_expectation",
     "adapted_diff",
     "adapted_diff_local",
     "phi",
     "omega",
-    "omega_local",
     "adapted_adjoint_expectation",
     "adapted_diff_adjoint",
-    "layer_expectation",
     "reconstruct",
     "expectation_matrix",
     "adapted_expectation_matrix",
@@ -166,11 +163,6 @@ def diff(ctx: MartingaleContext, values: np.ndarray, k: int) -> np.ndarray:
     return expectation(ctx, v, k - 1) - expectation(ctx, v, k)
 
 
-def local_expectation(ctx: MartingaleContext, values: np.ndarray, cube: Cube) -> np.ndarray:
-    """1_Q E_k f for Q at scale k."""
-    return restrict(expectation(ctx, values, cube.scale), ctx.index.atoms_of(cube))
-
-
 # =============================================================================
 # Adapted operators
 # =============================================================================
@@ -232,12 +224,6 @@ def omega(ctx: MartingaleContext, k: int) -> np.ndarray:
     return chi * (bk / ebk - (bk1 / ebk1) * (e_prev_bk / ebk))
 
 
-def omega_local(ctx: MartingaleContext, cube: Cube, i: Optional[int] = None) -> np.ndarray:
-    """omega_Q = 1_Q omega_k, or its restriction to the i-th child."""
-    target = cube if i is None else cube.children()[i]
-    return restrict(omega(ctx, cube.scale), ctx.index.atoms_of(target))
-
-
 def adapted_adjoint_expectation(ctx: MartingaleContext, values: np.ndarray, k: int) -> np.ndarray:
     """(E^a_k)^* g = E_k(b_k g) / E_k b_k."""
     v = np.asarray(values, dtype=float)
@@ -249,18 +235,6 @@ def adapted_diff_adjoint(ctx: MartingaleContext, values: np.ndarray, k: int) -> 
     v = np.asarray(values, dtype=float)
     return (adapted_adjoint_expectation(ctx, v, k - 1)
             - adapted_adjoint_expectation(ctx, v, k))
-
-
-def layer_expectation(ctx: MartingaleContext, values: np.ndarray, n: int) -> np.ndarray:
-    """Sum of local expectations over the generation-n layer cubes."""
-    v = np.asarray(values, dtype=float)
-    out = np.zeros_like(v)
-    if n >= len(ctx.layers.generations):
-        return out
-    for key in ctx.layers.generations[n]:
-        cube = ctx.system.cube(*key)
-        out += local_expectation(ctx, v, cube)
-    return out
 
 
 # =============================================================================

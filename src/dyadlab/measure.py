@@ -29,7 +29,6 @@ __all__ = [
     "growth_check",
     "growth_radii",
     "integrate",
-    "average",
     "pair",
     "lp_norm",
     "restrict",
@@ -81,8 +80,9 @@ class AtomicMeasure:
         if not np.all(w > 0):
             raise ValueError("weights must be strictly positive")
         if self.atom_count > 1:
-            d = _pairwise_sup_distances(pos)
-            if np.min(d) == 0.0:
+            # equal rows sort next to each other; == makes 0.0 and -0.0 one point
+            rows = pos[np.lexsort(pos.T[::-1])]
+            if np.any(np.all(rows[1:] == rows[:-1], axis=1)):
                 raise ValueError("atom positions must be pairwise distinct")
         if not (0.0 < self.growth_exponent <= self.dimension):
             raise ValueError("growth exponent must lie in (0, N]")
@@ -92,10 +92,6 @@ class AtomicMeasure:
     @property
     def atom_count(self) -> int:
         return self.positions.shape[0]
-
-    @property
-    def total_mass(self) -> float:
-        return float(np.sum(self.weights))
 
     def min_gap(self) -> float:
         """Smallest pairwise sup-norm distance between atoms (inf for one atom)."""
@@ -149,8 +145,10 @@ class LatticeSpace:
 
     @property
     def cotype(self) -> float:
-        """Cotype exponent of the lattice: max(2, rho)."""
-        return max(2.0, self.rho) if not math.isinf(self.rho) else math.inf
+        """Cotype exponent of the lattice: max(2, rho), and 2 at rho = inf,
+        since l^inf_m is finite-dimensional and so has cotype 2 (with a
+        constant that grows with m)."""
+        return 2.0 if math.isinf(self.rho) else max(2.0, self.rho)
 
     def norm(self, values: np.ndarray) -> np.ndarray:
         """l^rho norm along the last axis; scalar arrays pass through as |.|"""
@@ -231,16 +229,6 @@ def integrate(mu: AtomicMeasure, values: np.ndarray, where: Optional[np.ndarray]
     return w @ values
 
 
-def average(mu: AtomicMeasure, values: np.ndarray, where: Optional[np.ndarray] = None):
-    """Mass-normalized integral; a zero-mass region averages to zero."""
-    mass = mu.total_mass if where is None else float(np.sum(mu.weights[where]))
-    if mass == 0.0:
-        values = np.asarray(values, dtype=float)
-        return 0.0 if values.ndim == 1 else np.zeros(values.shape[1])
-    out = integrate(mu, values, where)
-    return out / mass
-
-
 def pair(mu: AtomicMeasure, g: np.ndarray, f: np.ndarray) -> float:
     """The mu-duality pairing <g, f> = sum_atoms w(x) sum_j g_j(x) f_j(x)."""
     g = np.asarray(g, dtype=float)
@@ -293,10 +281,6 @@ class GrowthReport:
     radii: np.ndarray
     worst_radius: float
 
-    def __iter__(self):
-        # unpack as (passed, c_gr)
-        return iter((self.passed, self.c_gr))
-
 
 def growth_radii(mu: AtomicMeasure) -> np.ndarray:
     """Dyadic radius sweep used by :func:`growth_check`.
@@ -316,10 +300,10 @@ def growth_radii(mu: AtomicMeasure) -> np.ndarray:
     return 2.0 ** np.arange(k_lo, k_hi + 1)
 
 
-def growth_check(mu: AtomicMeasure, tolerance: float = 1e-12) -> GrowthReport:
+def growth_check(mu: AtomicMeasure) -> GrowthReport:
     """Largest ratio mu(B(x, r)) / r^d over atom centers and the dyadic sweep.
 
-    Passes iff the ratio never exceeds 1 + tolerance (mass normalized so the
+    Passes iff the ratio never exceeds 1 + 1e-12 (mass normalized so the
     growth constant is at most one).
     """
     if mu.atom_count == 0:
@@ -335,7 +319,7 @@ def growth_check(mu: AtomicMeasure, tolerance: float = 1e-12) -> GrowthReport:
         if ratio > c_gr:
             c_gr = ratio
             worst_r = r
-    return GrowthReport(c_gr <= 1.0 + tolerance, c_gr, radii, float(worst_r))
+    return GrowthReport(c_gr <= 1.0 + 1e-12, c_gr, radii, float(worst_r))
 
 
 # =============================================================================

@@ -92,11 +92,11 @@ def riesz_kernel(d: float) -> KernelSpec:
     return KernelSpec("riesz", ev, 1.0, d * 2.0 ** (d + 1.0), 1.0, d)
 
 
-def dipole_kernel(d: float, axis: int = 0) -> KernelSpec:
-    """K(x, y) = (x_a - y_a) / |x - y|^(d+1): antisymmetric, first-moment type."""
+def dipole_kernel(d: float) -> KernelSpec:
+    """K(x, y) = (x_1 - y_1) / |x - y|^(d+1): antisymmetric, first-moment type."""
     def ev(x, y):
         dist = _sup_dist(x, y)
-        num = x[:, None, axis] - y[None, :, axis]
+        num = x[:, None, 0] - y[None, :, 0]
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.where(dist > 0, num / np.where(dist > 0, dist, 1.0) ** (d + 1.0), 0.0)
         return out
@@ -127,14 +127,13 @@ def _sup_dist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.max(np.abs(x[:, None, :] - y[None, :, :]), axis=-1)
 
 
-def validate_kernel(spec: KernelSpec, mu: AtomicMeasure, seed: int = 5,
-                    samples: int = 400) -> dict:
-    """Sampled size and smoothness checks on pairs / triples of atom positions."""
+def validate_kernel(spec: KernelSpec, mu: AtomicMeasure, seed: int = 5) -> dict:
+    """Sampled size and smoothness checks on 400 pairs / triples of atom positions."""
     rng = rng_for(seed, f"kernel:{spec.name}")
     n = mu.atom_count
     worst_size = 0.0
     worst_smooth = 0.0
-    for _ in range(samples):
+    for _ in range(400):
         a, b = rng.integers(0, n, size=2)
         if a == b:
             continue
@@ -505,8 +504,8 @@ class DecayCheckResult:
 
 
 def decay_bound_check(op: DiscreteOperator, ctx_f: MartingaleContext,
-                      ctx_g: MartingaleContext, classifier: PairClassifier,
-                      collect_rows: bool = False) -> DecayCheckResult:
+                      ctx_g: MartingaleContext, classifier: PairClassifier
+                      ) -> DecayCheckResult:
     """Assert the off-diagonal decay bounds on separated and nested good pairs.
 
     Separated pairs (phi mean zero on the small cube) carry the smoothness
@@ -536,10 +535,10 @@ def decay_bound_check(op: DiscreteOperator, ctx_f: MartingaleContext,
                 if b not in phi_l1:
                     phi_l1[b] = [_l1(op.measure, v) for _, _, v in phis]
                 _check_separated(op, classifier.params.r, c_chain, q_cube, phis,
-                                 phi_l1[b], r_cube, psis, psi_rows, result, collect_rows)
+                                 phi_l1[b], r_cube, psis, psi_rows, result)
             elif code == _DEEP_NESTED:
                 _check_nested(op, ctx_g, c_chain, q_cube, phis, r_cube, psis,
-                              psi_rows, result, collect_rows)
+                              psi_rows, result)
     return result
 
 
@@ -588,7 +587,7 @@ def _l1(mu: AtomicMeasure, values: np.ndarray) -> float:
 
 
 def _check_separated(op, r, c_chain, q_cube, phis, phi_l1s, r_cube, psis,
-                     psi_rows, result, collect_rows):
+                     psi_rows, result):
     alpha, d = op.kernel.alpha, op.kernel.d
     dist = set_distance(q_cube, r_cube)
     ddist = long_distance(q_cube, r_cube)
@@ -599,18 +598,15 @@ def _check_separated(op, r, c_chain, q_cube, phis, phi_l1s, r_cube, psis,
         for (_, mass_qi, phi_vals), phi_l1 in zip(phis, phi_l1s):
             val = abs(float(row @ phi_vals))
             bound = c_chain * q_cube.side ** alpha / dist ** (d + alpha) * phi_l1 * psi_l1
-            _record(result, "separated-smooth", q_cube, r_cube, val, bound,
-                    collect_rows, ddist)
+            _record(result, "separated-smooth", q_cube, r_cube, val, bound, ddist)
             if deep:
                 bound2 = (c_chain * q_cube.side ** (alpha / 2.0)
                           * r_cube.side ** (alpha / 2.0) / ddist ** (d + alpha)
                           * mass_qi * mass_rj)
-                _record(result, "separated-longdist", q_cube, r_cube, val, bound2,
-                        collect_rows, ddist)
+                _record(result, "separated-longdist", q_cube, r_cube, val, bound2, ddist)
 
 
-def _check_nested(op, ctx_g, c_chain, q_cube, phis, r_cube, psis, psi_rows, result,
-                  collect_rows):
+def _check_nested(op, ctx_g, c_chain, q_cube, phis, r_cube, psis, psi_rows, result):
     kids = r_cube.children()
     host = [m for m, child in enumerate(kids) if contains(child, q_cube)]
     if len(host) != 1:
@@ -632,8 +628,7 @@ def _check_nested(op, ctx_g, c_chain, q_cube, phis, r_cube, psis, psi_rows, resu
             for _, mass_qi, phi_vals in phis:
                 val = abs(float(row @ phi_vals))
                 bound = c_chain * ratio * mass_rj * mass_qi / mass_r
-                _record(result, "nested-offchild", q_cube, r_cube, val, bound,
-                        collect_rows, ddist)
+                _record(result, "nested-offchild", q_cube, r_cube, val, bound, ddist)
 
     # complement of the host child against the stopped test functions
     def complement(src):
@@ -646,32 +641,30 @@ def _check_nested(op, ctx_g, c_chain, q_cube, phis, r_cube, psis, psi_rows, resu
         for _, mass_qi, phi_vals in phis:
             val = abs(float(row @ phi_vals))
             _record(result, "nested-complement", q_cube, r_cube, val,
-                    c_chain * ratio * mass_qi, collect_rows, ddist)
+                    c_chain * ratio * mass_qi, ddist)
 
 
-def _record(result, kind, q_cube, r_cube, val, bound, collect_rows, ddist):
+def _record(result, kind, q_cube, r_cube, val, bound, ddist):
     result.checked += 1
     if val > bound + 1e-14:
         result.failures.append({"kind": kind, "q": q_cube.key, "r": r_cube.key,
                                 "value": val, "bound": bound})
     margin = bound / val if val > 0 else math.inf
     result.worst_margin = min(result.worst_margin, margin)
-    if collect_rows:
-        result.rows.append({"kind": kind, "lq": q_cube.side, "lr": r_cube.side,
-                            "D": ddist, "value": val, "bound": bound})
+    result.rows.append({"kind": kind, "lq": q_cube.side, "lr": r_cube.side,
+                        "D": ddist, "value": val, "bound": bound})
 
 
-def decay_slope_fit(kernel: KernelSpec, separations: Sequence[float],
-                    pair_gap: float = 1e-3) -> float:
+def decay_slope_fit(kernel: KernelSpec, separations: Sequence[float]) -> float:
     """Fitted log-log decay slope of a mean-zero dipole against distance.
 
-    A two-atom mean-zero bump is paired against a far single atom across the
-    given separations; the regression slope of log |<psi, T phi>| against
-    log(distance) estimates -(d + alpha).
+    A two-atom mean-zero bump (atoms 1e-3 apart) is paired against a far
+    single atom across the given separations; the regression slope of
+    log |<psi, T phi>| against log(distance) estimates -(d + alpha).
     """
     values = []
     for dist in separations:
-        positions = np.array([[0.0], [pair_gap], [dist]])
+        positions = np.array([[0.0], [1e-3], [dist]])
         mu = AtomicMeasure(1, kernel.d, positions, np.ones(3))
         op = DiscreteOperator(kernel, mu)
         phi_vals = np.array([1.0, -1.0, 0.0])

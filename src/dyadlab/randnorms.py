@@ -92,7 +92,8 @@ import numpy as np
 from dyadlab._seeds import rng_for
 from dyadlab.grid import GridIndex
 from dyadlab.martingale import MartingaleContext, expectation
-from dyadlab.measure import AtomicMeasure, lp_norm, mult, restrict, vector_norm
+from dyadlab.measure import AtomicMeasure, LatticeSpace, lp_norm, mult, restrict, \
+    vector_norm
 
 __all__ = [
     "RademacherSampler",
@@ -165,9 +166,6 @@ class NormReport:
     method: str            # "exact" | "mc"
     stderr: float
     trials: int
-
-    def upper(self, sigmas: float = 3.0) -> float:
-        return self.value + sigmas * self.stderr
 
 
 # =============================================================================
@@ -336,15 +334,15 @@ def carleson_norm(index: GridIndex, d_fns: Dict[int, np.ndarray], p: float,
 
 def carleson_embedding_check(ctx: MartingaleContext, d_fns: Dict[int, np.ndarray],
                              car: NormReport, ensemble: Sequence[np.ndarray], p: float,
-                             sampler: RademacherSampler, rho: float = 2.0,
+                             sampler: RademacherSampler,
                              multipliers: Optional[Dict[int, np.ndarray]] = None) -> dict:
     """Embedding ratio ||sum eps_k d_k E_k(c_k f)||_p / (Car^1 ||f||_p).
 
-    ``car`` is Car^1 of ``d_fns``, ``carleson_norm(ctx.index, d_fns, 1.0,
-    sampler)``, computed once by the caller.  The coefficient functions must
-    be scale-measurable (d_k = E_k d_k); a violation is an error, not a
-    failed estimate.  Multipliers c_k default to one and must be bounded by
-    one in modulus.
+    The ensemble f is scalar-valued.  ``car`` is Car^1 of ``d_fns``,
+    ``carleson_norm(ctx.index, d_fns, 1.0, sampler)``, computed once by the
+    caller.  The coefficient functions must be scale-measurable
+    (d_k = E_k d_k); a violation is an error, not a failed estimate.
+    Multipliers c_k default to one and must be bounded by one in modulus.
     """
     mu = ctx.measure
     for k, d in d_fns.items():
@@ -358,13 +356,13 @@ def carleson_embedding_check(ctx: MartingaleContext, d_fns: Dict[int, np.ndarray
     ratios = []
     for idx, f in enumerate(ensemble):
         f = np.asarray(f, dtype=float)
-        denom = lp_norm(mu, f, p, rho=rho) * max(car.value, 1e-300)
+        denom = lp_norm(mu, f, p) * max(car.value, 1e-300)
         family = []
         for k in sorted(d_fns):
             arg = f if multipliers is None else mult(multipliers[k], f)
             family.append(mult(np.asarray(d_fns[k], dtype=float),
                                expectation(ctx, arg, k)))
-        rep = randomized_norm(mu, family, p, sampler, rho=rho, label=f"emb:{idx}")
+        rep = randomized_norm(mu, family, p, sampler, label=f"emb:{idx}")
         ratios.append(rep.value / denom)
     return {"car1": car.value, "max_ratio": max(ratios) if ratios else 0.0,
             "ratios": ratios}
@@ -407,26 +405,26 @@ def operator_norm(matrix: np.ndarray, rho: float) -> Tuple[float, bool]:
 
 
 def rademacher_bound(family: Sequence[np.ndarray], sampler: RademacherSampler,
-                     rho: float = 2.0, trials: int = 64,
-                     seed: int = 0) -> Tuple[float, float, str]:
+                     rho: float = 2.0) -> Tuple[float, float, str]:
     """(lower, upper, method) for the R-bound of a finite operator family.
 
     Operators act on (R^m, l^rho).  The lower bound maximizes the randomized
-    quotient over sampled sign/vector configurations (singletons give exact
-    operator norms).  The upper bound is certified: the largest operator norm
-    when rho = 2 (Hilbert case, where the R-bound equals the uniform bound),
-    and the triangle-inequality sum of operator norms otherwise.
+    quotient over 64 sampled sign/vector configurations, seeded by the
+    sampler's seed (singletons give exact operator norms).  The upper bound
+    is certified: the largest operator norm when rho = 2 (Hilbert case,
+    where the R-bound equals the uniform bound), and the triangle-inequality
+    sum of operator norms otherwise.
     """
     mats = [np.atleast_2d(np.asarray(t, dtype=float)) for t in family]
     if not mats:
         return 0.0, 0.0, "empty"
     norms = [operator_norm(t, rho) for t in mats]
     lower = max(v for v, _ in norms)
-    rng = rng_for(seed if seed else sampler.seed, f"rbound:{len(mats)}")
+    rng = rng_for(sampler.seed, f"rbound:{len(mats)}")
     m_in = mats[0].shape[1]
     k = len(mats)
     signs, _ = sampler.signs(k, label="rbound")
-    for _ in range(trials):
+    for _ in range(64):
         xs = rng.normal(size=(k, m_in))
         num = _rademacher_l2_norm(signs, np.stack([t @ x for t, x in zip(mats, xs)]), rho)
         den = _rademacher_l2_norm(signs, xs, rho)
@@ -513,8 +511,7 @@ class DecouplingBlock:
 def decoupling_check(mu: AtomicMeasure, blocks: Sequence[DecouplingBlock], p: float,
                      sampler: RademacherSampler, mc_trials: int = 2000,
                      seed: int = 11, mode: str = "tangent",
-                     exact_limit: int = 200_000,
-                     require_cell_constant: bool = False) -> dict:
+                     exact_limit: int = 200_000) -> dict:
     """Compare a block martingale sum against its resampled (decoupled) twin.
 
     tangent: LHS integrates |sum_k eps_k sum_A f_A(x)|^p over (x, eps); RHS
@@ -526,7 +523,8 @@ def decoupling_check(mu: AtomicMeasure, blocks: Sequence[DecouplingBlock], p: fl
 
     trick: the LHS block data is averaged through a kernel,
     (1_A(x)/mu(A)) int_A k_A(x, z) f_A(z) dmu(z) with |k_A| <= 1, and the
-    reported ratio compares against the plain undecoupled norm.
+    reported ratio compares against the plain undecoupled norm.  Every block
+    must carry its finer cells and be constant on each of them.
 
     Any other mode is a ``ValueError``, and so is a Monte Carlo RHS with
     fewer than 2 trials, whose standard error would be NaN.
@@ -535,7 +533,7 @@ def decoupling_check(mu: AtomicMeasure, blocks: Sequence[DecouplingBlock], p: fl
         raise ValueError(f"unknown decoupling mode {mode!r}: use 'tangent' or 'trick'")
     scales = sorted({b.scale for b in blocks})
     n = mu.atom_count
-    if require_cell_constant or mode == "trick":
+    if mode == "trick":
         for b in blocks:
             if b.cells is None:
                 raise ValueError("blocks must carry their finer cells for this check")
@@ -669,12 +667,12 @@ def improved_contraction_check(xis: Sequence[np.ndarray], rhos: Sequence[np.ndar
     LHS = || sum_j eps_j rho_j xi_j ||_{L^t(aux; L^2(Omega; l^rho))} and
     RHS = sup_j ||rho_j||_{L^t(aux)} * || sum_j eps_j xi_j ||_{L^2(Omega)};
     the ratio LHS / RHS is returned together with both sides.  Requires
-    t > cotype, i.e. t > max(2, rho).
+    t > the cotype of (R^m, l^rho) (``LatticeSpace.cotype``).
     """
-    s = max(2.0, rho if not math.isinf(rho) else 2.0)
+    xis = [np.asarray(x, dtype=float) for x in xis]
+    s = LatticeSpace(xis[0].size, rho).cotype
     if not t > s:
         raise ValueError(f"need t > cotype s = {s}")
-    xis = [np.asarray(x, dtype=float) for x in xis]
     rhos = [np.asarray(r, dtype=float) for r in rhos]
     probs = np.asarray(aux_probs, dtype=float)
     k = len(xis)

@@ -11,23 +11,22 @@ import time
 import numpy as np
 import pytest
 
-from dyadlab.measure import LatticeSpace, average, integrate, lp_norm, pair
+from dyadlab.measure import LatticeSpace, integrate, lp_norm, pair, restrict
 from dyadlab.grid import (DyadicParams, bad_probability_bound, bad_probability_mc,
                           contains)
 from dyadlab.accretive import check_layer_decay
 from dyadlab.fixtures import (battery_measure, battery_params, build_fixture_pair,
-                              random_ensemble)
+                              decoupling_blocks, random_ensemble, sqfn_families)
 from dyadlab.martingale import (adapted_diff, adapted_diff_adjoint,
                                 adapted_diff_local, adapted_expectation,
-                                expectation, local_expectation, omega, omega_local,
-                                phi, reconstruct)
+                                expectation, omega, phi, reconstruct)
 from dyadlab.operator import (DiscreteOperator, PairClass, PairClassifier,
                               boundary_probability, comparable_msum,
                               comparable_partition, decay_bound_check,
                               decay_slope_fit, hilbert_kernel, pairing_decomposition,
                               paraproduct_smap, riesz_kernel)
-from dyadlab.randnorms import (RademacherSampler, DecouplingBlock, carleson_norm,
-                               decoupling_check, randomized_norm)
+from dyadlab.randnorms import (RademacherSampler, carleson_norm, decoupling_check,
+                               randomized_norm)
 
 _T0 = time.time()
 SAMPLER = RademacherSampler(n_exact=14, mc_trials=4096, seed=41)
@@ -137,14 +136,13 @@ def test_criterion_2_algebraic_identities():
             g = rng.normal(size=mu.atom_count)
             for k in ctx.diff_scales:
                 dk = adapted_diff(ctx, f, k)
+                om, ef = omega(ctx, k), expectation(ctx, f, k)
                 worst["qr"] = max(worst["qr"], _rel(
-                    adapted_diff(ctx, dk, k)
-                    - dk - omega(ctx, k) * expectation(ctx, f, k), f))
+                    adapted_diff(ctx, dk, k) - dk - om * ef, f))
                 lhs = pair(mu, adapted_diff_adjoint(ctx, g, k), f)
                 rhs = pair(mu, g, dk)
                 worst["dual"] = max(worst["dual"],
                                     abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30))
-                om = omega(ctx, k)
                 if float(np.max(np.abs(om))) > delta ** -2 + delta ** -4 + 1e-12:
                     const_ok = False
                 if np.any(om[~ctx.chi_mask(k - 1)] != 0.0):
@@ -156,20 +154,20 @@ def test_criterion_2_algebraic_identities():
                     (expectation(ctx, ctx.b_adapted[k - 1], k - 1)
                      - expectation(ctx, ctx.b_adapted[k], k - 1))[eq]))))
                 for cube in ctx.index.occupied(k):
+                    atoms_q = ctx.index.atoms_of(cube)
                     dq = adapted_diff_local(ctx, f, cube)
                     worst["qr2"] = max(worst["qr2"], _rel(
                         adapted_diff_local(ctx, dq, cube) - dq
-                        - omega_local(ctx, cube) * local_expectation(ctx, f, cube),
-                        f))
+                        - restrict(om, atoms_q) * restrict(ef, atoms_q), f))
                     combo = np.zeros(mu.atom_count)
-                    for i, child in enumerate(cube.children()):
-                        atoms = ctx.index.atoms_of(child)
+                    for i, child in ctx.index.occupied_children(cube):
+                        mass = ctx.index.mass_of(child)
                         pv = phi(ctx, cube, i)
-                        combo += (average(mu, f, atoms) if atoms.size else 0.0) * pv
+                        combo += integrate(mu, f, ctx.index.atoms_of(child)) / mass * pv
                         if float(np.max(np.abs(pv))) > 2.0 / delta ** 2 + 1e-12:
                             const_ok = False
-                        if atoms.size and float(np.dot(mu.weights, np.abs(pv))) > \
-                                2.0 / delta ** 2 * ctx.index.mass_of(child) + 1e-12:
+                        if float(np.dot(mu.weights, np.abs(pv))) > \
+                                2.0 / delta ** 2 * mass + 1e-12:
                             const_ok = False
                         worst["frame-mean"] = max(
                             worst["frame-mean"],
@@ -300,19 +298,14 @@ def _sqfn_ratios(ctx, p, rho, m, seed):
     mu = ctx.measure
     space = LatticeSpace(m, rho)
     ens = random_ensemble(seed, mu, 3, p, space)
-    fams = {
-        "adapted-diff": lambda f: [adapted_diff(ctx, f, k) for k in ctx.diff_scales],
-        "adapted-adjoint": lambda f: [adapted_diff_adjoint(ctx, f, k)
-                                      for k in ctx.diff_scales],
-        "transition": lambda f: [
-            ctx.chi_mask(k - 1).astype(float)[:, None] * expectation(ctx, f, k - 1)
-            for k in ctx.diff_scales],
-        "equal-set": lambda f: [
-            (~ctx.chi_mask(k - 1)).astype(float)[:, None]
-            * (expectation(ctx, f, k - 1) / ctx.eb_adapted[k - 1][:, None]
-               - expectation(ctx, f, k) / ctx.eb_adapted[k][:, None])
-            for k in ctx.diff_scales],
-    }
+    # the sqfn suite's families but the plain differences, and the equal-set terms
+    fams = {name: fam for name, fam in sqfn_families(ctx).items()
+            if name != "classical-diff"}
+    fams["equal-set"] = lambda f: [
+        (~ctx.chi_mask(k - 1)).astype(float)[:, None]
+        * (expectation(ctx, f, k - 1) / ctx.eb_adapted[k - 1][:, None]
+           - expectation(ctx, f, k) / ctx.eb_adapted[k][:, None])
+        for k in ctx.diff_scales]
     out = {}
     for name, fam in fams.items():
         best = 0.0
@@ -326,11 +319,8 @@ def _sqfn_ratios(ctx, p, rho, m, seed):
     rng = np.random.default_rng(seed + 5)
     best = 0.0
     for i, f in enumerate(ens):
-        fam = []
-        for k in range(ctx.system.k_min + 1, ctx.system.s + 1):
-            c_k = float(rng.choice([-1.0, 1.0]))
-            fam.append(ctx.chi_mask(k - 1).astype(float)[:, None]
-                       * expectation(ctx, c_k * f, k - 1))
+        signs = [float(rng.choice([-1.0, 1.0])) for _ in ctx.diff_scales]
+        fam = [c_k * h for c_k, h in zip(signs, fams["transition-expectation"](f))]
         rep = randomized_norm(mu, fam, p, SAMPLER, rho=rho, label=f"acc7:yl:{i}")
         best = max(best, rep.value / car1)
     out["multiplier-embedding"] = best
@@ -383,34 +373,11 @@ def test_criterion_7_square_functions(p, rho):
 # 8. decoupling
 # ----------------------------------------------------------------------------
 
-def _blocks_for(ctx, rng, max_blocks):
-    candidates = []
-    for k in ctx.system.scales:
-        if k == ctx.system.k_min:
-            continue
-        for cube in ctx.index.occupied(k):
-            cells = [ctx.index.atoms_of(c) for c in cube.children()
-                     if ctx.index.atoms_of(c).size > 0]
-            if len(cells) > 1:
-                candidates.append((k, cube, cells))
-    candidates.sort(key=lambda t: (t[0], t[1].key))
-    scales = sorted({k for k, _, _ in candidates})[-2:]
-    blocks = []
-    for k, cube, cells in candidates:
-        if k not in scales or len(blocks) >= max_blocks:
-            continue
-        vals = np.zeros(ctx.measure.atom_count)
-        for cell in cells:
-            vals[cell] = rng.normal()
-        blocks.append(DecouplingBlock(k, ctx.index.atoms_of(cube), vals, cells=cells))
-    return blocks
-
-
 def test_criterion_8_decoupling():
     rng = np.random.default_rng(81)
     # exact enumeration against Monte Carlo on a small instance
     small_ctx = doubling_fixture(32).ctx_f
-    blocks = _blocks_for(small_ctx, rng, max_blocks=6)
+    blocks = decoupling_blocks(small_ctx.index, rng, max_blocks=6)
     assert sum(1 for _ in blocks) <= 12
     exact = decoupling_check(small_ctx.measure, blocks, 3.0, SAMPLER)
     mc = decoupling_check(small_ctx.measure, blocks, 3.0, SAMPLER, mc_trials=4000,
@@ -421,7 +388,7 @@ def test_criterion_8_decoupling():
     series = []
     for size in (32, 64, 128, 256):
         ctx = doubling_fixture(size).ctx_f
-        blk = _blocks_for(ctx, np.random.default_rng(83 + size), max_blocks=8)
+        blk = decoupling_blocks(ctx.index, np.random.default_rng(83 + size), max_blocks=8)
         res = decoupling_check(ctx.measure, blk, 3.0, SAMPLER, mc_trials=800,
                                seed=84 + size)
         series.append(max(res["ratio"], 1.0 / max(res["ratio"], 1e-30)))

@@ -145,7 +145,7 @@ def test_locate_partition_and_nesting():
     for k in system.scales:
         cubes = index.occupied(k)
         total = sum(index.mass_of(c) for c in cubes)
-        assert total == pytest.approx(mu.total_mass)
+        assert total == pytest.approx(np.sum(mu.weights))
         atoms = np.concatenate([index.atoms_of(c) for c in cubes])
         assert sorted(atoms) == list(range(mu.atom_count))
         if prev_count is not None:

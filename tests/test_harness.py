@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -49,6 +50,9 @@ def test_config_roundtrip_and_hash():
     assert back.config_hash() == cfg.config_hash()
     assert cfg.q == pytest.approx(2.0)
     assert cfg.t_aux == pytest.approx(2.0 * max(2.0, cfg.p, cfg.q))
+    # the finite-dimensional l^inf_m has cotype 2
+    assert fast_config(lattice_rho=math.inf).t_aux == cfg.t_aux
+    assert fast_config(lattice_rho=6.0).t_aux == 12.0
 
 
 def test_run_deterministic_bytes():
@@ -138,6 +142,16 @@ def test_cli_config_error_exit_2(tmp_path):
     bad.write_text("{\"p\": 0.5}")
     assert cli_main(["run", "--config", str(bad)]) == 2
     assert cli_main(["report", "--out", str(tmp_path / "missing")]) == 2
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("lattice_rho", 0.5, "lattice exponent rho must lie in [1, inf]"),
+    ("lattice_m", 0, "value dimension m must be >= 1")])
+def test_cli_invalid_lattice_exit_2(tmp_path, capsys, field, value, message):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({field: value}))
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_cli_gen_fixture_files(tmp_path):

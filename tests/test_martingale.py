@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dyadlab.measure import average, integrate, pair
+from dyadlab.measure import integrate, pair, restrict
 from dyadlab.grid import DyadicParams, locate, standard_system, build_random_system
 from dyadlab.accretive import build_layers, generate_accretive
 from dyadlab.fixtures import battery_measure
@@ -9,8 +9,7 @@ from dyadlab.martingale import (BrokenAccretivityError, MartingaleContext,
                                 adapted_adjoint_expectation, adapted_diff,
                                 adapted_diff_adjoint, adapted_diff_local,
                                 adapted_expectation, adapted_diff_matrix, diff,
-                                expectation, layer_expectation, local_expectation,
-                                omega, omega_local, phi, reconstruct,
+                                expectation, omega, phi, reconstruct,
                                 weighted_adjoint)
 
 from test_accretive import four_atom_fixture
@@ -178,16 +177,15 @@ def test_phi_expansion_and_bounds():
         for cube in ctx.index.occupied(k):
             dq = adapted_diff_local(ctx, f, cube)
             combo = np.zeros(mu.atom_count)
-            for i, child in enumerate(cube.children()):
-                atoms = ctx.index.atoms_of(child)
-                mean = average(mu, f, atoms) if atoms.size else 0.0
+            # phi of an empty child is zero (test_phi_zero_mass_child_is_zero)
+            for i, child in ctx.index.occupied_children(cube):
+                mass = ctx.index.mass_of(child)
                 pv = phi(ctx, cube, i)
-                combo += mean * pv
+                combo += integrate(mu, f, ctx.index.atoms_of(child)) / mass * pv
                 assert np.max(np.abs(pv)) <= 2.0 / delta ** 2 + 1e-12
                 assert abs(integrate(mu, pv)) <= 1e-12 * max(ctx.index.mass_of(cube), 1.0)
-                if atoms.size:
-                    l1 = float(np.dot(mu.weights, np.abs(pv)))
-                    assert l1 <= 2.0 / delta ** 2 * ctx.index.mass_of(child) + 1e-12
+                l1 = float(np.dot(mu.weights, np.abs(pv)))
+                assert l1 <= 2.0 / delta ** 2 * mass + 1e-12
             assert np.max(np.abs(dq - combo)) <= 1e-12 * max(np.max(np.abs(f)), 1.0)
 
 
@@ -216,12 +214,13 @@ def test_omega_local_l1_bounds():
     delta = ctx.delta
     bound = delta ** -2 + delta ** -4
     for k in ctx.diff_scales:
+        om = omega(ctx, k)
         for cube in ctx.index.occupied(k):
-            om_q = omega_local(ctx, cube)
+            om_q = restrict(om, ctx.index.atoms_of(cube))
             assert float(np.dot(mu.weights, np.abs(om_q))) <= \
                 bound * ctx.index.mass_of(cube) + 1e-12
-            for i, child in enumerate(cube.children()):
-                om_qi = omega_local(ctx, cube, i)
+            for child in cube.children():
+                om_qi = restrict(om, ctx.index.atoms_of(child))
                 assert float(np.dot(mu.weights, np.abs(om_qi))) <= \
                     bound * ctx.index.mass_of(child) + 1e-12
 
@@ -241,10 +240,12 @@ def test_local_projection_square_identity():
     rng = np.random.default_rng(8)
     f = rng.normal(size=ctx.measure.atom_count)
     for k in ctx.diff_scales:
+        om, ef = omega(ctx, k), expectation(ctx, f, k)
         for cube in ctx.index.occupied(k):
+            atoms = ctx.index.atoms_of(cube)
             dq = adapted_diff_local(ctx, f, cube)
             lhs = adapted_diff_local(ctx, dq, cube)
-            rhs = dq + omega_local(ctx, cube) * local_expectation(ctx, f, cube)
+            rhs = dq + restrict(om, atoms) * restrict(ef, atoms)
             assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(f))
 
 
@@ -363,12 +364,3 @@ def test_vector_valued_coordinatewise():
     rec = reconstruct(ctx, f)
     assert rec.residual <= 1e-10
 
-
-def test_layer_expectation_operator():
-    ctx = four_atom_context()
-    f = np.array([1.0, 2.0, 3.0, 4.0])
-    e0 = layer_expectation(ctx, f, 0)
-    assert np.allclose(e0, np.full(4, 2.5))
-    e1 = layer_expectation(ctx, f, 1)
-    assert np.allclose(e1, np.array([0.0, 0.0, 3.5, 3.5]))
-    assert np.all(layer_expectation(ctx, f, 5) == 0.0)

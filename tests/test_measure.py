@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from dyadlab.measure import (AtomicMeasure, LatticeSpace, ball_mass, average,
+from dyadlab.measure import (AtomicMeasure, LatticeSpace, ball_mass,
                              dumps_measure, generate_random_measure, growth_check,
                              growth_radii, integrate, loads_measure, lp_norm, pair,
                              vector_norm)
@@ -29,8 +30,8 @@ def test_ball_mass_boundary_inclusive():
 
 
 def test_growth_check_single_atom():
-    passed, c_gr = growth_check(single_atom())
-    assert passed and c_gr == 1.0
+    report = growth_check(single_atom())
+    assert report.passed and report.c_gr == 1.0
     assert list(growth_radii(single_atom())) == [1.0]
 
 
@@ -53,25 +54,32 @@ def test_growth_check_empty_rejected():
         AtomicMeasure(1, 1.0, np.empty((0, 1)), np.empty(0))
 
 
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_duplicate_atoms_rejected(dimension):
+    pos = np.random.default_rng(dimension).uniform(0.0, 1.0, size=(40, dimension))
+    pos[[2, 9]] = 0.0
+    pos[9, -1] = np.nextafter(0.0, 1.0)       # differs from row 2 in one coordinate
+    AtomicMeasure(dimension, 1.0, pos, np.ones(40))
+    for copy in (pos[5], -pos[2]):             # an exact copy; -0.0 against 0.0
+        dup = pos.copy()
+        dup[31] = copy
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            AtomicMeasure(dimension, 1.0, dup, np.ones(40))
+
+
+def test_distinctness_check_memory():
+    # the rows are sorted, so no n x n array is built
+    tracemalloc.start()
+    AtomicMeasure(1, 1.0, np.linspace(0.0, 1.0, 4096)[:, None], np.ones(4096))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
 def test_integrate_constant():
     mu = AtomicMeasure(1, 1.0, np.array([[0.1], [0.4]]), np.array([2.0, 3.0]))
     f = np.full(2, 7.0)
-    assert integrate(mu, f) == pytest.approx(7.0 * mu.total_mass)
-
-
-def test_average_zero_mass_region_is_zero():
-    mu = AtomicMeasure(1, 1.0, np.array([[0.1], [0.4]]), np.array([2.0, 3.0]))
-    f = np.array([1.0, 2.0])
-    assert average(mu, f, where=np.empty(0, dtype=int)) == 0.0
-    vec = np.array([[1.0, 1.0], [2.0, 2.0]])
-    out = average(mu, vec, where=np.empty(0, dtype=int))
-    assert np.all(out == 0.0)
-
-
-def test_average_weighted_mean():
-    mu = AtomicMeasure(1, 1.0, np.array([[0.1], [0.3]]), np.array([1.0, 3.0]))
-    f = np.array([2.0, 6.0])
-    assert average(mu, f) == pytest.approx(5.0)
+    assert integrate(mu, f) == pytest.approx(7.0 * np.sum(mu.weights))
 
 
 @pytest.mark.parametrize("profile", ["uniform", "fractal-cantor", "clustered"])
@@ -144,8 +152,13 @@ def test_dual_exponent():
     assert LatticeSpace(2, 1.0).rho_dual == math.inf
     assert LatticeSpace(2, math.inf).rho_dual == 1.0
     assert LatticeSpace(2, 4.0).rho_dual == pytest.approx(4.0 / 3.0)
-    assert LatticeSpace(2, 4.0).cotype == 4.0
-    assert LatticeSpace(2, 1.5).cotype == 2.0
+
+
+@pytest.mark.parametrize("rho,cotype", [(1.0, 2.0), (1.5, 2.0), (2.0, 2.0), (4.0, 4.0),
+                                        (math.inf, 2.0)])
+def test_cotype(rho, cotype):
+    # max(2, rho), and 2 for the finite-dimensional l^inf_m
+    assert LatticeSpace(3, rho).cotype == cotype
 
 
 def test_pairing_matches_manual_sum():

@@ -363,8 +363,7 @@ def _reference_decay(op, ctx_f, ctx_g, params):
 @pytest.mark.parametrize("dim,grids", FIXTURES)
 def test_decay_check_equals_per_pair_reference(dim, grids):
     pairf, op = _fixture(dim, grids, r=2)
-    res = decay_bound_check(op, pairf.ctx_f, pairf.ctx_g, pairf.classifier,
-                            collect_rows=True)
+    res = decay_bound_check(op, pairf.ctx_f, pairf.ctx_g, pairf.classifier)
     ref = _reference_decay(op, pairf.ctx_f, pairf.ctx_g, pairf.params)
     assert res.checked == ref["checked"] > 0
     assert res.failures == ref["failures"]

@@ -15,8 +15,8 @@ import pytest
 
 import dyadlab.randnorms as rn
 from dyadlab._seeds import rng_for
-from dyadlab.fixtures import battery_measure, battery_params, build_fixture_pair
-from dyadlab.harness import _decoupling_blocks
+from dyadlab.fixtures import battery_measure, battery_params, build_fixture_pair, \
+    decoupling_blocks
 from dyadlab.measure import restrict, vector_norm
 from dyadlab.randnorms import (DecouplingBlock, NormReport, RademacherSampler,
                                carleson_norm, decoupling_check, randomized_norm)
@@ -50,11 +50,10 @@ def _reference_carleson_norm(index, d_fns, p, sampler):
 
 
 def _reference_decoupling_check(mu, blocks, p, sampler, mc_trials=2000, seed=11,
-                                mode="tangent", exact_limit=200_000,
-                                require_cell_constant=False):
+                                mode="tangent", exact_limit=200_000):
     scales = sorted({b.scale for b in blocks})
     n = mu.atom_count
-    if require_cell_constant or mode == "trick":
+    if mode == "trick":
         for b in blocks:
             if b.cells is None:
                 raise ValueError("blocks must carry their finer cells for this check")
@@ -300,7 +299,7 @@ def test_carleson_all_zero_family_calls_nothing(monkeypatch):
 
 def _blocks(dim, atoms=16, seed=5):
     ctx = _index(dim, "random", atoms=atoms, seed=seed)
-    return ctx.measure, _decoupling_blocks(ctx.index, rng_for(seed, "dec"), max_blocks=4)
+    return ctx.measure, decoupling_blocks(ctx.index, rng_for(seed, "dec"), max_blocks=4)
 
 
 def _constant(mu, blocks):
