@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from dyadlab import accretive as acc
@@ -21,14 +22,12 @@ def _load_config(args) -> ExperimentConfig:
         cfg = ExperimentConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
     else:
         cfg = ExperimentConfig()
+    changes = {}
     if args.seed is not None:
-        cfg.seed = args.seed
+        changes["seed"] = args.seed
     if getattr(args, "suite", None):
-        cfg.suites = tuple(s.strip() for s in args.suite.split(",") if s.strip())
-        unknown = set(cfg.suites) - set(ALL_SUITES)
-        if unknown:
-            raise ValueError(f"unknown suites: {sorted(unknown)}")
-    return cfg
+        changes["suites"] = tuple(s.strip() for s in args.suite.split(",") if s.strip())
+    return replace(cfg, **changes)     # __post_init__ validates the result
 
 
 def cmd_gen(args) -> int:

@@ -463,7 +463,6 @@ def locate(mu: AtomicMeasure, system: DyadicSystem) -> GridIndex:
 class BadnessScan:
     bad: bool
     truncated: bool
-    witness: Optional[Tuple[int, Tuple[int, ...]]]
 
 
 def badness_scan(q: Cube, other: DyadicSystem, n: int, params: DyadicParams) -> BadnessScan:
@@ -477,10 +476,9 @@ def badness_scan(q: Cube, other: DyadicSystem, n: int, params: DyadicParams) -> 
     gap = max(n, params.r)
     truncated = other.s - q.scale < gap + 2
     for j in range(q.scale + gap, other.s + 1):
-        m = collar_witness(q, other, j, params.gamma)
-        if m is not None:
-            return BadnessScan(True, truncated, (j, m))
-    return BadnessScan(False, truncated, None)
+        if collar_witness(q, other, j, params.gamma) is not None:
+            return BadnessScan(True, truncated)
+    return BadnessScan(False, truncated)
 
 
 def collar_witness(q: Cube, other: DyadicSystem, j: int,

@@ -18,7 +18,7 @@ import time
 import traceback
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -197,10 +197,15 @@ def _num(x):
 
 @dataclass
 class SuiteReport:
+    """The check rows of one run, and its per-pair tables.  A table maps its
+    column names, in CSV order, to equal-length columns: lists of Python
+    values, or 1-D numpy arrays whose ``tolist()`` gives them.  ``emit_report``
+    writes floats as ``repr`` and cube keys as JSON."""
+
     config_hash: str
     seed: int
     checks: List[CheckRow] = field(default_factory=list)
-    tables: Dict[str, List[dict]] = field(default_factory=dict)
+    tables: Dict[str, Dict[str, Sequence]] = field(default_factory=dict)
     suite_s: Dict[str, float] = field(default_factory=dict)   # not canonical
 
     @property
@@ -283,9 +288,11 @@ class _Runner:
             except Exception as exc:   # hard module errors become failed rows
                 self.add(suite, "hard-error", f"{suite}.hard-error", False,
                          math.nan)
-                self.report.tables.setdefault("hard_errors", []).append(
-                    {"suite": suite, "error": f"{type(exc).__name__}: {exc}",
-                     "traceback": traceback.format_exc()})
+                errors = self.report.tables.setdefault(
+                    "hard_errors", {"suite": [], "error": [], "traceback": []})
+                errors["suite"].append(suite)
+                errors["error"].append(f"{type(exc).__name__}: {exc}")
+                errors["traceback"].append(traceback.format_exc())
             self.report.suite_s[suite] = time.perf_counter() - start
         return self.report
 
@@ -672,7 +679,7 @@ class _Runner:
                  runtime_s=time.perf_counter() - t0)
         self.add("matrix", "decay-coverage", "matrix.decay-coverage",
                  dec.checked > 0, float(dec.checked), None)
-        self.report.tables["decay_pairs"] = dec.rows
+        self.report.tables["decay_pairs"] = dec.table
 
         seps = [4.0, 8.0, 16.0, 32.0, 64.0, 128.0]
         slope = czop.decay_slope_fit(op.kernel, seps)
@@ -764,21 +771,19 @@ class _Runner:
         g = rng.normal(size=mu.atom_count)
         fractions = []
         worst_resid = 0.0
-        rows_table: List[dict] = []
         for r in (2, 4, 6):
             pairf = self.pair(r=r, grids="standard")
             led = czop.pairing_decomposition(op, pairf.ctx_f, pairf.ctx_g, f, g,
-                                             pairf.classifier, collect_rows=(r == cfg.r))
+                                             pairf.classifier)
             worst_resid = max(worst_resid, led.identity_residual)
             fractions.append(led.bad_fraction)
             if r == cfg.r:
-                rows_table = led.pair_rows
+                self.report.tables["ledger_pairs"] = led.pair_table
         self.add("ledger", "identity", "ledger.exact-identity",
                  worst_resid <= 1e-10, worst_resid, 1e-10)
         decreasing = fractions[0] > fractions[1] > fractions[2]
         self.add("ledger", "bad-fraction-decreasing", "ledger.bad-fraction-vs-r",
                  decreasing, fractions[-1], fractions[0])
-        self.report.tables["ledger_pairs"] = rows_table
 
         pairf = self.pair(grids="random")
         led = czop.pairing_decomposition(op, pairf.ctx_f, pairf.ctx_g, f, g,
@@ -918,37 +923,33 @@ def emit_report(report: SuiteReport, out_dir) -> List[Path]:
         "check_s": {f"{c.suite}/{c.name}": c.runtime_s for c in checks
                     if c.runtime_s > 0.0},
     }, indent=1) + "\n", encoding="utf-8")
-    with open(checks_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["suite", "name", "anchor", "passed", "value", "bound",
-                         "stderr"])
-        for c in checks:
-            writer.writerow([c.suite, c.name, c.anchor, int(c.passed),
-                             repr(float(c.value)),
-                             "" if c.bound is None else repr(float(c.bound)),
-                             repr(float(c.stderr))])
+    _write_csv(checks_path, {
+        "suite": [c.suite for c in checks], "name": [c.name for c in checks],
+        "anchor": [c.anchor for c in checks], "passed": [int(c.passed) for c in checks],
+        "value": [float(c.value) for c in checks],
+        "bound": [None if c.bound is None else float(c.bound) for c in checks],
+        "stderr": [float(c.stderr) for c in checks]})
     written = [report_path, timings_path, checks_path]
-    for tname, rows in report.tables.items():
-        if rows:
-            tpath = out / f"{tname}.csv"
-            with open(tpath, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-                writer.writeheader()
-                for row in rows:
-                    writer.writerow({k: _csv_cell(v) for k, v in row.items()})
-            written.append(tpath)
+    for tname, table in report.tables.items():
+        if len(next(iter(table.values()))):      # a table with no rows has no file
+            written.append(out / f"{tname}.csv")
+            _write_csv(written[-1], table)
     return written
+
+
+def _write_csv(path: Path, table: Dict[str, Sequence]) -> None:
+    """A column table as CSV: floats as ``repr``, cube keys as JSON, None empty."""
+    columns = [col.tolist() if isinstance(col, np.ndarray) else col
+               for col in table.values()]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(table)
+        writer.writerows([_csv_cell(v) for v in row] for row in zip(*columns))
 
 
 def _csv_cell(v):
     if isinstance(v, float):
         return repr(v)
     if isinstance(v, tuple):
-        return json.dumps(_tuplify(v))
-    return v
-
-
-def _tuplify(v):
-    if isinstance(v, tuple):
-        return [_tuplify(x) for x in v]
+        return json.dumps(v)
     return v

@@ -243,7 +243,6 @@ def adapted_diff_adjoint(ctx: MartingaleContext, values: np.ndarray, k: int) -> 
 
 @dataclass
 class Reconstruction:
-    top_term: np.ndarray
     diff_terms: Dict[int, np.ndarray]
     residual: float
 
@@ -261,7 +260,7 @@ def reconstruct(ctx: MartingaleContext, values: np.ndarray) -> Reconstruction:
     total = top + sum(diffs.values())
     scale = float(np.max(np.abs(v))) or 1.0
     residual = float(np.max(np.abs(v - total))) / scale
-    return Reconstruction(top, diffs, residual)
+    return Reconstruction(diffs, residual)
 
 
 # =============================================================================

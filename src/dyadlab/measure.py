@@ -119,11 +119,11 @@ def _pairwise_sup_distances(pos: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LatticeSpace:
-    """The sequence lattice (R^m, l^rho) together with its dual exponent.
+    """The sequence lattice (R^m, l^rho).
 
-    The norm is a lattice norm: coordinatewise domination of absolute values
-    implies domination of norms.  The dual pairing is the plain coordinate
-    sum, and Hoelder gives |<phi, xi>| <= |phi|_{rho'} |xi|_rho.
+    Its norm, ``vector_norm`` at exponent rho along the last axis, is a
+    lattice norm: coordinatewise domination of absolute values implies
+    domination of norms.
     """
 
     m: int
@@ -136,29 +136,11 @@ class LatticeSpace:
             raise ValueError("lattice exponent rho must lie in [1, inf]")
 
     @property
-    def rho_dual(self) -> float:
-        if self.rho == 1.0:
-            return math.inf
-        if math.isinf(self.rho):
-            return 1.0
-        return self.rho / (self.rho - 1.0)
-
-    @property
     def cotype(self) -> float:
         """Cotype exponent of the lattice: max(2, rho), and 2 at rho = inf,
         since l^inf_m is finite-dimensional and so has cotype 2 (with a
         constant that grows with m)."""
         return 2.0 if math.isinf(self.rho) else max(2.0, self.rho)
-
-    def norm(self, values: np.ndarray) -> np.ndarray:
-        """l^rho norm along the last axis; scalar arrays pass through as |.|"""
-        values = np.asarray(values, dtype=float)
-        if values.ndim == 0 or values.shape[-1:] == () or self.m == 1 and values.ndim == 1:
-            return np.abs(values)
-        return vector_norm(values, self.rho)
-
-    def dual_norm(self, values: np.ndarray) -> np.ndarray:
-        return vector_norm(np.asarray(values, dtype=float), self.rho_dual)
 
 
 def vector_norm(values: np.ndarray, rho: float) -> np.ndarray:
@@ -278,8 +260,6 @@ def mult(scalar: np.ndarray, values: np.ndarray) -> np.ndarray:
 class GrowthReport:
     passed: bool
     c_gr: float
-    radii: np.ndarray
-    worst_radius: float
 
 
 def growth_radii(mu: AtomicMeasure) -> np.ndarray:
@@ -312,14 +292,10 @@ def growth_check(mu: AtomicMeasure) -> GrowthReport:
     d = mu.growth_exponent
     diff = np.max(np.abs(mu.positions[:, None, :] - mu.positions[None, :, :]), axis=-1)
     c_gr = 0.0
-    worst_r = radii[0]
     for r in radii:
         masses = np.sum(np.where(diff <= r, mu.weights[None, :], 0.0), axis=1)
-        ratio = float(np.max(masses)) / r ** d
-        if ratio > c_gr:
-            c_gr = ratio
-            worst_r = r
-    return GrowthReport(c_gr <= 1.0 + 1e-12, c_gr, radii, float(worst_r))
+        c_gr = max(c_gr, float(np.max(masses)) / r ** d)
+    return GrowthReport(c_gr <= 1.0 + 1e-12, c_gr)
 
 
 # =============================================================================

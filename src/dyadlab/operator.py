@@ -11,7 +11,8 @@ into separated / deeply nested / comparable / bad, the exact ledger
 reproducing <g, Tf> from adapted-difference blocks plus two boundary terms,
 off-diagonal decay checks with an explicit constant chain, paraproduct
 assembly via the stopping map S(Q), collar partitions of comparable pairs,
-and the Monte-Carlo boundary-collar probability.
+and the Monte-Carlo boundary-collar probability.  The ledger and the decay
+check record their per-pair rows as columns, as ``SuiteReport.tables`` holds.
 
 Every asserted decay bound is scaled by the kernel constants and by the
 derived test-function bounds (2 / delta^2 for the frame functions); the
@@ -22,7 +23,7 @@ the measure at dyadic radii).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -211,8 +212,8 @@ class DiscreteOperator:
 
     def bilinear(self, g: np.ndarray, f: np.ndarray) -> float:
         """<g, Tf> for scalar or lattice-valued f, g (coordinatewise action)."""
-        f = np.asarray(f, dtype=float)
-        return _pair_stack(_coordinate_rows(self, np.asarray(g, dtype=float)), f[None])[0]
+        rows = _coordinate_rows(self, np.asarray(g, dtype=float))
+        return float(_pair_stack(rows, np.asarray(f, dtype=float)[None])[0])
 
 
 def _coordinate_rows(op: DiscreteOperator, g: np.ndarray):
@@ -222,21 +223,28 @@ def _coordinate_rows(op: DiscreteOperator, g: np.ndarray):
     return [op.row(g[:, j]) for j in range(g.shape[1])]
 
 
-def _pair_stack(rows, fs: np.ndarray) -> List[float]:
+def _pair_stack(rows, fs: np.ndarray) -> np.ndarray:
     """<g, T f> for each f of the stack ``fs``, from ``_coordinate_rows(op, g)``.
 
     Each value is the dot product row @ f, per coordinate for lattice
-    values, summed over the coordinates in order with ``sum``.  numpy's
+    values, added over the coordinates left to right from 0.0.  numpy's
     matmul takes every (1 x n) @ (n x 1) product of a batch with the same
     dot routine, on the same strides, as the 1-D product row @ f, so each
     value keeps its bits; a matrix-vector product would sum in another
     order.
     """
     if fs.ndim == 2:
-        return (rows[None, None, :] @ fs[:, :, None]).ravel().tolist()
-    cols = [(rows[j][None, None, :] @ fs[:, :, j, None]).ravel().tolist()
-            for j in range(fs.shape[2])]
-    return [sum(vals) for vals in zip(*cols)]
+        return (rows[None, None, :] @ fs[:, :, None]).ravel()
+    total = np.zeros(fs.shape[0])
+    for j in range(fs.shape[2]):
+        total += (rows[j][None, None, :] @ fs[:, :, j, None]).ravel()
+    return total
+
+
+def _sum_left(values) -> float:
+    """The values added left to right from 0.0 (``np.sum`` adds pairwise, and
+    builtin ``sum`` compensates from Python 3.12 on)."""
+    return float(np.add.accumulate(np.concatenate(([0.0], values)))[-1])
 
 
 def measure_testing_bound(op: DiscreteOperator, sys_b: AccretiveSystem,
@@ -354,10 +362,7 @@ class PairClassifier:
         q_side, r_side = qs[0].side, rs[0].side
         other, r_scale = rs[0].system, rs[0].scale
         bad = np.array([self._is_bad(q, other, r_scale) for q in qs], dtype=bool)
-        qb = np.array([q.bounds for q in qs])[:, None]      # (Q, 1, N, 2)
-        rb = np.array([r.bounds for r in rs])[None, :]      # (1, R, N, 2)
-        ql, qu, rl, ru = qb[..., 0], qb[..., 1], rb[..., 0], rb[..., 1]
-        dist = np.maximum(np.maximum(ql - ru, rl - qu).max(axis=2), 0.0)
+        ql, qu, rl, ru, dist = _pair_bounds(qs, rs)
         # later assignments take precedence, in the order ``classify`` tests
         codes = np.full(dist.shape, _UNMATCHED, dtype=np.int8)
         codes[dist >= q_side] = _SEPARATED
@@ -367,6 +372,15 @@ class PairClassifier:
             codes[dist < q_side] = _COMPARABLE
         codes[bad] = _BAD
         return codes
+
+
+def _pair_bounds(qs: Sequence[Cube], rs: Sequence[Cube]):
+    """Per-axis bounds (lower, upper) of qs as (Q, 1, N) and of rs as (1, R, N),
+    and the (Q, R) ``set_distance``: exact, since the bounds are dyadic."""
+    qb = np.array([q.bounds for q in qs])[:, None]
+    rb = np.array([r.bounds for r in rs])[None, :]
+    ql, qu, rl, ru = qb[..., 0], qb[..., 1], rb[..., 0], rb[..., 1]
+    return ql, qu, rl, ru, np.maximum(np.maximum(ql - ru, rl - qu).max(axis=2), 0.0)
 
 
 def _scale_runs(cubes: Sequence[Cube]) -> List[Tuple[int, int]]:
@@ -413,18 +427,17 @@ class PairLedger:
     boundary_large: float        # <g, T top_f>
     identity_residual: float
     class_mass: Dict[str, float]
-    pair_rows: List[dict]
+    pair_table: Dict[str, Sequence]   # columns q, r, class, value, long_distance
 
     @property
     def bad_fraction(self) -> float:
-        total = sum(self.class_mass.values())
+        total = _sum_left(list(self.class_mass.values()))
         return self.class_mass.get("bad", 0.0) / total if total > 0 else 0.0
 
 
 def pairing_decomposition(op: DiscreteOperator, ctx_f: MartingaleContext,
                           ctx_g: MartingaleContext, f: np.ndarray, g: np.ndarray,
-                          classifier: PairClassifier,
-                          collect_rows: bool = False) -> PairLedger:
+                          classifier: PairClassifier) -> PairLedger:
     """Decompose <g, Tf> into adapted blocks plus two boundary terms.
 
     The block matrix is <D_R g, T(D_Q f)> over occupied cubes of the two
@@ -435,6 +448,9 @@ def pairing_decomposition(op: DiscreteOperator, ctx_f: MartingaleContext,
 
     is exact up to roundoff because the adapted reconstruction has no
     truncation error on the finite window.
+
+    Sums add the pairs left to right in (R, Q) order, the row order of
+    ``pair_table``; ``class_mass`` has its classes in order of appearance.
     """
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -444,24 +460,25 @@ def pairing_decomposition(op: DiscreteOperator, ctx_f: MartingaleContext,
     top_f = adapted_expectation(ctx_f, f, ctx_f.system.s)
     top_g = adapted_expectation(ctx_g, g, ctx_g.system.s)
 
-    codes = _class_matrix(classifier, r_cubes, q_cubes)
-    names = [cls.value for cls in PAIR_CLASSES]
-    class_mass: Dict[str, float] = {}
-    rows: List[dict] = []
-    block_sum = 0.0
-    for r_cube, dg, r_codes in zip(r_cubes, g_blocks, codes):
-        # one row of <D_R g, T .> per R; each pair is then one dot product
-        values = _pair_stack(_coordinate_rows(op, dg), f_blocks)
-        for q_cube, val, code in zip(q_cubes, values, r_codes.tolist()):
-            block_sum += val
-            name = names[code]
-            class_mass[name] = class_mass.get(name, 0.0) + abs(val)
-            if collect_rows:
-                rows.append({
-                    "q": q_cube.key, "r": r_cube.key, "class": name,
-                    "value": val,
-                    "long_distance": long_distance(q_cube, r_cube),
-                })
+    codes = _class_matrix(classifier, r_cubes, q_cubes).ravel()
+    # one row of <D_R g, T .> per R; each pair is then one dot product
+    values = np.array([_pair_stack(_coordinate_rows(op, dg), f_blocks)
+                       for dg in g_blocks]).ravel()
+    block_sum = _sum_left(values)
+    names = np.array([cls.value for cls in PAIR_CLASSES], dtype=object)
+    magnitudes = np.abs(values)
+    class_mass = {names[codes[i]]: _sum_left(magnitudes[codes == codes[i]])
+                  for i in sorted(np.unique(codes, return_index=True)[1])}
+
+    *_, dist = _pair_bounds(r_cubes, q_cubes)        # (R, Q)
+    # l(Q) + dist(Q, R) + l(R), added in the order of ``long_distance``
+    long_dist = ((np.array([q.side for q in q_cubes]) + dist)
+                 + np.array([r.side for r in r_cubes])[:, None])
+    # each cube's key is made once and shared by its rows
+    q_keys, r_keys = [q.key for q in q_cubes], [r.key for r in r_cubes]
+    pair_table = {"q": q_keys * len(r_keys), "r": [k for k in r_keys for _ in q_keys],
+                  "class": names[codes], "value": values,
+                  "long_distance": long_dist.ravel()}
 
     boundary_small = op.bilinear(top_g, f - top_f)
     boundary_large = op.bilinear(g, top_f)
@@ -470,7 +487,7 @@ def pairing_decomposition(op: DiscreteOperator, ctx_f: MartingaleContext,
     scale = max(abs(total), 1e-30)
     residual = abs(total - explained) / scale
     return PairLedger(block_sum, boundary_small, boundary_large, residual,
-                      class_mass, rows)
+                      class_mass, pair_table)
 
 
 def _local_diff_blocks(ctx: MartingaleContext, values: np.ndarray):
@@ -493,10 +510,20 @@ def _local_diff_blocks(ctx: MartingaleContext, values: np.ndarray):
 
 @dataclass
 class DecayCheckResult:
-    checked: int
-    failures: List[dict]
-    worst_margin: float          # min over checks of bound/|value| (inf if value 0)
-    rows: List[dict]
+    failures: List[dict] = field(default_factory=list)
+    table: Dict[str, list] = field(default_factory=lambda: {
+        name: [] for name in ("kind", "lq", "lr", "D", "value", "bound")})
+
+    @property
+    def checked(self) -> int:
+        return len(self.table["value"])
+
+    @property
+    def worst_margin(self) -> float:
+        """min over checks of bound/|value| (inf if value 0)."""
+        return min((bound / val if val > 0 else math.inf
+                    for val, bound in zip(self.table["value"], self.table["bound"])),
+                   default=math.inf)
 
     @property
     def passed(self) -> bool:
@@ -519,7 +546,7 @@ def decay_bound_check(op: DiscreteOperator, ctx_f: MartingaleContext,
     bound.  All bounds are scaled by the explicit chain constant.
     """
     c_chain = chain_constant(op.kernel, min(ctx_f.delta, ctx_g.delta))
-    result = DecayCheckResult(0, [], math.inf, [])
+    result = DecayCheckResult()
     if ctx_f.index.system is ctx_g.index.system:
         return result            # only pairs across two systems are checked
     f_menu = _pair_menu(ctx_f)
@@ -645,14 +672,12 @@ def _check_nested(op, ctx_g, c_chain, q_cube, phis, r_cube, psis, psi_rows, resu
 
 
 def _record(result, kind, q_cube, r_cube, val, bound, ddist):
-    result.checked += 1
     if val > bound + 1e-14:
         result.failures.append({"kind": kind, "q": q_cube.key, "r": r_cube.key,
                                 "value": val, "bound": bound})
-    margin = bound / val if val > 0 else math.inf
-    result.worst_margin = min(result.worst_margin, margin)
-    result.rows.append({"kind": kind, "lq": q_cube.side, "lr": r_cube.side,
-                        "D": ddist, "value": val, "bound": bound})
+    for column, cell in zip(result.table.values(),
+                            (kind, q_cube.side, r_cube.side, ddist, val, bound)):
+        column.append(cell)
 
 
 def decay_slope_fit(kernel: KernelSpec, separations: Sequence[float]) -> float:

@@ -8,7 +8,7 @@ from dyadlab.measure import AtomicMeasure, pair
 from dyadlab.grid import (DyadicParams, contains, dumps_system, is_n_bad, loads_system,
                           set_distance, standard_system)
 from dyadlab.fixtures import battery_measure, battery_params, build_fixture_pair
-from dyadlab.operator import (DiscreteOperator, KernelSpec, PairClass,
+from dyadlab.operator import (DiscreteOperator, KernelSpec, PairClass, PairLedger,
                               PairClassifier, boundary_probability, chain_constant,
                               comparable_msum, comparable_partition,
                               collar_membership, decay_bound_check, decay_slope_fit,
@@ -275,6 +275,15 @@ def test_bad_fraction_decreases_with_r():
         assert led.identity_residual <= 1e-10
         fractions.append(led.bad_fraction)
     assert fractions[0] > fractions[1] > fractions[2]
+
+
+def test_bad_fraction_adds_class_masses_left_to_right():
+    # (1e16 + 1) + 1 rounds to 1e16 twice; a compensated sum (builtin ``sum``
+    # from Python 3.12) gives the exact 1e16 + 2
+    led = PairLedger(0.0, 0.0, 0.0, 0.0,
+                     {"separated": 1e16, "comparable": 1.0, "bad": 1.0}, {})
+    assert led.bad_fraction == 1.0 / 1e16
+    assert 1.0 / 1e16 != 1.0 / (1e16 + 2.0)
 
 
 # =============================================================================

@@ -7,6 +7,9 @@ rows against stacked functions, must reproduce a per-pair evaluation of
 stopping map, read from the block classes, must equal the map found by
 walking each cube's containing chain.
 """
+import csv
+import io
+import json
 import math
 
 import numpy as np
@@ -14,7 +17,8 @@ import pytest
 
 from dyadlab.fixtures import battery_measure, battery_params, build_fixture_pair
 from dyadlab.grid import DyadicParams, contains, long_distance, set_distance
-from dyadlab.harness import ExperimentConfig, _comparable_pairs, run_suite
+from dyadlab.harness import (ExperimentConfig, SuiteReport, _comparable_pairs,
+                             emit_report, run_suite)
 from dyadlab.martingale import adapted_diff, adapted_expectation
 from dyadlab.measure import lp_norm, restrict
 from dyadlab.operator import (PAIR_CLASSES, DiscreteOperator, GeometryError, PairClass,
@@ -47,7 +51,17 @@ def _element(op, psi, phi_vals):
 def _bilinear(op, g, f):
     if f.ndim == 1:
         return _element(op, g, f)
-    return sum(_element(op, g[:, j], f[:, j]) for j in range(f.shape[1]))
+    total = 0.0           # coordinates added left to right
+    for j in range(f.shape[1]):
+        total += _element(op, g[:, j], f[:, j])
+    return total
+
+
+def _rows(table):
+    """The rows of a column table as dicts of Python values."""
+    columns = [col.tolist() if isinstance(col, np.ndarray) else col
+               for col in table.values()]
+    return [dict(zip(table, cells)) for cells in zip(*columns)]
 
 
 # =============================================================================
@@ -276,14 +290,13 @@ def test_ledger_equals_per_pair_reference(dim, grids, coords):
     shape = (pairf.measure.atom_count,) if coords is None \
         else (pairf.measure.atom_count, coords)
     f, g = rng.normal(size=shape), rng.normal(size=shape)
-    led = pairing_decomposition(op, pairf.ctx_f, pairf.ctx_g, f, g, pairf.classifier,
-                                collect_rows=True)
+    led = pairing_decomposition(op, pairf.ctx_f, pairf.ctx_g, f, g, pairf.classifier)
     block_sum, class_mass, rows, small, large, total = _reference_ledger(
         op, pairf.ctx_f, pairf.ctx_g, f, g, pairf.params)
     assert led.block_sum == block_sum
     assert list(led.class_mass.items()) == list(class_mass.items())
-    assert led.pair_rows == rows
-    assert _bits(led.pair_rows, "value") == _bits(rows, "value")
+    assert _rows(led.pair_table) == rows
+    assert _bits(_rows(led.pair_table), "value") == _bits(rows, "value")
     assert (led.boundary_small, led.boundary_large) == (small, large)
     assert led.identity_residual == abs(total - (block_sum + small + large)) \
         / max(abs(total), 1e-30)
@@ -368,9 +381,40 @@ def test_decay_check_equals_per_pair_reference(dim, grids):
     assert res.checked == ref["checked"] > 0
     assert res.failures == ref["failures"]
     assert res.worst_margin == ref["worst"]
-    assert res.rows == ref["rows"]
-    kinds = {row["kind"] for row in res.rows}
+    assert _rows(res.table) == ref["rows"]
+    kinds = set(res.table["kind"])
     assert {"separated-smooth", "nested-offchild", "nested-complement"} <= kinds
+
+
+def _reference_csv(rows):
+    """Dict rows as CSV bytes: repr for floats, JSON for cube keys."""
+    def cell(v):
+        if isinstance(v, float):
+            return repr(float(v))
+        return json.dumps(v) if isinstance(v, tuple) else v
+
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: cell(v) for k, v in row.items()})
+    return buf.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("dim,grids", FIXTURES)
+def test_emitted_pair_tables_equal_reference_csv(dim, grids, tmp_path):
+    pairf, op = _fixture(dim, grids, r=2)
+    rng = np.random.default_rng(23 + dim)
+    f, g = rng.normal(size=(2, pairf.measure.atom_count))
+    led = pairing_decomposition(op, pairf.ctx_f, pairf.ctx_g, f, g, pairf.classifier)
+    res = decay_bound_check(op, pairf.ctx_f, pairf.ctx_g, pairf.classifier)
+    report = SuiteReport("0", 0, tables={"ledger_pairs": led.pair_table,
+                                         "decay_pairs": res.table})
+    emit_report(report, tmp_path)
+    ledger_rows = _reference_ledger(op, pairf.ctx_f, pairf.ctx_g, f, g, pairf.params)[2]
+    decay_rows = _reference_decay(op, pairf.ctx_f, pairf.ctx_g, pairf.params)["rows"]
+    assert (tmp_path / "ledger_pairs.csv").read_bytes() == _reference_csv(ledger_rows)
+    assert (tmp_path / "decay_pairs.csv").read_bytes() == _reference_csv(decay_rows)
 
 
 def test_row_then_dot_is_the_matrix_element():
