@@ -532,6 +532,42 @@ def _fmod_pow2(x: np.ndarray, j: int, out: np.ndarray) -> np.ndarray:
     return np.subtract(x, out, out=out)
 
 
+def _spare_half(bitgen: np.random.PCG64) -> Optional[np.uint32]:
+    """The high half-word PCG64 keeps for its next 32-bit draw, or None."""
+    state = bitgen.state
+    return np.uint32(state["uinteger"]) if state["has_uint32"] else None
+
+
+def _keep_spare_half(bitgen: np.random.PCG64, spare: Optional[np.uint32]) -> None:
+    """Leave ``spare`` as the half-word PCG64 hands out on its next 32-bit draw."""
+    state = bitgen.state
+    state["has_uint32"] = int(spare is not None)
+    if spare is not None:
+        state["uinteger"] = int(spare)
+    bitgen.state = state
+
+
+def _uint32_words(bitgen: np.random.PCG64, count: int, spare: Optional[np.uint32]):
+    """The next ``count`` 32-bit draws of a PCG64 stream, and the spare half left.
+
+    numpy's 32-bit draw on PCG64 returns the low half of a fresh 64-bit word
+    and keeps the high half for the next 32-bit draw, which returns it.  So
+    with ``spare`` (the kept half, or None) first, the draws are the halves
+    of ``random_raw`` words low then high; when ``count`` ends inside a word,
+    its high half is returned as the new spare.  ``rng.integers(0, 2, size)``
+    makes one such draw per digit (Lemire's method with a bound of 2, which
+    never rejects), and the digit is the draw's top bit.
+    """
+    if spare is None:
+        words = np.asarray(bitgen.random_raw((count + 1) // 2), dtype="<u8").view("<u4")
+    else:
+        raw = np.asarray(bitgen.random_raw(count // 2), dtype="<u8").view("<u4")
+        words = np.concatenate(([spare], raw))
+    if len(words) > count:
+        return words[:count], words[count]
+    return words, None
+
+
 def shift_walk_hits(rng: np.random.Generator, trials: int, dimension: int,
                     base: int, first: int, stop: int,
                     event: Callable[[float, np.ndarray, np.ndarray], None]) -> int:
@@ -539,40 +575,60 @@ def shift_walk_hits(rng: np.random.Generator, trials: int, dimension: int,
 
     Each trial's shift starts uniform on [0, 2^base)^N, drawn as one
     ``rng.uniform`` array, and after each scale j it gains beta_j 2^j per
-    axis, with the digits beta_j of all trials drawn as one
-    ``rng.integers(0, 2, size=(trials, N))`` array per scale.  At each scale
-    j in [first, stop), ``event(period, pos, flags)`` receives period = 2^j
-    and pos = period - fmod(shift, period) for the live trials as an (m, N)
-    array that it may overwrite, and fills the (m, N) boolean ``flags`` with
-    the axes on which the event occurs.  A trial flagged on any axis is hit.
+    axis.  At each scale j in [first, stop), ``event(period, pos, flags)``
+    receives period = 2^j and pos = period - fmod(shift, period) for the
+    live trials as an (m, N) array that it may overwrite, and fills the
+    (m, N) boolean ``flags`` with the axes on which the event occurs.  A
+    trial flagged on any axis is hit.
+
+    Digit source: the digits beta_j of all trials, in (trials, N) row-major
+    order, are the top bits of the next trials N 32-bit draws of the
+    generator, read from ``random_raw`` words in PCG64's half-word order
+    (``_uint32_words``): the digits ``rng.integers(0, 2, size=(trials, N))``
+    gives, bit for bit, at a fraction of its cost.  A high half-word left
+    over by an odd trials N is carried to the next scale, and the walk
+    starts from, and leaves behind, the half-word PCG64 keeps in its state,
+    as ``integers`` would.  The estimates, and so the report bits, depend on
+    this half-word order, which holds for PCG64 only: any other bit
+    generator raises TypeError.
 
     Compaction invariant: a hit trial stays hit whatever its later digits
     are, so it is dropped from the arithmetic.  The live trials keep their
     original order in the first m rows of two (trials, N) buffers allocated
-    once, the digit arrays are still drawn for all trials, and each live
-    trial adds the digits of its own row, so every live trial sees the
-    shifts and verdicts of the uncompacted walk bit for bit.  The walk stops
-    once no trial is live, and never draws the digits of the last scale:
-    the count is fixed by then and the generator belongs to the caller, so
-    the skipped draws change nothing observable.
+    once, the draws are still made for all trials, and each live trial reads
+    the digits of its own row, so every live trial sees the shifts and
+    verdicts of the uncompacted walk bit for bit.  The walk stops once no
+    trial is live, and never draws the digits of the last scale: the count
+    is fixed by then and the generator belongs to the caller, so the skipped
+    draws change nothing observable.
 
     The remainder is ``_fmod_pow2``: ``np.fmod`` bit for bit, at a fraction
     of its cost.
     """
+    bitgen = rng.bit_generator
+    if not isinstance(bitgen, np.random.PCG64):
+        raise TypeError("shift_walk_hits reads its digits from PCG64 words in "
+                        "PCG64's half-word order; got a generator over "
+                        f"{type(bitgen).__name__}")
     shift = rng.uniform(0.0, 2.0 ** base, size=(trials, dimension))
+    spare = _spare_half(bitgen)
     pos = np.empty_like(shift)
+    live_words = np.empty(shift.shape, dtype="<u4")
+    digits = np.empty(shift.shape, dtype=bool)
     flags = np.empty(shift.shape, dtype=bool)
     hit = np.empty(trials, dtype=bool)
     live = np.arange(trials)        # the original index of each live trial
     m = trials
     for j in range(base, stop):
         if j > base:
-            digits = rng.integers(0, 2, size=(trials, dimension))
+            words, spare = _uint32_words(bitgen, trials * dimension, spare)
+            words = words.reshape(trials, dimension)
             if m < trials:
-                digits = np.take(digits, live, axis=0, mode="clip")
-            np.add(shift[:m], np.multiply(digits, 2.0 ** (j - 1), out=pos[:m]),
+                words = np.take(words, live, axis=0, out=live_words[:m], mode="clip")
+            np.greater_equal(words, 2 ** 31, out=digits[:m])        # the top bit
+            np.add(shift[:m], np.multiply(digits[:m], 2.0 ** (j - 1), out=pos[:m]),
                    out=shift[:m])
-            del digits
+            del words
         if j < first:
             continue
         period = 2.0 ** j
@@ -595,6 +651,7 @@ def shift_walk_hits(rng: np.random.Generator, trials: int, dimension: int,
             m -= caught
             if m == 0:
                 break
+    _keep_spare_half(bitgen, spare)
     return trials - m
 
 

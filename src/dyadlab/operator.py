@@ -286,6 +286,7 @@ PAIR_CLASSES = (PairClass.SEPARATED, PairClass.DEEP_NESTED, PairClass.COMPARABLE
 _SEPARATED, _DEEP_NESTED, _COMPARABLE, _BAD = range(4)
 _UNMATCHED = -1     # a good pair that matches no class
 _SKIPPED = -2       # a pair left unclassified (``_class_matrix``)
+_NO_WITNESS = int(np.iinfo(np.int64).min)    # the profile of a cube no scale makes bad
 
 
 class PairClassifier:
@@ -296,9 +297,10 @@ class PairClassifier:
     each cube is scanned once against each system.
 
     For each cube the scan records the largest witness scale at which the
-    other system's boundary comes within the collar threshold; a cube is then
-    n-bad exactly when scale(Q) + max(n, r) stays below that witness scale,
-    which turns per-pair badness into one integer comparison.
+    other system's boundary comes within the collar threshold
+    (``_NO_WITNESS`` when there is none); a cube is then n-bad exactly when
+    scale(Q) + max(n, r) stays below that witness scale, which turns per-pair
+    badness into one integer comparison.
 
     ``classify`` classifies one pair; ``classify_block`` classifies every
     pair of two one-scale cube lists at once with the same rules.
@@ -306,29 +308,38 @@ class PairClassifier:
 
     def __init__(self, params: DyadicParams):
         self.params = params
-        self._profiles: Dict[Tuple[DyadicSystem, int, Tuple[int, ...]], Optional[int]] = {}
+        self._profiles: Dict[Tuple[DyadicSystem, int, Tuple[int, ...]], int] = {}
 
-    def _profile(self, q: Cube, other: DyadicSystem) -> Optional[int]:
+    def _profile(self, q: Cube, other: DyadicSystem) -> int:
         key = (other, q.scale, q.index)
         if key not in self._profiles:
             self._profiles[key] = self._scan(q, other)
         return self._profiles[key]
 
-    def _scan(self, q: Cube, other: DyadicSystem) -> Optional[int]:
-        """The largest witness scale j >= scale(Q) + r, or None: scanned downward."""
+    def _scan(self, q: Cube, other: DyadicSystem) -> int:
+        """The largest witness scale j >= scale(Q) + r, or ``_NO_WITNESS``:
+        scanned downward."""
         for j in range(other.s, q.scale + self.params.r - 1, -1):
             if collar_witness(q, other, j, self.params.gamma) is not None:
                 return j
-        return None
+        return _NO_WITNESS
 
     def is_bad(self, q: Cube, r: Cube) -> bool:
         return self._is_bad(q, r.system, r.scale)
 
-    def _is_bad(self, q: Cube, other: DyadicSystem, r_scale: int) -> bool:
-        """Q is bad against every cube of the other system at scale r_scale."""
-        jmax = self._profile(q, other)
-        if jmax is None:
-            return False
+    def _is_bad(self, q, other: DyadicSystem, r_scale: int):
+        """Q is bad against every cube of the other system at scale r_scale.
+
+        ``q`` is one cube, or a ``_CubeRun`` classified against ``other``,
+        whose verdicts come as one boolean array from its profiles, read once.
+        """
+        if isinstance(q, _CubeRun):
+            if q.jmax is None:
+                q.jmax = np.array([self._profile(c, other) for c in q.cubes],
+                                  dtype=np.int64)
+            jmax = q.jmax
+        else:
+            jmax = self._profile(q, other)
         return q.scale + max(r_scale - q.scale - 1, self.params.r) <= jmax
 
     def classify(self, q: Cube, r: Cube) -> PairClass:
@@ -359,10 +370,14 @@ class PairClassifier:
         float bounds, which are dyadic and exact, so every code is the
         scalar class.
         """
-        q_side, r_side = qs[0].side, rs[0].side
-        other, r_scale = rs[0].system, rs[0].scale
-        bad = np.array([self._is_bad(q, other, r_scale) for q in qs], dtype=bool)
-        ql, qu, rl, ru, dist = _pair_bounds(qs, rs)
+        return self._classify_runs(_CubeRun(qs), _CubeRun(rs))
+
+    def _classify_runs(self, q: "_CubeRun", r: "_CubeRun") -> np.ndarray:
+        """``classify_block`` on two cube runs, which keep their bounds and
+        profiles for the next block they take part in."""
+        q_side, r_side = q.side, r.side
+        bad = self._is_bad(q, r.system, r.scale)
+        ql, qu, rl, ru, dist = _pair_bounds(q.bounds, r.bounds)
         # later assignments take precedence, in the order ``classify`` tests
         codes = np.full(dist.shape, _UNMATCHED, dtype=np.int8)
         codes[dist >= q_side] = _SEPARATED
@@ -374,11 +389,32 @@ class PairClassifier:
         return codes
 
 
-def _pair_bounds(qs: Sequence[Cube], rs: Sequence[Cube]):
-    """Per-axis bounds (lower, upper) of qs as (Q, 1, N) and of rs as (1, R, N),
-    and the (Q, R) ``set_distance``: exact, since the bounds are dyadic."""
-    qb = np.array([q.bounds for q in qs])[:, None]
-    rb = np.array([r.bounds for r in rs])[None, :]
+def _bounds_array(cubes: Sequence[Cube]) -> np.ndarray:
+    """The per-axis (lower, upper) bounds of the cubes as one (n, N, 2) array."""
+    return np.array([c.bounds for c in cubes])
+
+
+class _CubeRun:
+    """The cubes of one scale in one system, as the pair blocks read them.
+
+    ``bounds`` is their ``_bounds_array``; ``jmax``, their badness profiles
+    against the one system the run is classified against, is filled by
+    ``PairClassifier._is_bad`` on first use.  A run built once serves every
+    block it takes part in.
+    """
+
+    def __init__(self, cubes: Sequence[Cube]):
+        self.cubes = cubes
+        self.system, self.scale, self.side = cubes[0].system, cubes[0].scale, cubes[0].side
+        self.bounds = _bounds_array(cubes)
+        self.jmax: Optional[np.ndarray] = None
+
+
+def _pair_bounds(qb: np.ndarray, rb: np.ndarray):
+    """From the ``_bounds_array`` of the Qs and of the Rs: the per-axis bounds
+    (lower, upper) of the Qs as (Q, 1, N) and of the Rs as (1, R, N), and the
+    (Q, R) ``set_distance``: exact, since the bounds are dyadic."""
+    qb, rb = qb[:, None], rb[None, :]
     ql, qu, rl, ru = qb[..., 0], qb[..., 1], rb[..., 0], rb[..., 1]
     return ql, qu, rl, ru, np.maximum(np.maximum(ql - ru, rl - qu).max(axis=2), 0.0)
 
@@ -398,15 +434,19 @@ def _class_matrix(classifier: PairClassifier, rs: Sequence[Cube], qs: Sequence[C
     cube is classified against the larger one's system (Q when the sides are
     equal).  With ``smaller_q_only`` the pairs with l(Q) > l(R) are left
     unclassified (-2).  A good pair that matches no class raises
-    GeometryError, as ``classify`` does.
+    GeometryError, as ``classify`` does.  Each scale run of either list is
+    one ``_CubeRun``, so its bounds and profiles are read once for all its
+    blocks.
     """
     codes = np.full((len(rs), len(qs)), _SKIPPED, dtype=np.int8)
+    q_runs = [(q0, q1, _CubeRun(qs[q0:q1])) for q0, q1 in _scale_runs(qs)]
     for r0, r1 in _scale_runs(rs):
-        for q0, q1 in _scale_runs(qs):
-            if qs[q0].scale <= rs[r0].scale:
-                codes[r0:r1, q0:q1] = classifier.classify_block(qs[q0:q1], rs[r0:r1]).T
+        r_run = _CubeRun(rs[r0:r1])
+        for q0, q1, q_run in q_runs:
+            if q_run.scale <= r_run.scale:
+                codes[r0:r1, q0:q1] = classifier._classify_runs(q_run, r_run).T
             elif not smaller_q_only:
-                codes[r0:r1, q0:q1] = classifier.classify_block(rs[r0:r1], qs[q0:q1])
+                codes[r0:r1, q0:q1] = classifier._classify_runs(r_run, q_run)
     unmatched = np.argwhere(codes == _UNMATCHED)
     if unmatched.size:
         a, b = unmatched[0]
@@ -470,7 +510,7 @@ def pairing_decomposition(op: DiscreteOperator, ctx_f: MartingaleContext,
     class_mass = {names[codes[i]]: _sum_left(magnitudes[codes == codes[i]])
                   for i in sorted(np.unique(codes, return_index=True)[1])}
 
-    *_, dist = _pair_bounds(r_cubes, q_cubes)        # (R, Q)
+    *_, dist = _pair_bounds(_bounds_array(r_cubes), _bounds_array(q_cubes))  # (R, Q)
     # l(Q) + dist(Q, R) + l(R), added in the order of ``long_distance``
     long_dist = ((np.array([q.side for q in q_cubes]) + dist)
                  + np.array([r.side for r in r_cubes])[:, None])
@@ -719,11 +759,12 @@ def paraproduct_smap(ctx_f: MartingaleContext, other: GridIndex,
     out: Dict[Tuple, Optional[Cube]] = {}
     for k in ctx_f.diff_scales:
         q_cubes = ctx_f.index.occupied(k)
+        q_run = _CubeRun(q_cubes)
         r_min: List[Optional[Cube]] = [None] * len(q_cubes)
         seen = np.zeros(len(q_cubes), dtype=bool)
         for j in range(k + classifier.params.r + 1, other.system.s + 1):
             r_cubes = other.occupied(j)
-            chi = classifier.classify_block(q_cubes, r_cubes) == _DEEP_NESTED
+            chi = classifier._classify_runs(q_run, _CubeRun(r_cubes)) == _DEEP_NESTED
             has = chi.any(axis=1)
             # monotonicity along the chain: once 1, always 1
             lost = np.flatnonzero(seen & ~has)

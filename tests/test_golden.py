@@ -3,8 +3,12 @@
 The reports are built in a fresh interpreter whose BLAS threads are pinned
 by ``bench/workloads.pin_environment`` before numpy loads, as
 ``bench/check_golden.py`` does; this test only reads ``bench/golden.json``.
+The interpreter runs with ``OPENBLAS_VERBOSE=2``, so OpenBLAS names on
+stderr the core whose kernels it picked, and a failure names that core.
 """
 import json
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -28,13 +32,17 @@ print(json.dumps({{str(seed): report_sha(run_suite(make_config({WORKLOAD!r}, see
 def test_full_d2_n64_reports_match_golden():
     golden = json.loads((BENCH / "golden.json").read_text(encoding="utf-8"))[WORKLOAD]
     done = subprocess.run([sys.executable, "-c", SCRIPT], capture_output=True, text=True,
-                          timeout=600)
+                          timeout=600, env={**os.environ, "OPENBLAS_VERBOSE": "2"})
     assert done.returncode == 0, done.stderr
     fresh = json.loads(done.stdout.splitlines()[-1])
     want = {str(seed): golden[str(seed)] for seed in SEEDS}
+    core = re.search(r"^Core: *(\S+)", done.stderr, re.MULTILINE)
     assert fresh == want, (
-        f"{WORKLOAD} report sha256 differs from bench/golden.json. Report bits "
-        "depend on the BLAS build, CPU and thread count (see the FOUND line on "
-        "BLAS in CHANGES.md), so the table holds for one host set-up; run "
+        f"{WORKLOAD} report sha256 differs from bench/golden.json; the reports "
+        f"ran on the OpenBLAS {core.group(1) if core else '(unnamed)'} core "
+        "(the `Core:` line under OPENBLAS_VERBOSE=2). golden.json matches the "
+        "SkylakeX kernels, not Haswell or Sandybridge: report bits depend on "
+        "the BLAS build, CPU and thread count (see the FOUND lines on BLAS in "
+        "CHANGES.md), so the table holds for one host set-up; run "
         "`python3 bench/check_golden.py` on the parent commit of this host "
         "before treating a mismatch as a change in the program")

@@ -7,11 +7,12 @@ from hypothesis import given, settings, strategies as st
 from dyadlab._seeds import rng_for
 from dyadlab.fixtures import battery_measure, battery_params
 from dyadlab.measure import AtomicMeasure, generate_random_measure
-from dyadlab.grid import (DyadicParams, DyadicSystem, _fmod_pow2, bad_probability_bound,
+from dyadlab.grid import (DyadicParams, DyadicSystem, _fmod_pow2, _keep_spare_half,
+                          _spare_half, _uint32_words, bad_probability_bound,
                           bad_probability_mc, badness_scan, boundary_distance,
                           build_random_system, contains, dumps_system, is_n_bad,
                           loads_system, locate, long_distance, set_distance,
-                          standard_system, theta)
+                          shift_walk_hits, standard_system, theta)
 
 
 def params_d1(gamma=0.2, r=2):
@@ -492,6 +493,69 @@ def test_compacted_walk_short_tail_matches_reference_kernel():
     for extra in (0, 1, 5):
         got = bad_probability_mc(2, 0, 4, p, trials=1_000, seed=2, extra_scales=extra)
         assert got == _ref_bad_probability_mc(2, 0, 4, p, 1_000, 2, extra)
+
+
+@pytest.mark.parametrize("dimension", [1, 3])
+@pytest.mark.parametrize("trials", [1001, 1003])
+def test_odd_trial_counts_match_reference_kernel(dimension, trials):
+    # trials N odd: every other scale starts on the half-word the scale
+    # before it left over
+    p = DyadicParams(gamma=0.3, r=4, alpha=1.0, d=0.25)
+    for n in (4, 12):
+        got = bad_probability_mc(dimension, 0, n, p, trials=trials, seed=5)
+        assert got == _ref_bad_probability_mc(dimension, 0, n, p, trials, 5)
+
+
+@pytest.mark.parametrize("primed", [False, True])
+def test_raw_words_give_the_integers_digits(primed):
+    # consecutive draws of even and odd counts, from a fresh generator or
+    # from one whose kept half-word is already set, then later draws of both
+    ref, raw = rng_for(3, "digits"), rng_for(3, "digits")
+    if primed:
+        assert ref.integers(0, 2, size=1) == raw.integers(0, 2, size=1)
+    bitgen = raw.bit_generator
+    spare = _spare_half(bitgen)
+    assert (spare is not None) == primed
+    for count in (6, 7, 3, 10, 1, 1, 4, 2001, 2000):
+        words, spare = _uint32_words(bitgen, count, spare)
+        assert words.dtype == np.uint32 and len(words) == count
+        assert np.array_equal(words >> 31, ref.integers(0, 2, size=count))
+    _keep_spare_half(bitgen, spare)
+    assert np.array_equal(raw.integers(0, 2, size=9), ref.integers(0, 2, size=9))
+    assert np.array_equal(raw.uniform(size=3), ref.uniform(size=3))
+    assert raw.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("dimension", [1, 3])
+@pytest.mark.parametrize("trials", [7, 8])
+def test_walk_shifts_and_stream_match_integers_walk(dimension, trials):
+    # a walk no trial leaves sees the shifts of the ``integers`` walk at
+    # every scale and leaves the generator where that walk leaves it
+    base, first, stop = -2, 0, 5
+    seen = []
+
+    def record(period, pos, flags):
+        seen.append(pos.copy())
+        flags.fill(False)
+
+    walk, ref = rng_for(9, "walk"), rng_for(9, "walk")
+    assert shift_walk_hits(walk, trials, dimension, base, first, stop, record) == 0
+    assert len(seen) == stop - first
+    shift = ref.uniform(0.0, 2.0 ** base, size=(trials, dimension))
+    for j in range(base, stop):
+        if j > base:
+            shift = shift + ref.integers(0, 2, size=(trials, dimension)) * 2.0 ** (j - 1)
+        if j >= first:
+            assert np.array_equal(seen[j - first], 2.0 ** j - np.fmod(shift, 2.0 ** j))
+    assert np.array_equal(walk.integers(0, 2, size=5), ref.integers(0, 2, size=5))
+
+
+def test_shift_walk_rejects_other_bit_generators():
+    never = lambda period, pos, flags: flags.fill(False)    # noqa: E731
+    assert isinstance(rng_for(1, "any").bit_generator, np.random.PCG64)
+    for bitgen in (np.random.Philox(1), np.random.PCG64DXSM(1), np.random.MT19937(1)):
+        with pytest.raises(TypeError, match="PCG64 words"):
+            shift_walk_hits(np.random.Generator(bitgen), 10, 1, 0, 0, 3, never)
 
 
 @pytest.mark.parametrize("j", [-40, -3, 0, 1, 5, 30])

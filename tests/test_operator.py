@@ -519,6 +519,14 @@ def test_collar_probability_matches_reference_kernel(dimension, k_scale, r, eta)
                                                 seed)
 
 
+@pytest.mark.parametrize("dimension", [1, 3])
+def test_collar_probability_odd_trials_match_reference_kernel(dimension):
+    # 10,001 N digits per scale: the spare half-word carries to the next scale
+    for r, eta in ((2, 0.05), (6, 0.001)):
+        got = boundary_probability(dimension, r, eta, 0, 10_001, seed=3)
+        assert got == _ref_boundary_probability(dimension, r, eta, 0, 10_001, 3)
+
+
 def test_collar_probability_all_hit_matches_reference_kernel():
     # eta near 1/4 over many scales: every trial ends in some collar, so the
     # walk stops early
