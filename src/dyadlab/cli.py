@@ -2,6 +2,13 @@
 
 Exit codes: 0 when every selected check passed, 1 when some assertion
 failed, 2 on configuration or I/O errors.
+
+The report bits are reproducible only with BLAS pinned to one thread
+(``OPENBLAS_NUM_THREADS=1``, and ``OMP_NUM_THREADS`` / ``MKL_NUM_THREADS``
+likewise) on the same OpenBLAS core set: another thread count or kernel set
+(``OPENBLAS_CORETYPE``) can add the terms of a product in another order and
+move the last bit of a value.  ``timings.json`` records the thread variables
+and the numpy version of each run.
 """
 from __future__ import annotations
 

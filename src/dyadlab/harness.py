@@ -14,6 +14,7 @@ import csv
 import json
 import hashlib
 import math
+import os
 import time
 import traceback
 from dataclasses import dataclass, field, asdict
@@ -901,6 +902,10 @@ def _regions_partition(mu, regions: czop.CollarRegions) -> bool:
 # Entry points
 # =============================================================================
 
+# the variables that set how many threads BLAS runs on
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def run_suite(config: ExperimentConfig) -> SuiteReport:
     return _Runner(config).run()
 
@@ -910,7 +915,10 @@ def emit_report(report: SuiteReport, out_dir) -> List[Path]:
 
     Wall times go to ``timings.json`` beside ``report.json``, in seconds: each
     suite's, and each check row's that has its own timer.  They vary from run
-    to run, so they stay out of the canonical report bytes.
+    to run, so they stay out of the canonical report bytes.  So does the
+    environment the report bits depend on, which ``timings.json`` records
+    too: the BLAS thread variables (``"unset"`` when absent) and the numpy
+    version.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -922,6 +930,8 @@ def emit_report(report: SuiteReport, out_dir) -> List[Path]:
         "suite_s": report.suite_s,
         "check_s": {f"{c.suite}/{c.name}": c.runtime_s for c in checks
                     if c.runtime_s > 0.0},
+        "environment": {**{var: os.environ.get(var, "unset") for var in _BLAS_THREAD_VARS},
+                        "numpy": np.__version__},
     }, indent=1) + "\n", encoding="utf-8")
     _write_csv(checks_path, {
         "suite": [c.suite for c in checks], "name": [c.name for c in checks],

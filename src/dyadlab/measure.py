@@ -31,6 +31,8 @@ __all__ = [
     "integrate",
     "pair",
     "lp_norm",
+    "vector_norm",
+    "vector_norm_into",
     "restrict",
     "mult",
     "generate_random_measure",
@@ -144,45 +146,58 @@ class LatticeSpace:
 
 
 def vector_norm(values: np.ndarray, rho: float) -> np.ndarray:
-    """l^rho norm along the last axis of ``values``.
+    """l^rho norm along the last axis of ``values``; the input is not changed.
 
-    The coordinates are combined one column at a time, left to right.  For
-    up to seven coordinates that is the order ``np.sum`` adds them in, so
-    the result is the same bit for bit; from eight on numpy sums pairwise,
-    and the two orders may differ in the last bit.  The column loop never
-    builds a strided reduction over a short last axis, which is what makes
-    the lattice-valued randomized norms cheap.
-
-    Each column goes through one reused buffer, and the input is never
-    copied.  At rho = 2 the signed coordinates are squared: x * x equals
-    |x| * |x| bit for bit except in the sign of a NaN, and the final
-    ``abs`` clears that sign (a sum of squares is never negative, so it
-    moves no other bit).
+    A copy of the input goes through ``vector_norm_into``, the one l^rho
+    kernel, so this returns its bits.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim <= 1:
         return np.abs(v)
-    # every term is >= 0, so starting from zeros changes no bit
-    total = np.zeros(v.shape[:-1])
-    buf = np.empty_like(total)
-    for j in range(v.shape[-1]):
-        c = v[..., j]
-        if rho == 2.0:
-            np.multiply(c, c, out=buf)
-        else:
-            np.abs(c, out=buf)
-            if not (math.isinf(rho) or rho == 1.0):
-                buf **= rho                    # the same power path as c ** rho
-        if math.isinf(rho):
-            np.maximum(total, buf, out=total)
-        else:
-            total += buf
-    if math.isinf(rho) or rho == 1.0:
-        return total
+    return vector_norm_into(v.copy(), rho, np.empty(v.shape[:-1]))
+
+
+def vector_norm_into(values: np.ndarray, rho: float, out: np.ndarray) -> np.ndarray:
+    """l^rho norm along the last axis of the float array ``values`` into
+    ``out`` (shape ``values.shape[:-1]``); returns ``out``.
+
+    ``values`` is overwritten: its coordinates are squared (rho = 2), or
+    made absolute and raised to rho, in place, in one pass over the whole
+    array, which is cheapest when it is contiguous.  The columns are then
+    added into ``out`` one at a time, left to right (at rho = inf their
+    running maximum is taken), and ``out`` is finished with ``sqrt`` or
+    ``** (1/rho)``.  For up to seven coordinates that is the order
+    ``np.sum`` adds them in, so the result is the same bit for bit; from
+    eight on numpy sums pairwise, and the two orders may differ in the last
+    bit.
+
+    At rho = 2 the signed coordinates are squared: x * x equals |x| * |x|
+    bit for bit except in the sign of a NaN, and the final ``abs`` clears
+    that sign (a sum of squares is never negative, so it moves no other
+    bit).
+    """
     if rho == 2.0:
-        return np.abs(np.sqrt(total, out=total), out=total)
-    total **= 1.0 / rho
-    return total
+        np.multiply(values, values, out=values)
+    else:
+        np.abs(values, out=values)
+        if not (math.isinf(rho) or rho == 1.0):
+            values **= rho                     # the same power path as c ** rho
+    # every term is >= 0 or NaN, so (0.0 + a) + b equals a + b bit for bit
+    # (and max(max(0.0, a), b) equals max(a, b)): from two columns on, the
+    # first two are combined at once instead of starting from zeros
+    combine = np.maximum if math.isinf(rho) else np.add
+    m = values.shape[-1]
+    if m >= 2:
+        combine(values[..., 0], values[..., 1], out=out)
+    else:
+        out.fill(0.0)
+    for j in range(2 if m >= 2 else 0, m):
+        combine(out, values[..., j], out=out)
+    if rho == 2.0:
+        np.abs(np.sqrt(out, out=out), out=out)
+    elif not (math.isinf(rho) or rho == 1.0):
+        out **= 1.0 / rho
+    return out
 
 
 # =============================================================================

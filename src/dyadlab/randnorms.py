@@ -16,31 +16,46 @@ l^rho / l^2 mixed-norm comparisons).
 Evaluation.  ``randomized_norm`` works through the sign patterns in blocks
 of about ``BLOCK_MULADDS`` multiply-adds (sign rows x signs x atom values),
 so no (patterns x atoms) array is ever built and each block stays in
-cache.  Each block does the arithmetic the whole table once did, so every
-per-pattern value keeps its bits, and that fixes the following choices:
+cache.  ``_blocks`` plans the blocks, and each call allocates one workspace,
+sized for its largest block, that every block reuses:
+
+* the product buffer: ``np.matmul(s, H, out=...)`` writes the block's
+  (rows x atom values) product into it;
+* for lattice families, a (rows x atoms) norm buffer:
+  ``measure.vector_norm_into`` squares or powers the product's coordinates
+  in place and adds the columns into it.
+
+The ``** p`` then runs in place on the scalar product or the norm buffer,
+and ``@ mu.weights`` gives the block's per-pattern values.  Each block does
+the arithmetic the whole table once did, so every per-pattern value keeps
+its bits, and that fixes the following choices:
 
 * Mirror.  Row P-1-i of the exact table is the negation of row i, and
   |sum (-eps_k) h_k| equals |sum eps_k h_k| bit for bit (negation is exact
   and rounding is symmetric), so when the first half fills at least one
   block, only rows [0, P/2) are evaluated and the rest are copied in
   reverse.  A smaller table is evaluated whole, as before.
-* Fixed layout.  Scalar families take ``s @ H``; lattice families take
-  ``np.tensordot(s, H, axes=(1, 0))``, whose product keeps the atom-major
-  (atom, coordinate) column layout; a coordinate-major layout can move the
-  last bit.
+* Fixed layout.  Both paths multiply the sign rows by the family as one
+  (signs x atom values) matrix: scalar families by (K, n), lattice families
+  by (K, n*m) in the atom-major (atom, coordinate) column layout that
+  ``np.tensordot(s, H, axes=(1, 0))`` used, with the same BLAS gemm; a
+  coordinate-major layout can move the last bit.
 * Block length.  A block does at least ``BLOCK_MULADDS`` = 2^21
   multiply-adds in a multiple of 64 rows, and a short tail is merged into
-  the block before it.  That keeps every row on the BLAS kernels it met in
-  the full-table product.  OpenBLAS computes a product of at most 100^3
-  multiply-adds with a small-matrix kernel, which at 16 or more signs adds
-  the terms in another order when the column count is 1-4 modulo 8 (a
-  fixed 256-row block would cross that line).  Its matrix-vector product
-  can round the last one to three rows of a call differently from the
-  rest, and it splits the rows evenly between threads; 64 rows keep every
-  thread's share, for up to 16 threads, a multiple of four.  A table whose half is
-  smaller than one block is evaluated whole, as before.
-* Fixed sum order.  ``measure.vector_norm`` adds the lattice coordinates
-  left to right, numpy's own order for up to seven coordinates.
+  the block before it, so the last block holds up to 2*rows - 1 rows.  That
+  keeps every row on the BLAS kernels it met in the full-table product.
+  OpenBLAS computes a product of at most 100^3 multiply-adds with a
+  small-matrix kernel, which at 16 or more signs adds the terms in another
+  order when the column count is 1-4 modulo 8 (a fixed 256-row block would
+  cross that line).  Its matrix-vector product can round the last one to
+  three rows of a call differently from the rest, and it splits the rows
+  evenly between threads; 64 rows keep every thread's share, for up to 16
+  threads, a multiple of four.  A table whose half is smaller than one
+  block is evaluated whole, as before.
+* Fixed sum order.  ``measure.vector_norm_into`` adds the lattice
+  coordinates left to right, numpy's own order for up to seven coordinates;
+  squaring or powering every coordinate in one pass does per element what
+  a column at a time did.
 
 The mean and standard deviation then reduce one full per-pattern array,
 so the reported value and standard error are as if every row had been
@@ -49,11 +64,12 @@ evaluated at once.
 Stacked families.  ``decoupling_check`` evaluates its resampled twins a
 chunk of choices at a time.  The chunk's families form one (T, K, n) stack,
 built with the same ``+=`` per block, and ``_stack_pattern_values`` takes
-``np.matmul(signs, stack)``, ``abs``, ``** p`` and ``@ mu.weights`` over it,
-the scalar steps of ``randomized_norm``, which is its T = 1 case.  Each item
-keeps its bits: ``np.matmul`` on a stack calls the BLAS routine of the 2-D
-product once per item, on the same operands; the row-wise ``np.mean``
-reduces each row in the order of the 1-D mean; and every choice shares one
+``np.matmul(signs, stack)``, ``abs``, ``** p`` and ``@ mu.weights`` over it
+in one (choices x rows x atoms) workspace, the scalar steps of
+``randomized_norm``, which is its T = 1 case.  Each item keeps its bits:
+``np.matmul`` on a stack calls the BLAS routine of the 2-D product once per
+item, on the same operands; the row-wise ``np.mean`` reduces each row in
+the order of the 1-D mean; and every choice shares one
 sign table (Monte Carlo signs are seeded by count and label, so each
 per-choice call drew the same table).  The ``** (1/p)`` and ``** p`` steps
 and the sums over choices stay per choice, in Python floats and in their old
@@ -93,7 +109,7 @@ from dyadlab._seeds import rng_for
 from dyadlab.grid import GridIndex
 from dyadlab.martingale import MartingaleContext, expectation
 from dyadlab.measure import AtomicMeasure, LatticeSpace, lp_norm, mult, restrict, \
-    vector_norm
+    vector_norm, vector_norm_into
 
 __all__ = [
     "RademacherSampler",
@@ -197,27 +213,40 @@ def _stack_family(family: Sequence[np.ndarray]) -> np.ndarray:
     return np.stack(arrs, axis=0)
 
 
-def _per_pattern(signs: np.ndarray, exact: bool, row_muladds: int,
-                 evaluate: Callable[[np.ndarray], np.ndarray],
-                 lead: Tuple[int, ...] = ()) -> np.ndarray:
-    """The values of every sign row, (*lead, P), evaluated in blocks along the rows.
+def _blocks(total: int, exact: bool, row_muladds: int) -> Tuple[List[Tuple[int, int]], int]:
+    """(blocks, evaluated): the (lo, hi) row blocks that cover rows [0, evaluated).
 
-    ``evaluate(s)`` returns the values of the rows of ``s`` as (*lead, B);
-    ``row_muladds`` is the multiply-add count of one row (signs x atom values).
+    ``row_muladds`` is the multiply-add count of one row (signs x atom
+    values).  Rows from ``evaluated`` on mirror the evaluated ones.
     """
-    total = signs.shape[0]
-    out = np.empty(lead + (total,))
     # the fewest rows, a multiple of 64, that do BLOCK_MULADDS multiply-adds
     rows = -(-BLOCK_MULADDS // max(64 * row_muladds, 1)) * 64
     # exact row total-1-i is -(row i): evaluate the first half, mirror the rest
-    mirror = exact and total // 2 >= rows
-    evaluated = total // 2 if mirror else total
-    lo = 0
+    evaluated = total // 2 if exact and total // 2 >= rows else total
+    blocks, lo = [], 0
     while lo < evaluated:
         hi = evaluated if evaluated - lo < 2 * rows else lo + rows
-        out[..., lo:hi] = evaluate(signs[lo:hi])
+        blocks.append((lo, hi))
         lo = hi
-    if mirror:
+    return blocks, evaluated
+
+
+def _per_pattern(signs: np.ndarray, exact: bool, row_muladds: int,
+                 evaluator: Callable[[int], Callable[[np.ndarray], np.ndarray]],
+                 lead: Tuple[int, ...] = ()) -> np.ndarray:
+    """The values of every sign row, (*lead, P), evaluated in blocks along the rows.
+
+    ``evaluator(largest)`` allocates the workspace for blocks of at most
+    ``largest`` rows, once per call, and returns ``evaluate(s)``, which
+    gives the values of the rows of ``s`` as (*lead, B).
+    """
+    total = signs.shape[0]
+    out = np.empty(lead + (total,))
+    blocks, evaluated = _blocks(total, exact, row_muladds)
+    evaluate = evaluator(max((hi - lo for lo, hi in blocks), default=0))
+    for lo, hi in blocks:
+        out[..., lo:hi] = evaluate(signs[lo:hi])
+    if evaluated < total:
         out[..., evaluated:] = out[..., evaluated - 1::-1]
     return out
 
@@ -226,9 +255,41 @@ def _stack_pattern_values(weights: np.ndarray, stack: np.ndarray, p: float,
                           signs: np.ndarray, exact: bool) -> np.ndarray:
     """(T, P): int |sum_k s_k h_k|^p dmu for every sign row s and every
     scalar family (h_k) of a (T, K, n) stack."""
-    return _per_pattern(signs, exact, stack.shape[1] * stack.shape[2],
-                        lambda s: np.abs(np.matmul(s, stack)) ** p @ weights,
-                        lead=stack.shape[:1])
+    items, count, n = stack.shape
+
+    def evaluator(largest):
+        work = np.empty(items * largest * n)
+
+        def evaluate(s):
+            prod = work[:items * s.shape[0] * n].reshape(items, s.shape[0], n)
+            np.matmul(s, stack, out=prod)
+            np.abs(prod, out=prod)
+            prod **= p
+            return prod @ weights
+        return evaluate
+
+    return _per_pattern(signs, exact, count * n, evaluator, lead=(items,))
+
+
+def _lattice_pattern_values(weights: np.ndarray, H: np.ndarray, p: float, rho: float,
+                            signs: np.ndarray, exact: bool) -> np.ndarray:
+    """(P,): int |sum_k s_k h_k|_rho^p dmu for every sign row s of a
+    lattice-valued (K, n, m) family."""
+    count, n, m = H.shape
+    flat = H.reshape(count, n * m)          # atom-major (atom, coordinate) columns
+
+    def evaluator(largest):
+        work, norms = np.empty((largest, n * m)), np.empty((largest, n))
+
+        def evaluate(s):
+            b = s.shape[0]
+            fields = np.matmul(s, flat, out=work[:b]).reshape(b, n, m)
+            values = vector_norm_into(fields, rho, norms[:b])
+            values **= p
+            return values @ weights
+        return evaluate
+
+    return _per_pattern(signs, exact, H.size, evaluator)
 
 
 def randomized_norm(mu: AtomicMeasure, family: Sequence[np.ndarray], p: float,
@@ -243,9 +304,7 @@ def randomized_norm(mu: AtomicMeasure, family: Sequence[np.ndarray], p: float,
     if H.ndim == 2:                                        # scalar-valued family
         per_pattern = _stack_pattern_values(mu.weights, H[None], p, signs, exact)[0]
     else:                                                  # lattice-valued family
-        per_pattern = _per_pattern(
-            signs, exact, H.size,
-            lambda s: vector_norm(np.tensordot(s, H, axes=(1, 0)), rho) ** p @ mu.weights)
+        per_pattern = _lattice_pattern_values(mu.weights, H, p, rho, signs, exact)
     mean = float(np.mean(per_pattern))
     value = mean ** (1.0 / p)
     if exact:

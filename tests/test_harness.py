@@ -89,6 +89,28 @@ def test_timings_beside_canonical_report(tmp_path):
     assert sum(timings["check_s"].values()) <= timings["suite_s"]["badcubes"]
 
 
+def test_timings_record_environment_outside_report(tmp_path, monkeypatch):
+    report = run_suite(fast_config())
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    emit_report(report, tmp_path / "a")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    monkeypatch.delenv("OMP_NUM_THREADS")
+    monkeypatch.setenv("MKL_NUM_THREADS", "2")
+    emit_report(report, tmp_path / "b")
+    # the environment goes to timings.json only: report.json keeps its bytes
+    assert (tmp_path / "a" / "report.json").read_bytes() == \
+        (tmp_path / "b" / "report.json").read_bytes() == \
+        report.canonical_json().encode("utf-8")
+    env_a, env_b = (json.loads((tmp_path / d / "timings.json").read_text())["environment"]
+                    for d in "ab")
+    assert env_a == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                     "MKL_NUM_THREADS": "unset", "numpy": np.__version__}
+    assert env_b == {"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "unset",
+                     "MKL_NUM_THREADS": "2", "numpy": np.__version__}
+
+
 def test_report_carries_anchors():
     report = run_suite(fast_config())
     data = json.loads(report.canonical_json())

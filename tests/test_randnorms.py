@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import dyadlab.randnorms as rn
 from dyadlab.measure import AtomicMeasure, lp_norm, vector_norm
 from dyadlab.fixtures import battery_measure, build_fixture_pair, random_ensemble, \
     battery_params
@@ -14,6 +15,7 @@ from dyadlab.randnorms import (DecouplingBlock, NormReport, RademacherSampler,
                                khintchine_constants, operator_norm, rademacher_bound,
                                randomized_norm, rmf_maximal, rmf_norm,
                                square_function_norm, stein_check)
+from test_randnorms_reference import RHOS, _assert_same_bits, _awkward
 
 
 SAMPLER = RademacherSampler(n_exact=14, mc_trials=3000, seed=5)
@@ -196,7 +198,34 @@ def _reference_cases():
     # take BLAS's small-matrix gemm, which adds the terms in another order
     cases += [(16, "exact", 2, 0, 2 ** 16, 2.0, 1.5, 1), (16, "exact", 2, 2, 2 ** 16, 3.0, 2.0, 2),
               (16, "mc", 5, 7, 4096, 2.0, 1.5, 3), (16, "mc", 64, 3, 3008, math.inf, 3.0, 4)]
+    return cases + _merged_tail_cases()
+
+
+def _merged_tail_cases():
+    """Lattice cases whose last block takes the short tail into a full one:
+    at every m in {1, 2, 3, 7} and rho in RHOS, 12 exact signs (the first
+    half evaluated, then mirrored) and 16 Monte Carlo signs."""
+    rng = np.random.default_rng(23)
+    # m: (atoms of the exact case, atoms and trials of the Monte Carlo case)
+    shapes = {1: (192, 64, 5104), 2: (96, 64, 3008), 3: (64, 64, 2000), 7: (64, 64, 1008)}
+    cases = []
+    for m, (n_exact, n_mc, trials) in shapes.items():
+        for rho in RHOS:
+            for count, path, n, rows in ((12, "exact", n_exact, 2 ** 12),
+                                         (16, "mc", n_mc, trials)):
+                cases.append((count, path, n, m, rows, rho,
+                              float(rng.choice([1.0, 1.5, 2.0, 3.0])),
+                              int(rng.integers(1 << 30))))
     return cases
+
+
+def test_merged_tail_cases_merge_their_last_block():
+    for count, path, n, m, trials, rho, p, seed in _merged_tail_cases():
+        blocks, evaluated = rn._blocks(trials, path == "exact", count * n * m)
+        assert evaluated == (trials // 2 if path == "exact" else trials)
+        rows = blocks[0][1]
+        lo, hi = blocks[-1]
+        assert len(blocks) >= 2 and rows + 1 <= hi - lo <= 2 * rows - 1, (path, m, rho)
 
 
 def test_randomized_norm_matches_reference_bit_for_bit():
@@ -212,6 +241,37 @@ def test_randomized_norm_matches_reference_bit_for_bit():
         want = _reference_randomized_norm(mu, fam, p, sampler, rho=rho, label="ref")
         assert got.method == path
         assert got == want, (count, path, n, m, trials, rho, p)
+
+
+def test_lattice_norm_with_awkward_values_matches_reference():
+    """Lattice families holding +-0, +-NaN, +-inf, overflowing squares and
+    subnormals give the reference's bits, NaN signs included."""
+    rng = np.random.default_rng(41)
+    outcomes = set()
+    seed = 0
+    for m in (1, 2, 3, 7):
+        for rho in RHOS:
+            for count, n, path, trials in ((1, 1, "exact", 2), (2, 1, "exact", 4),
+                                           (3, 2, "exact", 8), (5, 2, "mc", 96),
+                                           (16, 64, "mc", 1008)):
+                seed += 1
+                fam = list(_awkward(count * n, m, seed).reshape(count, n, m))
+                mu = AtomicMeasure(1, 1.0, np.arange(n, dtype=float).reshape(-1, 1),
+                                   rng.uniform(0.1, 2.0, n))
+                sampler = RademacherSampler(n_exact=16 if path == "exact" else count - 1,
+                                            mc_trials=trials, seed=seed)
+                p = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
+                with np.errstate(all="ignore"):
+                    got = randomized_norm(mu, fam, p, sampler, rho=rho, label="awk")
+                    want = _reference_randomized_norm(mu, fam, p, sampler, rho=rho,
+                                                      label="awk")
+                assert (got.method, got.trials) == (want.method, want.trials) == \
+                    (path, trials)
+                _assert_same_bits([got.value, got.stderr], [want.value, want.stderr])
+                outcomes.add("nan" if math.isnan(want.value) else
+                             "inf" if math.isinf(want.value) else "finite")
+    # the specials reach every kind of result
+    assert outcomes == {"nan", "inf", "finite"}
 
 
 def test_exact_norm_memory_is_bounded():
