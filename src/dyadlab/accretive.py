@@ -27,7 +27,7 @@ import numpy as np
 
 from dyadlab._seeds import rng_for
 from dyadlab.grid import Cube, GridIndex, contains
-from dyadlab.measure import AtomicMeasure
+from dyadlab.measure import AtomicMeasure, integrate
 
 __all__ = [
     "AccretiveSystem",
@@ -148,8 +148,7 @@ def build_layers(sys_b: AccretiveSystem, mu: AtomicMeasure, index: GridIndex) ->
             frontier = [c for _, c in index.occupied_children(parent_cube)]
             while frontier:
                 q = frontier.pop()
-                atoms = index.atoms_of(q)
-                integral = float(np.dot(mu.weights[atoms], b_full[atoms]))
+                integral = integrate(mu, b_full, index.atoms_of(q))
                 if abs(integral) < delta2 * index.mass_of(q):
                     next_gen.append(q)
                 else:

@@ -46,8 +46,8 @@ __all__ = [
     "boundary_distance",
     "contains",
     "badness_scan",
+    "witness_scale",
     "collar_witness",
-    "is_n_bad",
     "shift_walk_hits",
     "bad_probability_mc",
     "bad_probability_bound",
@@ -466,19 +466,29 @@ class BadnessScan:
 
 
 def badness_scan(q: Cube, other: DyadicSystem, n: int, params: DyadicParams) -> BadnessScan:
-    """Scan the other system for a witness making Q n-bad.
+    """Whether the other system holds a witness making Q n-bad.
 
     A witness R satisfies l(Q) <= 2^-(n v r) l(R) and dist(Q, bd R) <=
-    l(Q)^gamma l(R)^(1-gamma).  Only scales inside the finite window are
+    l(Q)^gamma l(R)^(1-gamma), so Q is n-bad when ``witness_scale`` reaches
+    scale(Q) + max(n, r).  Only scales inside the finite window are
     scanned; if the window reaches fewer than max(n, r) + 2 scales above Q,
     the result is flagged as truncated.
     """
     gap = max(n, params.r)
-    truncated = other.s - q.scale < gap + 2
-    for j in range(q.scale + gap, other.s + 1):
+    j = witness_scale(q, other, params)
+    return BadnessScan(j is not None and j >= q.scale + gap, other.s - q.scale < gap + 2)
+
+
+def witness_scale(q: Cube, other: DyadicSystem, params: DyadicParams) -> Optional[int]:
+    """The largest scale j >= scale(Q) + r of the window holding a witness
+    for Q (``collar_witness``), or None; scanned downward from the top.
+
+    Q is n-bad exactly when this scale is at least scale(Q) + max(n, r).
+    """
+    for j in range(other.s, q.scale + params.r - 1, -1):
         if collar_witness(q, other, j, params.gamma) is not None:
-            return BadnessScan(True, truncated)
-    return BadnessScan(False, truncated)
+            return j
+    return None
 
 
 def collar_witness(q: Cube, other: DyadicSystem, j: int,
@@ -502,10 +512,6 @@ def collar_witness(q: Cube, other: DyadicSystem, j: int,
         if _boundary_gap(qb, _bounds(shift, period, m)) <= thr:
             return m
     return None
-
-
-def is_n_bad(q: Cube, other: DyadicSystem, n: int, params: DyadicParams) -> bool:
-    return badness_scan(q, other, n, params).bad
 
 
 # =============================================================================

@@ -350,7 +350,9 @@ class _Runner:
         worst_exp, worst_mean, worst_sup, worst_l1, bad_supp = 0.0, 0.0, 0.0, 0.0, 0
         for k in ctx.diff_scales:
             for cube in ctx.index.occupied(k):
-                dq = ms.restrict(diffs[k], ctx.index.atoms_of(cube))
+                atoms = ctx.index.atoms_of(cube)
+                dq = ms.restrict(diffs[k], atoms)
+                outside = np.delete(np.arange(mu.atom_count), atoms)
                 combo = np.zeros(mu.atom_count)
                 for i, child in ctx.index.occupied_children(cube):
                     mass_child = ctx.index.mass_of(child)
@@ -362,8 +364,6 @@ class _Runner:
                     worst_sup = max(worst_sup, float(np.max(np.abs(pv))))
                     worst_l1 = max(worst_l1, ms.lp_norm(mu, pv, 1.0)
                                    / (2.0 / delta ** 2 * mass_child))
-                    outside = np.delete(np.arange(mu.atom_count),
-                                        ctx.index.atoms_of(cube))
                     if outside.size and np.any(pv[outside] != 0.0):
                         bad_supp += 1
                 worst_exp = max(worst_exp, _relsup(dq - combo, f))
@@ -457,10 +457,8 @@ class _Runner:
             worst = math.inf
             for k in index.system.scales:
                 for cube in index.occupied(k):
-                    atoms = index.atoms_of(cube)
-                    b_anc = ctx.b_anc(cube)
-                    mean = abs(float(np.dot(mu.weights[atoms], b_anc[atoms]))
-                               / ctx.index.mass_of(cube))
+                    mean = abs(ms.integrate(mu, ctx.b_adapted[k], index.atoms_of(cube))
+                               / index.mass_of(cube))
                     worst = min(worst, mean)
             self.add("layers", f"ancestor-floor-{tag}", "layers.ancestor-floor",
                      worst >= cfg.delta ** 2 - 1e-12, worst, cfg.delta ** 2)
@@ -875,8 +873,8 @@ def _comparable_scan(op, pairf: fx.FixturePair, eta: float):
         found += 1
         if found > 40:
             return found, worst, part_ok
-        for i in range(min(2, len(q_cube.children()))):
-            for jj in range(min(2, len(r_cube.children()))):
+        for i in range(2):          # every cube has 2^N >= 2 children
+            for jj in range(2):
                 regions = czop.comparable_partition(mu, q_cube, r_cube, i, jj, eta,
                                                     params)
                 if not _regions_partition(mu, regions):

@@ -36,7 +36,7 @@ import numpy as np
 
 from dyadlab.accretive import AccretiveSystem, Layers
 from dyadlab.grid import Cube, GridIndex
-from dyadlab.measure import AtomicMeasure, mult, restrict
+from dyadlab.measure import AtomicMeasure, integrate, mult, restrict
 
 __all__ = [
     "MartingaleContext",
@@ -142,7 +142,9 @@ class MartingaleContext:
 
         Q^a is the layer ancestor of Q (the smallest stopping cube containing
         it), and its test function is extended by zero outside Q^a.  This is
-        the one place the ancestor map meets the accretive system.
+        the one place the ancestor map meets the accretive system.  On the
+        atoms of Q, at scale k, b_{Q^a} equals ``b_adapted[k]``, which
+        callers read there; this serves the reads of b_{Q^a} off Q.
         """
         anc = self.system.cube(*self.layers.ancestor[cube.key])
         return self.accretive.as_function(self.index, anc)
@@ -205,10 +207,10 @@ def phi(ctx: MartingaleContext, cube: Cube, i: int) -> np.ndarray:
     mass_child = index.mass_of(child)
     mass_cube = index.mass_of(cube)
 
-    b_child = ctx.b_anc(child)
-    b_cube = ctx.b_anc(cube)
-    mean_child = float(np.dot(mu.weights[atoms_child], b_child[atoms_child])) / mass_child
-    mean_cube = float(np.dot(mu.weights[atoms_cube], b_cube[atoms_cube])) / mass_cube
+    b_child = ctx.b_adapted[child.scale]
+    b_cube = ctx.b_adapted[cube.scale]
+    mean_child = integrate(mu, b_child, atoms_child) / mass_child
+    mean_cube = integrate(mu, b_cube, atoms_cube) / mass_cube
 
     out[atoms_child] += b_child[atoms_child] / mean_child
     out[atoms_cube] -= (mass_child / mass_cube) * b_cube[atoms_cube] / mean_cube

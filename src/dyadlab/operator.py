@@ -31,11 +31,11 @@ import numpy as np
 
 from dyadlab._seeds import rng_for
 from dyadlab.accretive import AccretiveSystem
-from dyadlab.grid import (Cube, DyadicParams, DyadicSystem, GridIndex, collar_witness,
-                          contains, long_distance, set_distance, shift_walk_hits)
+from dyadlab.grid import (Cube, DyadicParams, DyadicSystem, GridIndex, contains,
+                          long_distance, set_distance, shift_walk_hits, witness_scale)
 from dyadlab.martingale import (MartingaleContext, adapted_diff, adapted_diff_adjoint,
                                 adapted_diff_local, adapted_expectation, omega, phi)
-from dyadlab.measure import AtomicMeasure, lp_norm, pair, restrict
+from dyadlab.measure import AtomicMeasure, integrate, lp_norm, pair, restrict
 
 __all__ = [
     "KernelSpec",
@@ -296,11 +296,11 @@ class PairClassifier:
     so every pair-class consumer of that pair reads the same profiles and
     each cube is scanned once against each system.
 
-    For each cube the scan records the largest witness scale at which the
-    other system's boundary comes within the collar threshold
-    (``_NO_WITNESS`` when there is none); a cube is then n-bad exactly when
-    scale(Q) + max(n, r) stays below that witness scale, which turns per-pair
-    badness into one integer comparison.
+    A cube's profile against the other system is its ``grid.witness_scale``,
+    the largest scale at which that system's boundary comes within the
+    collar threshold (``_NO_WITNESS`` when there is none); a cube is then
+    n-bad exactly when scale(Q) + max(n, r) is at most that witness scale,
+    which turns per-pair badness into one integer comparison.
 
     ``classify`` classifies one pair; ``classify_block`` classifies every
     pair of two one-scale cube lists at once with the same rules.
@@ -313,16 +313,9 @@ class PairClassifier:
     def _profile(self, q: Cube, other: DyadicSystem) -> int:
         key = (other, q.scale, q.index)
         if key not in self._profiles:
-            self._profiles[key] = self._scan(q, other)
+            j = witness_scale(q, other, self.params)
+            self._profiles[key] = _NO_WITNESS if j is None else j
         return self._profiles[key]
-
-    def _scan(self, q: Cube, other: DyadicSystem) -> int:
-        """The largest witness scale j >= scale(Q) + r, or ``_NO_WITNESS``:
-        scanned downward."""
-        for j in range(other.s, q.scale + self.params.r - 1, -1):
-            if collar_witness(q, other, j, self.params.gamma) is not None:
-                return j
-        return _NO_WITNESS
 
     def is_bad(self, q: Cube, r: Cube) -> bool:
         return self._is_bad(q, r.system, r.scale)
@@ -600,7 +593,7 @@ def decay_bound_check(op: DiscreteOperator, ctx_f: MartingaleContext,
         for b, ((q_cube, phis), code) in enumerate(zip(f_menu, r_codes.tolist())):
             if code == _SEPARATED:
                 if b not in phi_l1:
-                    phi_l1[b] = [_l1(op.measure, v) for _, _, v in phis]
+                    phi_l1[b] = [lp_norm(op.measure, v, 1.0) for _, _, v in phis]
                 _check_separated(op, classifier.params.r, c_chain, q_cube, phis,
                                  phi_l1[b], r_cube, psis, psi_rows, result)
             elif code == _DEEP_NESTED:
@@ -649,10 +642,6 @@ class _RowCache:
         return row
 
 
-def _l1(mu: AtomicMeasure, values: np.ndarray) -> float:
-    return lp_norm(mu, np.abs(values), 1.0)
-
-
 def _check_separated(op, r, c_chain, q_cube, phis, phi_l1s, r_cube, psis,
                      psi_rows, result):
     alpha, d = op.kernel.alpha, op.kernel.d
@@ -661,7 +650,7 @@ def _check_separated(op, r, c_chain, q_cube, phis, phi_l1s, r_cube, psis,
     deep = q_cube.side <= 2.0 ** (-r) * r_cube.side
     for e, (_, mass_rj, psi_vals) in enumerate(psis):
         row = psi_rows.get(("psi", e), lambda: psi_vals)
-        psi_l1 = _l1(op.measure, psi_vals)
+        psi_l1 = lp_norm(op.measure, psi_vals, 1.0)
         for (_, mass_qi, phi_vals), phi_l1 in zip(phis, phi_l1s):
             val = abs(float(row @ phi_vals))
             bound = c_chain * q_cube.side ** alpha / dist ** (d + alpha) * phi_l1 * psi_l1
@@ -815,18 +804,13 @@ def paraproduct_apply(op: DiscreteOperator, ctx_f: MartingaleContext,
 
 
 def _paraproduct_coeff(ctx_g, s_cube, g):
-    mu = ctx_g.measure
-    atoms_s = ctx_g.index.atoms_of(s_cube)
+    """<g>_S / <b_{S^a}>_S (a vector for lattice-valued g), or None when mu(S) = 0."""
     mass = ctx_g.index.mass_of(s_cube)
     if mass == 0.0:
         return None
-    b_anc = ctx_g.b_anc(s_cube)
-    mean_b = float(np.dot(mu.weights[atoms_s], b_anc[atoms_s])) / mass
-    if g.ndim == 1:
-        mean_g = float(np.dot(mu.weights[atoms_s], g[atoms_s])) / mass
-        return mean_g / mean_b
-    mean_g = (mu.weights[atoms_s] @ g[atoms_s]) / mass
-    return mean_g / mean_b
+    atoms_s = ctx_g.index.atoms_of(s_cube)
+    mean_b = integrate(ctx_g.measure, ctx_g.b_adapted[s_cube.scale], atoms_s) / mass
+    return integrate(ctx_g.measure, g, atoms_s) / mass / mean_b
 
 
 def paraproduct_direct_pairing(op: DiscreteOperator, ctx_f: MartingaleContext,

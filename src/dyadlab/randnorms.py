@@ -13,33 +13,42 @@ sandwich is asserted with Haagerup's constants.  Lattice-valued families get
 a wider documented envelope (coordinatewise Khintchine combined with the
 l^rho / l^2 mixed-norm comparisons).
 
-Evaluation.  ``randomized_norm`` works through the sign patterns in blocks
-of about ``BLOCK_MULADDS`` multiply-adds (sign rows x signs x atom values),
-so no (patterns x atoms) array is ever built and each block stays in
-cache.  ``_blocks`` plans the blocks, and each call allocates one workspace,
-sized for its largest block, that every block reuses:
+Evaluation.  One kernel, ``_stack_pattern_values``, gives the per-pattern
+values int |sum_k s_k h_k|^p dmu of every sign row s for a stack of T
+families: (T, K, n) for scalar families, (T, K, n, m) for lattice families.
+It branches on the stack's dimension, so a lattice family with m = 1 still
+takes the lattice steps.  ``randomized_norm`` calls it once with T = 1.
+It works through the sign rows in blocks of about ``BLOCK_MULADDS``
+multiply-adds (sign rows x signs x atom values), so no (patterns x atoms)
+array is ever built and each block stays in cache.  ``_blocks`` plans the
+blocks, and each call allocates one workspace, sized for its largest block,
+that every block reuses:
 
-* the product buffer: ``np.matmul(s, H, out=...)`` writes the block's
-  (rows x atom values) product into it;
-* for lattice families, a (rows x atoms) norm buffer:
-  ``measure.vector_norm_into`` squares or powers the product's coordinates
-  in place and adds the columns into it.
+* scalar stacks: a (T x rows x atoms) product buffer, into which
+  ``np.matmul(s, stack, out=...)`` writes the block's product for every
+  item at once, then ``abs`` and ``** p`` run in place;
+* lattice stacks: a (rows x atom values) product buffer and a
+  (rows x atoms) norm buffer, reused item by item: ``np.matmul`` writes one
+  item's product, ``measure.vector_norm_into`` squares or powers its
+  coordinates in place and adds the columns into the norm buffer, and
+  ``** p`` runs in place there.
 
-The ``** p`` then runs in place on the scalar product or the norm buffer,
-and ``@ mu.weights`` gives the block's per-pattern values.  Each block does
-the arithmetic the whole table once did, so every per-pattern value keeps
-its bits, and that fixes the following choices:
+``@ mu.weights`` then gives the block's per-pattern values.  Each block
+does the arithmetic the whole table once did, so every per-pattern value
+keeps its bits, and that fixes the following choices:
 
 * Mirror.  Row P-1-i of the exact table is the negation of row i, and
   |sum (-eps_k) h_k| equals |sum eps_k h_k| bit for bit (negation is exact
   and rounding is symmetric), so when the first half fills at least one
   block, only rows [0, P/2) are evaluated and the rest are copied in
   reverse.  A smaller table is evaluated whole, as before.
-* Fixed layout.  Both paths multiply the sign rows by the family as one
-  (signs x atom values) matrix: scalar families by (K, n), lattice families
-  by (K, n*m) in the atom-major (atom, coordinate) column layout that
+* Fixed layout.  The sign rows multiply each family as one (signs x atom
+  values) matrix: a scalar family as (K, n), a lattice family as (K, n*m)
+  in the atom-major (atom, coordinate) column layout that
   ``np.tensordot(s, H, axes=(1, 0))`` used, with the same BLAS gemm; a
-  coordinate-major layout can move the last bit.
+  coordinate-major layout can move the last bit.  ``np.matmul`` on a scalar
+  stack calls the BLAS routine of the 2-D product once per item, on the
+  same operands, so each item keeps the bits of its own 2-D product.
 * Block length.  A block does at least ``BLOCK_MULADDS`` = 2^21
   multiply-adds in a multiple of 64 rows, and a short tail is merged into
   the block before it, so the last block holds up to 2*rows - 1 rows.  That
@@ -59,24 +68,23 @@ its bits, and that fixes the following choices:
 
 The mean and standard deviation then reduce one full per-pattern array,
 so the reported value and standard error are as if every row had been
-evaluated at once.
+evaluated at once.  ``_mc_lp_estimate`` turns Monte Carlo p-th powers into
+the norm and its delta-method standard error, for ``randomized_norm`` and
+for the resampled side of ``decoupling_check`` alike.
 
 Stacked families.  ``decoupling_check`` evaluates its resampled twins a
-chunk of choices at a time.  The chunk's families form one (T, K, n) stack,
-built with the same ``+=`` per block, and ``_stack_pattern_values`` takes
-``np.matmul(signs, stack)``, ``abs``, ``** p`` and ``@ mu.weights`` over it
-in one (choices x rows x atoms) workspace, the scalar steps of
-``randomized_norm``, which is its T = 1 case.  Each item keeps its bits:
-``np.matmul`` on a stack calls the BLAS routine of the 2-D product once per
-item, on the same operands; the row-wise ``np.mean`` reduces each row in
-the order of the 1-D mean; and every choice shares one
-sign table (Monte Carlo signs are seeded by count and label, so each
-per-choice call drew the same table).  The ``** (1/p)`` and ``** p`` steps
-and the sums over choices stay per choice, in Python floats and in their old
-order.  A chunk holds about ``CHUNK_ELEMENTS`` = 2^17 elements (1 MiB) per
-(choices x sign rows x atoms) array, and at least one choice: 512 choices
-at 4 sign rows and 64 atoms, 128 at 2 sign rows and 512 atoms.  So its
-temporaries stay the same size at any trial count.
+chunk of choices at a time.  The chunk's families form one scalar
+(T, K, n) stack, built with the same ``+=`` per block, and one kernel call
+evaluates it.  Each item keeps its bits: the kernel does per item what a
+T = 1 call does; the row-wise ``np.mean`` reduces each row in the order of
+the 1-D mean; and every choice shares one sign table (Monte Carlo signs are
+seeded by count and label, so each per-choice call drew the same table).
+The ``** (1/p)`` and ``** p`` steps and the sums over choices stay per
+choice, in Python floats and in their old order.  A chunk holds about
+``CHUNK_ELEMENTS`` = 2^17 elements (1 MiB) per (choices x sign rows x
+atoms) array, and at least one choice: 512 choices at 4 sign rows and 64
+atoms, 128 at 2 sign rows and 512 atoms.  So its temporaries stay the same
+size at any trial count.
 
 Work whose result is fixed in advance is skipped.  ``carleson_norm``
 evaluates no cube whose family is identically zero: such a norm is exactly
@@ -231,65 +239,49 @@ def _blocks(total: int, exact: bool, row_muladds: int) -> Tuple[List[Tuple[int, 
     return blocks, evaluated
 
 
-def _per_pattern(signs: np.ndarray, exact: bool, row_muladds: int,
-                 evaluator: Callable[[int], Callable[[np.ndarray], np.ndarray]],
-                 lead: Tuple[int, ...] = ()) -> np.ndarray:
-    """The values of every sign row, (*lead, P), evaluated in blocks along the rows.
-
-    ``evaluator(largest)`` allocates the workspace for blocks of at most
-    ``largest`` rows, once per call, and returns ``evaluate(s)``, which
-    gives the values of the rows of ``s`` as (*lead, B).
-    """
-    total = signs.shape[0]
-    out = np.empty(lead + (total,))
-    blocks, evaluated = _blocks(total, exact, row_muladds)
-    evaluate = evaluator(max((hi - lo for lo, hi in blocks), default=0))
-    for lo, hi in blocks:
-        out[..., lo:hi] = evaluate(signs[lo:hi])
-    if evaluated < total:
-        out[..., evaluated:] = out[..., evaluated - 1::-1]
-    return out
-
-
-def _stack_pattern_values(weights: np.ndarray, stack: np.ndarray, p: float,
+def _stack_pattern_values(weights: np.ndarray, stack: np.ndarray, p: float, rho: float,
                           signs: np.ndarray, exact: bool) -> np.ndarray:
-    """(T, P): int |sum_k s_k h_k|^p dmu for every sign row s and every
-    scalar family (h_k) of a (T, K, n) stack."""
-    items, count, n = stack.shape
-
-    def evaluator(largest):
+    """(T, P): int |sum_k s_k h_k|^p dmu for every sign row s and every family
+    (h_k) of a stack, (T, K, n) scalar or (T, K, n, m) lattice-valued with
+    l^rho value norms; rho is not read for a scalar stack.  The module
+    docstring ("Evaluation") says how the rows are blocked and mirrored.
+    """
+    items, count, n = stack.shape[:3]
+    width = math.prod(stack.shape[2:])              # atom values per family
+    total = signs.shape[0]
+    out = np.empty((items, total))
+    blocks, evaluated = _blocks(total, exact, count * width)
+    largest = max((hi - lo for lo, hi in blocks), default=0)
+    if stack.ndim == 3:
         work = np.empty(items * largest * n)
-
-        def evaluate(s):
-            prod = work[:items * s.shape[0] * n].reshape(items, s.shape[0], n)
+    else:
+        flat = stack.reshape(items, count, width)  # atom-major (atom, coordinate) columns
+        work, norms = np.empty((largest, width)), np.empty((largest, n))
+    for lo, hi in blocks:
+        s = signs[lo:hi]
+        if stack.ndim == 3:
+            prod = work[:items * (hi - lo) * n].reshape(items, hi - lo, n)
             np.matmul(s, stack, out=prod)
             np.abs(prod, out=prod)
             prod **= p
-            return prod @ weights
-        return evaluate
+            out[:, lo:hi] = prod @ weights
+        else:
+            for t in range(items):
+                fields = np.matmul(s, flat[t], out=work[:hi - lo]).reshape(hi - lo, n, -1)
+                values = vector_norm_into(fields, rho, norms[:hi - lo])
+                values **= p
+                out[t, lo:hi] = values @ weights
+    if evaluated < total:
+        out[:, evaluated:] = out[:, evaluated - 1::-1]
+    return out
 
-    return _per_pattern(signs, exact, count * n, evaluator, lead=(items,))
 
-
-def _lattice_pattern_values(weights: np.ndarray, H: np.ndarray, p: float, rho: float,
-                            signs: np.ndarray, exact: bool) -> np.ndarray:
-    """(P,): int |sum_k s_k h_k|_rho^p dmu for every sign row s of a
-    lattice-valued (K, n, m) family."""
-    count, n, m = H.shape
-    flat = H.reshape(count, n * m)          # atom-major (atom, coordinate) columns
-
-    def evaluator(largest):
-        work, norms = np.empty((largest, n * m)), np.empty((largest, n))
-
-        def evaluate(s):
-            b = s.shape[0]
-            fields = np.matmul(s, flat, out=work[:b]).reshape(b, n, m)
-            values = vector_norm_into(fields, rho, norms[:b])
-            values **= p
-            return values @ weights
-        return evaluate
-
-    return _per_pattern(signs, exact, H.size, evaluator)
+def _mc_lp_estimate(samples: np.ndarray, p: float) -> Tuple[float, float]:
+    """(value, stderr) of an L^p norm whose p-th power is the mean of the
+    Monte Carlo ``samples``: mean^(1/p) and its delta-method standard error."""
+    mean = float(np.mean(samples))
+    sd = float(np.std(samples, ddof=1)) / math.sqrt(samples.size)
+    return mean ** (1.0 / p), sd / max(p * mean ** (1.0 - 1.0 / p), 1e-300)
 
 
 def randomized_norm(mu: AtomicMeasure, family: Sequence[np.ndarray], p: float,
@@ -300,18 +292,12 @@ def randomized_norm(mu: AtomicMeasure, family: Sequence[np.ndarray], p: float,
     if H.shape[0] == 0:
         return NormReport(0.0, "exact", 0.0, 1)
     signs, exact = sampler.signs(H.shape[0], label=label)
-    total = signs.shape[0]
-    if H.ndim == 2:                                        # scalar-valued family
-        per_pattern = _stack_pattern_values(mu.weights, H[None], p, signs, exact)[0]
-    else:                                                  # lattice-valued family
-        per_pattern = _lattice_pattern_values(mu.weights, H, p, rho, signs, exact)
-    mean = float(np.mean(per_pattern))
-    value = mean ** (1.0 / p)
+    per_pattern = _stack_pattern_values(mu.weights, H[None], p, rho, signs, exact)[0]
     if exact:
-        return NormReport(value, "exact", 0.0, total)
-    sd = float(np.std(per_pattern, ddof=1)) / math.sqrt(total)
-    stderr = sd / max(p * mean ** (1.0 - 1.0 / p), 1e-300)
-    return NormReport(value, "mc", stderr, total)
+        return NormReport(float(np.mean(per_pattern)) ** (1.0 / p), "exact", 0.0,
+                          per_pattern.size)
+    value, stderr = _mc_lp_estimate(per_pattern, p)
+    return NormReport(value, "mc", stderr, per_pattern.size)
 
 
 def square_function_norm(mu: AtomicMeasure, family: Sequence[np.ndarray], p: float,
@@ -651,8 +637,8 @@ def decoupling_check(mu: AtomicMeasure, blocks: Sequence[DecouplingBlock], p: fl
             for bi, b in enumerate(blocks):
                 if b.scale == k:
                     stack[:, ki, b.atoms] += block_values[bi][choices[:, bi], None]
-        means = np.mean(_stack_pattern_values(mu.weights, stack, p, signs, signs_exact),
-                        axis=1)
+        means = np.mean(_stack_pattern_values(mu.weights, stack, p, 2.0, signs,
+                                              signs_exact), axis=1)
         return [(float(m) ** (1.0 / p)) ** p for m in means]
 
     if exact:
@@ -680,10 +666,7 @@ def decoupling_check(mu: AtomicMeasure, blocks: Sequence[DecouplingBlock], p: fl
         samples = np.empty(mc_trials)
         for lo in range(0, mc_trials, chunk):
             samples[lo:lo + chunk] = norms_p(choices[lo:lo + chunk])
-        mean = float(np.mean(samples))
-        rhs = mean ** (1.0 / p)
-        sd = float(np.std(samples, ddof=1)) / math.sqrt(mc_trials)
-        stderr = sd / max(p * mean ** (1.0 - 1.0 / p), 1e-300)
+        rhs, stderr = _mc_lp_estimate(samples, p)
         method = "mc"
 
     ratio = undecoupled.value / max(rhs, 1e-300)
@@ -741,11 +724,8 @@ def improved_contraction_check(xis: Sequence[np.ndarray], rhos: Sequence[np.ndar
     inner = np.empty(probs.size)
     for a in range(probs.size):
         coeff = np.array([rhos[j][a] for j in range(k)])
-        fields = np.tensordot(signs * coeff[None, :], stacked, axes=(1, 0))
-        inner[a] = math.sqrt(float(np.mean(vector_norm(fields, rho) ** 2)))
+        inner[a] = _rademacher_l2_norm(signs * coeff[None, :], stacked, rho)
     lhs = float(np.dot(probs, inner ** t) ** (1.0 / t))
     sup_rho = max(float(np.dot(probs, np.abs(r) ** t) ** (1.0 / t)) for r in rhos)
-    fields0 = np.tensordot(signs, stacked, axes=(1, 0))
-    base = math.sqrt(float(np.mean(vector_norm(fields0, rho) ** 2)))
-    rhs = sup_rho * base
+    rhs = sup_rho * _rademacher_l2_norm(signs, stacked, rho)
     return {"lhs": lhs, "rhs": rhs, "ratio": lhs / max(rhs, 1e-300)}

@@ -20,9 +20,8 @@ from dyadlab.fixtures import (battery_measure, battery_params, build_fixture_pai
 from dyadlab.martingale import (adapted_diff, adapted_diff_adjoint,
                                 adapted_diff_local, adapted_expectation,
                                 expectation, omega, phi, reconstruct)
-from dyadlab.operator import (DiscreteOperator, PairClass, PairClassifier,
-                              boundary_probability, comparable_msum,
-                              comparable_partition, decay_bound_check,
+from dyadlab.operator import (DiscreteOperator, PairClass, boundary_probability,
+                              comparable_msum, comparable_partition, decay_bound_check,
                               decay_slope_fit, hilbert_kernel, pairing_decomposition,
                               paraproduct_smap, riesz_kernel)
 from dyadlab.randnorms import (RademacherSampler, carleson_norm, decoupling_check,
@@ -413,7 +412,7 @@ def test_criterion_9_geometry_partitions():
         pairf = build_fixture_pair(910 + dim, mu, battery_params(3), 0.5,
                                    grids="standard")
         op = DiscreteOperator(riesz_kernel(0.25), mu)
-        classifier = PairClassifier(pairf.params)
+        classifier = pairf.classifier
         rng = np.random.default_rng(92)
         psi = rng.normal(size=mu.atom_count)
         phiv = rng.normal(size=mu.atom_count)
@@ -439,7 +438,7 @@ def test_criterion_9_geometry_partitions():
                             msum_worst = max(
                                 msum_worst,
                                 res["residual"] / max(abs(res["full"]), 1e-14))
-        smap = paraproduct_smap(pairf.ctx_f, pairf.index_g, pairf.classifier)
+        smap = paraproduct_smap(pairf.ctx_f, pairf.index_g, classifier)
         sys2 = pairf.index_g.system
         for k in pairf.ctx_f.diff_scales:
             for q in pairf.index_f.occupied(k):

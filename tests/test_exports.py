@@ -77,7 +77,7 @@ def test_no_private_reads_across_modules(path):
 
 # public names that nothing in the package reads, with the reason each stays
 UNREAD_EXPORTS = {
-    **dict.fromkeys(("badness_scan", "is_n_bad", "boundary_distance", "rmf_maximal"),
+    **dict.fromkeys(("badness_scan", "boundary_distance", "rmf_maximal"),
                     "a reference that tests compare the array code against"),
     "rademacher_bound": "kept for the operator-valued kernels (ROADMAP)",
     **dict.fromkeys(("loads_system", "loads_accretive"),

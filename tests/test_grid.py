@@ -10,9 +10,9 @@ from dyadlab.measure import AtomicMeasure, generate_random_measure
 from dyadlab.grid import (DyadicParams, DyadicSystem, _fmod_pow2, _keep_spare_half,
                           _spare_half, _uint32_words, bad_probability_bound,
                           bad_probability_mc, badness_scan, boundary_distance,
-                          build_random_system, contains, dumps_system, is_n_bad,
-                          loads_system, locate, long_distance, set_distance,
-                          shift_walk_hits, standard_system, theta)
+                          build_random_system, contains, dumps_system, loads_system,
+                          locate, long_distance, set_distance, shift_walk_hits,
+                          standard_system, theta, witness_scale)
 
 
 def params_d1(gamma=0.2, r=2):
@@ -235,7 +235,7 @@ def test_boundary_touching_cube_is_bad():
     system = standard_system(mu, p, window=(-6, 1))
     other = standard_system(mu, p, window=(-6, 1))
     q = system.cube(-5, (0,))     # [0, 2^-5) touches the boundary of [0, 1)
-    assert is_n_bad(q, other, 3, p)
+    assert badness_scan(q, other, 3, p).bad
 
 
 def test_centered_cube_is_good_with_margin():
@@ -263,29 +263,37 @@ def test_centered_cube_is_good_with_margin():
             checked += 1
     assert checked > 0
     # the same cube is bad for smaller n: the gap-4 ancestor witnesses
-    assert is_n_bad(q, other, 4, p)
+    assert badness_scan(q, other, 4, p).bad
+
+
+def _bruteforce_witnessed(q, other, j, gamma):
+    """Some scale-j cube R near Q has dist(Q, bd R) <= l(Q)^gamma l(R)^(1-gamma)."""
+    thr = q.side ** gamma * (2.0 ** j) ** (1.0 - gamma)
+    lo = int(np.floor((q.lower[0] - 3 * 2.0 ** j - other.shift(j)[0]) / 2.0 ** j))
+    hi = int(np.floor((q.upper[0] + 3 * 2.0 ** j - other.shift(j)[0]) / 2.0 ** j))
+    return any(boundary_distance(q, other.cube(j, (m,))) <= thr
+               for m in range(lo, hi + 1))
 
 
 def test_badness_scan_matches_bruteforce():
+    # the pair classifier and badness_scan both read witness_scale, so this
+    # brute force over every nearby R is their independent reference
     mu = generate_random_measure(8, 1, 0.25, 16, "uniform")
     p = params_small_d(gamma=0.4, r=2)
     system = build_random_system(21, mu, p)
     other = build_random_system(22, mu, p)
     index = locate(mu, system)
-    for n in (2, 4):
-        for k in list(system.scales)[:-1]:
-            for q in index.occupied(k):
-                expected = False
-                for j in range(q.scale + max(n, p.r), other.s + 1):
-                    thr = q.side ** p.gamma * (2.0 ** j) ** (1.0 - p.gamma)
-                    lo = int(np.floor((q.lower[0] - 3 * 2.0 ** j - other.shift(j)[0])
-                                      / 2.0 ** j))
-                    hi = int(np.floor((q.upper[0] + 3 * 2.0 ** j - other.shift(j)[0])
-                                      / 2.0 ** j))
-                    for m in range(lo, hi + 1):
-                        if boundary_distance(q, other.cube(j, (m,))) <= thr:
-                            expected = True
-                assert is_n_bad(q, other, n, p) == expected
+    verdicts = set()
+    for k in list(system.scales)[:-1]:
+        for q in index.occupied(k):
+            witnessed = [j for j in range(q.scale + p.r, other.s + 1)
+                         if _bruteforce_witnessed(q, other, j, p.gamma)]
+            assert witness_scale(q, other, p) == max(witnessed, default=None)
+            for n in (2, 4):
+                expected = any(j >= q.scale + max(n, p.r) for j in witnessed)
+                assert badness_scan(q, other, n, p).bad == expected
+                verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 def test_badness_monotone_in_n():
@@ -295,7 +303,7 @@ def test_badness_monotone_in_n():
     other = build_random_system(32, mu, p)
     index = locate(mu, system)
     for q in index.occupied(system.k_min + 1):
-        flags = [is_n_bad(q, other, n, p) for n in range(0, 8)]
+        flags = [badness_scan(q, other, n, p).bad for n in range(0, 8)]
         # n-bad implies m-bad for all m <= n
         for a, b in zip(flags, flags[1:]):
             assert a or not b

@@ -5,7 +5,7 @@ import pytest
 
 from dyadlab._seeds import rng_for
 from dyadlab.measure import AtomicMeasure, pair
-from dyadlab.grid import (DyadicParams, contains, dumps_system, is_n_bad, loads_system,
+from dyadlab.grid import (DyadicParams, badness_scan, contains, dumps_system, loads_system,
                           set_distance, standard_system)
 from dyadlab.fixtures import battery_measure, battery_params, build_fixture_pair
 from dyadlab.operator import (DiscreteOperator, KernelSpec, PairClass, PairLedger,
@@ -192,8 +192,8 @@ def test_child_containment_for_deep_good_pairs():
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_classifier_badness_agrees_with_badness_scan(dim):
-    # the memoized downward profile scan and the upward n-bad scan share one
-    # witness helper; they must agree on every pair of the fixture
+    # the classifier compares a memoized witness scale per cube, badness_scan
+    # the scale gap of each pair; they must agree on every pair of the fixture
     mu = battery_measure(5, dim, 24)
     pairf = build_fixture_pair(5, mu, battery_params(3), 0.5, grids="random")
     classifier = PairClassifier(pairf.params)
@@ -204,8 +204,8 @@ def test_classifier_badness_agrees_with_badness_scan(dim):
                 for rc in pairf.index_g.occupied(j):
                     if q.side <= rc.side:
                         bad = classifier.is_bad(q, rc)
-                        assert bad == is_n_bad(q, rc.system, rc.scale - q.scale - 1,
-                                               pairf.params)
+                        assert bad == badness_scan(q, rc.system, rc.scale - q.scale - 1,
+                                                   pairf.params).bad
                         verdicts.add(bad)
     assert verdicts == {True, False}
 

@@ -15,6 +15,7 @@ import math
 import numpy as np
 import pytest
 
+import dyadlab.operator as operator
 from dyadlab.fixtures import battery_measure, battery_params, build_fixture_pair
 from dyadlab.grid import DyadicParams, contains, long_distance, set_distance
 from dyadlab.harness import (ExperimentConfig, SuiteReport, _comparable_pairs,
@@ -166,15 +167,15 @@ def test_comparable_pairs_equal_scalar_scan(dim, grids):
 def test_run_scans_each_profile_once(monkeypatch):
     # every pair-class consumer of a fixture pair reads that pair's one
     # classifier, so no badness profile is scanned twice
-    scan = PairClassifier._scan
+    scan = operator.witness_scale
     scans, systems = [], []
 
-    def counted(self, q, other):
+    def counted(q, other, params):
         systems.append(other)       # pinned, so each id stays one system's
         scans.append((id(other), q.key))
-        return scan(self, q, other)
+        return scan(q, other, params)
 
-    monkeypatch.setattr(PairClassifier, "_scan", counted)
+    monkeypatch.setattr(operator, "witness_scale", counted)
     run_suite(ExperimentConfig(atom_count=16, mc_trials=20_000, seed=3,
                                suites=("matrix", "paraproduct", "comparable", "ledger")))
     assert scans and len(scans) == len(set(scans))

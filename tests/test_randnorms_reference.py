@@ -4,7 +4,8 @@
 computes each block's resampling law once and evaluates the resampled
 families in stacked chunks, and ``measure.vector_norm`` reuses one column
 buffer.  Each must return exactly what the plain versions below return
-(``==`` on the whole result, sign bits included).
+(``==`` on the whole result, sign bits included).  The one sign-pattern
+kernel must give each item of a stack the bits of its own one-family call.
 """
 import itertools
 import math
@@ -454,6 +455,31 @@ def test_decoupling_one_choice_per_chunk(monkeypatch, p):
         assert decoupling_check(mu, blocks, p, SAMPLER, **kw) == want
         assert calls == {"norm": 1, "kernel": 1 + choices}
         monkeypatch.undo()
+
+
+# =============================================================================
+# The sign-pattern kernel
+# =============================================================================
+
+@pytest.mark.parametrize("m", [0, 1, 3])
+@pytest.mark.parametrize("exact", [True, False])
+def test_stack_kernel_items_match_single_family_calls(m, exact):
+    # each item of a scalar (m = 0) or lattice stack gets the bits of its own
+    # T = 1 call, over several blocks (and the mirrored half of an exact table)
+    rng = np.random.default_rng(17 + m)
+    count, n = 12, 512
+    stack = rng.normal(size=(3, count, n) if m == 0 else (3, count, n, m))
+    weights = rng.uniform(0.1, 2.0, n)
+    sampler = RademacherSampler(n_exact=count if exact else count - 1, mc_trials=3008,
+                                seed=3)
+    signs, signs_exact = sampler.signs(count, label="kernel")
+    assert signs_exact == exact
+    assert len(rn._blocks(signs.shape[0], exact, count * n * max(m, 1))[0]) >= 2
+    got = rn._stack_pattern_values(weights, stack, 1.5, 3.0, signs, exact)
+    for t in range(stack.shape[0]):
+        want = rn._stack_pattern_values(weights, stack[t:t + 1].copy(), 1.5, 3.0,
+                                        signs, exact)
+        _assert_same_bits(got[t], want[0])
 
 
 # =============================================================================
