@@ -91,7 +91,12 @@ def battery_measure(seed: int, dimension: int, atom_count: int,
 
 @dataclass
 class FixturePair:
-    """A full two-system fixture: measure, grids, accretive contexts."""
+    """A full two-system fixture: measure, grids, accretive contexts.
+
+    Two systems means two ``DyadicSystem`` objects, even where they are equal
+    (``grids="standard"``): ``operator.decay_bound_check`` checks only pairs
+    across distinct system objects.
+    """
 
     measure: AtomicMeasure
     params: DyadicParams

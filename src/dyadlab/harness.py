@@ -23,6 +23,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:             # no getrusage on Windows
+    resource = None
+
 from dyadlab._seeds import derive_seed, rng_for
 from dyadlab import accretive as acc
 from dyadlab import fixtures as fx
@@ -208,6 +213,8 @@ class SuiteReport:
     checks: List[CheckRow] = field(default_factory=list)
     tables: Dict[str, Dict[str, Sequence]] = field(default_factory=dict)
     suite_s: Dict[str, float] = field(default_factory=dict)   # not canonical
+    # the process high-water mark after each suite, in MiB; not canonical
+    peak_rss_mib: Dict[str, Optional[float]] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -295,6 +302,7 @@ class _Runner:
                 errors["error"].append(f"{type(exc).__name__}: {exc}")
                 errors["traceback"].append(traceback.format_exc())
             self.report.suite_s[suite] = time.perf_counter() - start
+            self.report.peak_rss_mib[suite] = _peak_rss_mib()
         return self.report
 
     # ------------------------------------------------------------------
@@ -422,13 +430,21 @@ class _Runner:
         self.add("identities", "adapted-tower", "adapted.tower",
                  worst <= tol, worst, tol)
 
+        # the weighted transpose of the matrix of D^a_k against (D^a_k)^* on
+        # each unit vector, a row block of the matrix (a column block of its
+        # adjoint) at a time; the error is a maximum, so blocking moves no bit
         k_mid = scales[len(scales) // 2]
-        mat = mg.adapted_diff_matrix(ctx, k_mid)
-        adj = mg.weighted_adjoint(mu, mat)
-        direct = np.column_stack([
-            mg.adapted_diff_adjoint(ctx, e, k_mid)
-            for e in np.eye(mu.atom_count)])
-        err = float(np.max(np.abs(adj - direct)))
+        unit = np.zeros(mu.atom_count)
+        errs = []
+        for lo, hi in ms.row_blocks(mu.atom_count, mu.atom_count):
+            rows = slice(lo, hi)
+            adj = mg.weighted_adjoint(mu, mg.adapted_diff_matrix(ctx, k_mid, rows), rows)
+            for j in range(lo, hi):
+                unit[j] = 1.0
+                errs.append(np.max(np.abs(adj[:, j - lo]
+                                          - mg.adapted_diff_adjoint(ctx, unit, k_mid))))
+                unit[j] = 0.0
+        err = float(np.max(errs))
         self.add("identities", "adjoint-transpose", "adapted.adjoint-is-transpose",
                  err <= 1e-11, err, 1e-11)
 
@@ -904,6 +920,16 @@ def _regions_partition(mu, regions: czop.CollarRegions) -> bool:
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def _peak_rss_mib() -> Optional[float]:
+    """The process's resident-set high-water mark so far: ``ru_maxrss``,
+    whose unit is KiB on Linux (bytes on macOS), over 1024, so MiB on Linux;
+    None where ``resource`` is missing.  The mark never falls, so a suite's
+    value covers every suite that ran before it in the process."""
+    if resource is None:
+        return None
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def run_suite(config: ExperimentConfig) -> SuiteReport:
     return _Runner(config).run()
 
@@ -912,11 +938,13 @@ def emit_report(report: SuiteReport, out_dir) -> List[Path]:
     """Write the canonical JSON report and CSV tables; re-emission is idempotent.
 
     Wall times go to ``timings.json`` beside ``report.json``, in seconds: each
-    suite's, and each check row's that has its own timer.  They vary from run
-    to run, so they stay out of the canonical report bytes.  So does the
-    environment the report bits depend on, which ``timings.json`` records
-    too: the BLAS thread variables (``"unset"`` when absent) and the numpy
-    version.
+    suite's, and each check row's that has its own timer.  So does the
+    process's peak resident set after each suite, ``peak_rss_mib``:
+    ``getrusage``'s ``ru_maxrss``, whose unit is KiB on Linux, over 1024.
+    They vary from run to run, so they stay out of the canonical report
+    bytes.  So does the environment the report bits depend on, which
+    ``timings.json`` records too: the BLAS thread variables (``"unset"`` when
+    absent) and the numpy version.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -926,6 +954,7 @@ def emit_report(report: SuiteReport, out_dir) -> List[Path]:
     report_path.write_text(report.canonical_json(), encoding="utf-8")
     timings_path.write_text(json.dumps({
         "suite_s": report.suite_s,
+        "peak_rss_mib": report.peak_rss_mib,
         "check_s": {f"{c.suite}/{c.name}": c.runtime_s for c in checks
                     if c.runtime_s > 0.0},
         "environment": {**{var: os.environ.get(var, "unset") for var in _BLAS_THREAD_VARS},

@@ -269,27 +269,35 @@ def reconstruct(ctx: MartingaleContext, values: np.ndarray) -> Reconstruction:
 # Matrix realizations (identity tests, exact adjoints)
 # =============================================================================
 
-def expectation_matrix(ctx: MartingaleContext, k: int) -> np.ndarray:
-    """Dense matrix of E_k on atom space: block-constant row averages."""
-    n = ctx.measure.atom_count
-    out = np.zeros((n, n))
+def expectation_matrix(ctx: MartingaleContext, k: int, rows=slice(None)) -> np.ndarray:
+    """Dense matrix of E_k on atom space, or its rows ``rows`` (a slice or
+    index array): block-constant row averages w_j / mu(Q) where atoms i and j
+    share the cube Q, zero elsewhere."""
     w = ctx.measure.weights
-    for cube in ctx.index.occupied(k):
-        atoms = ctx.index.atoms_of(cube)
-        out[np.ix_(atoms, atoms)] = w[atoms][None, :] / ctx.index.mass_of(cube)
-    return out
+    cid = ctx.index.cube_ids(k)
+    row_cid = cid[rows]
+    mass = ctx.index.masses(k)[row_cid]
+    return np.where(row_cid[:, None] == cid[None, :], w[None, :] / mass[:, None], 0.0)
 
 
-def adapted_expectation_matrix(ctx: MartingaleContext, k: int) -> np.ndarray:
+def adapted_expectation_matrix(ctx: MartingaleContext, k: int, rows=slice(None)) -> np.ndarray:
     ratio = ctx.b_adapted[k] / ctx.eb_adapted[k]
-    return ratio[:, None] * expectation_matrix(ctx, k)
+    return ratio[rows][:, None] * expectation_matrix(ctx, k, rows)
 
 
-def adapted_diff_matrix(ctx: MartingaleContext, k: int) -> np.ndarray:
-    return adapted_expectation_matrix(ctx, k - 1) - adapted_expectation_matrix(ctx, k)
+def adapted_diff_matrix(ctx: MartingaleContext, k: int, rows=slice(None)) -> np.ndarray:
+    """The matrix of D^a_k, or its rows ``rows``; each entry is the one
+    subtraction of the whole matrix, so a row block has the whole matrix's
+    bits."""
+    return (adapted_expectation_matrix(ctx, k - 1, rows)
+            - adapted_expectation_matrix(ctx, k, rows))
 
 
-def weighted_adjoint(mu: AtomicMeasure, matrix: np.ndarray) -> np.ndarray:
-    """Adjoint with respect to the mu-weighted pairing: W^-1 M^T W."""
+def weighted_adjoint(mu: AtomicMeasure, matrix: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """Adjoint with respect to the mu-weighted pairing: W^-1 M^T W.
+
+    Given the rows ``rows`` of M as ``matrix``, returns the matching columns
+    of the adjoint, entry for entry the bits of the whole adjoint's.
+    """
     w = mu.weights
-    return (matrix.T * w[None, :]) / w[:, None] * 1.0
+    return (matrix.T * w[rows][None, :]) / w[:, None] * 1.0

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,6 +35,7 @@ __all__ = [
     "vector_norm_into",
     "restrict",
     "mult",
+    "row_blocks",
     "generate_random_measure",
     "save_measure",
     "load_measure",
@@ -96,27 +97,80 @@ class AtomicMeasure:
         return self.positions.shape[0]
 
     def min_gap(self) -> float:
-        """Smallest pairwise sup-norm distance between atoms (inf for one atom)."""
+        """Smallest pairwise sup-norm distance between atoms (inf for one atom).
+
+        Memory O(n) in 1-D and O(``BLOCK_PAIRS``) beyond; see ``_min_sup_gap``
+        for why the bits are those of the smallest entry of the dense n x n
+        distance table.
+        """
         if self.atom_count < 2:
             return math.inf
-        return float(np.min(_pairwise_sup_distances(self.positions)))
+        return _min_sup_gap(self.positions)
 
     def diameter(self) -> float:
-        """Largest pairwise sup-norm distance between atoms (0 for one atom)."""
+        """Largest pairwise sup-norm distance between atoms (0 for one atom).
+
+        The largest per-axis max - min, in O(n) time and memory.  It has the
+        bits of the largest entry of the dense distance table: rounded
+        subtraction is monotone in each operand and |a - b| = |b - a|, so the
+        pair of an axis's extremes gives that axis's largest rounded
+        distance, and a maximum taken in any order is exact.
+        """
         if self.atom_count < 2:
             return 0.0
-        return float(np.max(_pairwise_sup_distances(self.positions)))
+        pos = self.positions
+        return float(np.max(np.max(pos, axis=0) - np.min(pos, axis=0)))
 
     def scaled_weights(self, factor: float) -> "AtomicMeasure":
         return AtomicMeasure(self.dimension, self.growth_exponent,
                              self.positions.copy(), self.weights * factor)
 
 
-def _pairwise_sup_distances(pos: np.ndarray) -> np.ndarray:
-    diff = pos[:, None, :] - pos[None, :, :]
-    d = np.max(np.abs(diff), axis=-1)
+# most (row atom, column atom) entries one block of a pairwise scan holds
+BLOCK_PAIRS = 1 << 15
+
+
+def row_blocks(rows: int, width: int) -> List[Tuple[int, int]]:
+    """The (lo, hi) ranges that split rows [0, rows) of a (rows, width)
+    pairwise table into blocks of at most ``BLOCK_PAIRS`` entries (one row at
+    least), so a scan over them never holds the whole table."""
+    step = max(1, BLOCK_PAIRS // max(width, 1))
+    return [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+
+def _sup_distance_rows(pos: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """(hi - lo, n): the sup-norm distance from each atom lo..hi-1 to every
+    atom, by the same subtraction, abs and max as the dense table."""
+    diff = pos[lo:hi, None, :] - pos[None, :, :]
+    return np.max(np.abs(diff, out=diff), axis=-1)
+
+
+def _nearest_sup_distances(pos: np.ndarray) -> np.ndarray:
+    """Each atom's sup-norm distance to its nearest other atom (inf alone).
+
+    One row-block scan with the diagonal set to +inf: a row lies in one
+    block, so its minimum is the minimum of its dense row.
+    """
     n = pos.shape[0]
-    return d[~np.eye(n, dtype=bool)]
+    out = np.empty(n)
+    for lo, hi in row_blocks(n, n):
+        dist = _sup_distance_rows(pos, lo, hi)
+        dist[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+        np.min(dist, axis=1, out=out[lo:hi])
+    return out
+
+
+def _min_sup_gap(pos: np.ndarray) -> float:
+    """Smallest sup-norm distance between two of at least two points.
+
+    In 1-D the smallest gap between sorted neighbours: rounded subtraction is
+    monotone, so no pair further apart in the order rounds to less.  Beyond,
+    the smallest nearest-neighbour distance of the row-block scan.  Either
+    way it is the smallest entry of the dense table, bit for bit.
+    """
+    if pos.shape[1] == 1:
+        return float(np.min(np.abs(np.diff(np.sort(pos[:, 0])))))
+    return float(np.min(_nearest_sup_distances(pos)))
 
 
 @dataclass(frozen=True)
@@ -300,16 +354,28 @@ def growth_check(mu: AtomicMeasure) -> GrowthReport:
 
     Passes iff the ratio never exceeds 1 + 1e-12 (mass normalized so the
     growth constant is at most one).
+
+    The ball masses are summed in row blocks of at most ``BLOCK_PAIRS``
+    (center, atom) entries, so memory stays O(``BLOCK_PAIRS`` * N) at any
+    atom count.  Each block's rows are contiguous rows of a C-order array,
+    which numpy sums one by one, so every ball mass keeps the bits of the
+    dense (n, n) sum; the heaviest ball per radius is a maximum over blocks,
+    which is exact.
     """
     if mu.atom_count == 0:
         raise ValueError("empty support")
     radii = growth_radii(mu)
     d = mu.growth_exponent
-    diff = np.max(np.abs(mu.positions[:, None, :] - mu.positions[None, :, :]), axis=-1)
+    n = mu.atom_count
+    heaviest = np.zeros(radii.size)
+    for lo, hi in row_blocks(n, n):
+        dist = _sup_distance_rows(mu.positions, lo, hi)
+        for i, r in enumerate(radii):
+            masses = np.sum(np.where(dist <= r, mu.weights[None, :], 0.0), axis=1)
+            heaviest[i] = max(heaviest[i], np.max(masses))
     c_gr = 0.0
-    for r in radii:
-        masses = np.sum(np.where(diff <= r, mu.weights[None, :], 0.0), axis=1)
-        c_gr = max(c_gr, float(np.max(masses)) / r ** d)
+    for r, mass in zip(radii, heaviest):
+        c_gr = max(c_gr, float(mass) / r ** d)
     return GrowthReport(c_gr <= 1.0 + 1e-12, c_gr)
 
 
@@ -382,7 +448,7 @@ def _cantor_points(rng, dimension, atom_count):
     pts += scale * 0.5
     # perturb duplicates deterministically until pairwise distinct
     for attempt in range(32):
-        if atom_count == 1 or np.min(_pairwise_sup_distances(pts)) > scale / 8.0:
+        if atom_count == 1 or _min_sup_gap(pts) > scale / 8.0:
             return pts
         jig = rng.uniform(-scale / 4.0, scale / 4.0, size=pts.shape)
         pts = np.clip(pts + jig, 0.0, 1.0 - scale)
@@ -401,9 +467,7 @@ def _clustered_points(rng, dimension, atom_count):
     for attempt in range(64):
         if atom_count == 1:
             return pts
-        d = np.max(np.abs(pts[:, None, :] - pts[None, :, :]), axis=-1)
-        np.fill_diagonal(d, np.inf)
-        clash = np.where(np.min(d, axis=1) < h / 2)[0]
+        clash = np.where(_nearest_sup_distances(pts) < h / 2)[0]
         if clash.size == 0:
             return pts
         pts[clash] = np.clip(pts[clash] + rng.choice([-h, h], size=(clash.size, dimension)),

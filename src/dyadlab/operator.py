@@ -577,6 +577,12 @@ def decay_bound_check(op: DiscreteOperator, ctx_f: MartingaleContext,
     of R: off-children carry the long-distance bound scaled by mu(R)^-1, and
     the complement of the host child carries the pure (l(Q)/l(R))^(a/2)
     bound.  All bounds are scaled by the explicit chain constant.
+
+    Only pairs across two systems are checked, and "two systems" means two
+    ``DyadicSystem`` objects: contexts whose grid indexes hold the same
+    object check nothing.  The two sides of a standard-grid ``FixturePair``
+    hold equal but distinct systems, so they are checked; sharing one
+    system object between them would empty the check.
     """
     c_chain = chain_constant(op.kernel, min(ctx_f.delta, ctx_g.delta))
     result = DecayCheckResult()

@@ -151,9 +151,19 @@ CHUNK_ELEMENTS = 1 << 17
 
 @functools.lru_cache(maxsize=None)
 def _exact_signs(count: int) -> np.ndarray:
-    """All 2^count sign patterns, row i holding the binary digits of i; read-only."""
-    grid = (np.arange(2 ** count)[:, None] >> np.arange(count)[None, :]) & 1
-    table = 1.0 - 2.0 * grid
+    """All 2^count sign patterns, row i holding the binary digits of i; read-only.
+
+    The cached table is int8, one byte per sign instead of eight, and is
+    built a column at a time, so its temporaries hold 2^count integers and
+    not 2^count * count.  Every reader widens the rows it uses to float64,
+    with ``np.asarray(s, dtype=float)`` or by numpy's promotion in a product
+    with a float array; either gives exactly the +-1.0 operands a float64
+    table held, so every product that reads them keeps its bits.
+    """
+    patterns = np.arange(2 ** count)
+    table = np.empty((patterns.size, count), dtype=np.int8)
+    for j in range(count):
+        table[:, j] = 1 - 2 * ((patterns >> j) & 1)
     table.flags.writeable = False
     return table
 
@@ -174,7 +184,8 @@ class RademacherSampler:
     def signs(self, count: int, label: str = "") -> Tuple[np.ndarray, bool]:
         """(patterns, exact): patterns is (P, count) of +-1.
 
-        The exact table is cached per count and shared, so it is read-only.
+        The exact table is cached per count and shared, so it is read-only,
+        and it is int8 (``_exact_signs``); Monte Carlo patterns are float.
         """
         if count == 0:
             return np.ones((1, 0)), True
@@ -258,7 +269,7 @@ def _stack_pattern_values(weights: np.ndarray, stack: np.ndarray, p: float, rho:
         flat = stack.reshape(items, count, width)  # atom-major (atom, coordinate) columns
         work, norms = np.empty((largest, width)), np.empty((largest, n))
     for lo, hi in blocks:
-        s = signs[lo:hi]
+        s = np.asarray(signs[lo:hi], dtype=float)
         if stack.ndim == 3:
             prod = work[:items * (hi - lo) * n].reshape(items, hi - lo, n)
             np.matmul(s, stack, out=prod)
@@ -489,7 +500,7 @@ def rademacher_bound(family: Sequence[np.ndarray], sampler: RademacherSampler,
 
 def _rademacher_l2_norm(signs: np.ndarray, vectors: np.ndarray, rho: float) -> float:
     k = vectors.shape[0]
-    s = signs[:, :k]
+    s = np.asarray(signs[:, :k], dtype=float)
     fields = np.tensordot(s, vectors, axes=(1, 0))
     return float(np.sqrt(np.mean(vector_norm(fields, rho) ** 2)))
 

@@ -1,11 +1,13 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dyadlab import martingale as mg
+from dyadlab import measure as ms
 from dyadlab.accretive import loads_accretive
 from dyadlab.cli import main as cli_main
 from dyadlab.grid import loads_system
@@ -211,3 +213,53 @@ def test_unknown_suite_is_config_error(tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(fast_config().to_json())
     assert cli_main(["run", "--config", str(cfg_path), "--suite", "nope"]) == 2
+
+
+def test_timings_record_peak_rss_per_suite(tmp_path):
+    suites = FAST + ("badcubes",)
+    first, second = (run_suite(fast_config(suites=suites)) for _ in range(2))
+    emit_report(first, tmp_path / "a")
+    emit_report(second, tmp_path / "b")
+    # the high-water marks go to timings.json only: report.json keeps its bytes
+    assert (tmp_path / "a" / "report.json").read_bytes() == \
+        (tmp_path / "b" / "report.json").read_bytes() == \
+        first.canonical_json().encode("utf-8")
+    assert "rss" not in first.canonical_json()
+    peaks = json.loads((tmp_path / "a" / "timings.json").read_text())["peak_rss_mib"]
+    assert list(peaks) == list(suites)
+    values = list(peaks.values())
+    assert all(v > 0.0 for v in values)
+    assert values == sorted(values)          # a high-water mark never falls
+
+
+def test_adjoint_transpose_row_matches_dense(monkeypatch):
+    # with many row blocks the check reports the error of the dense
+    # comparison, bit for bit
+    monkeypatch.setattr(ms, "BLOCK_PAIRS", 40)
+    runner = _Runner(fast_config(suites=("identities",)))
+    report = runner.run()
+    ctx = runner.pair(grids="random").ctx_f
+    n = ctx.measure.atom_count
+    assert len(ms.row_blocks(n, n)) >= 8
+    scales = list(ctx.scales)
+    k_mid = scales[len(scales) // 2]
+    adj = mg.weighted_adjoint(ctx.measure, mg.adapted_diff_matrix(ctx, k_mid))
+    direct = np.column_stack([mg.adapted_diff_adjoint(ctx, e, k_mid) for e in np.eye(n)])
+    row, = [c for c in report.checks if c.name == "adjoint-transpose"]
+    assert row.value == float(np.max(np.abs(adj - direct)))
+
+
+def test_identities_suite_memory():
+    # the adjoint check holds one row block of its matrices at a time: about
+    # 10 MiB once, at 512 atoms
+    runner = _Runner(ExperimentConfig(seed=7, dimension=1, atom_count=512,
+                                      suites=("identities",)))
+    runner.pair(grids="random")              # the fixture is built outside the trace
+    tracemalloc.start()
+    try:
+        runner.suite_identities()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(c.passed for c in runner.report.checks)
+    assert peak < 4 * 2 ** 20

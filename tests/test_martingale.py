@@ -9,8 +9,8 @@ from dyadlab.martingale import (BrokenAccretivityError, MartingaleContext,
                                 adapted_adjoint_expectation, adapted_diff,
                                 adapted_diff_adjoint, adapted_diff_local,
                                 adapted_expectation, adapted_diff_matrix, diff,
-                                expectation, omega, phi, reconstruct,
-                                weighted_adjoint)
+                                expectation, expectation_matrix, omega, phi,
+                                reconstruct, weighted_adjoint)
 
 from test_accretive import four_atom_fixture
 
@@ -322,6 +322,52 @@ def test_adjoint_matches_weighted_transpose():
     direct = np.column_stack([adapted_diff_adjoint(ctx, e, k)
                               for e in np.eye(mu.atom_count)])
     assert np.max(np.abs(adj - direct)) <= 1e-12
+
+
+def _ref_expectation_matrix(ctx, k):
+    """The dense matrix of E_k, filled cube by cube."""
+    n = ctx.measure.atom_count
+    out = np.zeros((n, n))
+    w = ctx.measure.weights
+    for cube in ctx.index.occupied(k):
+        atoms = ctx.index.atoms_of(cube)
+        out[np.ix_(atoms, atoms)] = w[atoms][None, :] / ctx.index.mass_of(cube)
+    return out
+
+
+def _ref_adapted_diff_matrix(ctx, k):
+    def adapted(j):
+        ratio = ctx.b_adapted[j] / ctx.eb_adapted[j]
+        return ratio[:, None] * _ref_expectation_matrix(ctx, j)
+    return adapted(k - 1) - adapted(k)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_row_block_matrices_match_dense(dimension):
+    # a row block of each matrix, and the matching column block of the
+    # weighted adjoint, hold the dense matrices' bits entry by entry
+    mu = battery_measure(5, dimension, 48)
+    params = DyadicParams(gamma=0.4, r=2, alpha=1.0, d=0.25)
+    index = locate(mu, build_random_system(6, mu, params))
+    sys_b = generate_accretive(7, mu, index, 0.4, "signed-perturbation")
+    ctx = MartingaleContext(mu, index, sys_b, build_layers(sys_b, mu, index))
+    n = mu.atom_count
+    blocks = [slice(0, 1), slice(1, 17), slice(17, n), np.array([40, 3, 3, 47])]
+    for k in ctx.diff_scales:
+        assert _same_bits(expectation_matrix(ctx, k), _ref_expectation_matrix(ctx, k))
+        dense = adapted_diff_matrix(ctx, k)
+        assert _same_bits(dense, _ref_adapted_diff_matrix(ctx, k))
+        adj = weighted_adjoint(mu, dense)
+        for rows in blocks:
+            block = adapted_diff_matrix(ctx, k, rows)
+            assert _same_bits(block, dense[rows])
+            assert _same_bits(expectation_matrix(ctx, k, rows),
+                              expectation_matrix(ctx, k)[rows])
+            assert _same_bits(weighted_adjoint(mu, block, rows), adj[:, rows])
 
 
 # =============================================================================

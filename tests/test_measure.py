@@ -4,7 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dyadlab.measure import (AtomicMeasure, LatticeSpace, ball_mass,
+from dyadlab import measure as ms
+from dyadlab.fixtures import battery_measure
+from dyadlab.measure import (AtomicMeasure, GrowthReport, LatticeSpace, ball_mass,
                              dumps_measure, generate_random_measure, growth_check,
                              growth_radii, integrate, loads_measure, lp_norm, pair,
                              vector_norm)
@@ -169,3 +171,113 @@ def test_vector_norm_axes():
     assert vector_norm(a, 2.0)[0] == pytest.approx(5.0)
     assert vector_norm(a, math.inf)[0] == pytest.approx(4.0)
     assert vector_norm(a, 1.0)[0] == pytest.approx(7.0)
+
+
+# =============================================================================
+# Row-block pair geometry against the dense n x n references
+# =============================================================================
+
+def _ref_sup_distances(pos):
+    """The dense (n, n) sup-norm distance table the row-block scan replaces."""
+    return np.max(np.abs(pos[:, None, :] - pos[None, :, :]), axis=-1)
+
+
+def _ref_min_gap(pos):
+    d = _ref_sup_distances(pos)
+    return float(np.min(d[~np.eye(pos.shape[0], dtype=bool)]))
+
+
+def _ref_diameter(pos):
+    d = _ref_sup_distances(pos)
+    return float(np.max(d[~np.eye(pos.shape[0], dtype=bool)]))
+
+
+def _ref_nearest(pos):
+    d = _ref_sup_distances(pos)
+    np.fill_diagonal(d, np.inf)
+    return np.min(d, axis=1)
+
+
+def _ref_growth_check(mu):
+    radii = growth_radii(mu)
+    diff = _ref_sup_distances(mu.positions)
+    c_gr = 0.0
+    for r in radii:
+        masses = np.sum(np.where(diff <= r, mu.weights[None, :], 0.0), axis=1)
+        c_gr = max(c_gr, float(np.max(masses)) / r ** mu.growth_exponent)
+    return GrowthReport(c_gr <= 1.0 + 1e-12, c_gr)
+
+
+def _same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+# the most atoms one block of the pair scan holds whole
+ONE_BLOCK = math.isqrt(ms.BLOCK_PAIRS)
+
+
+def _awkward_positions(dimension, n):
+    """Signed coordinates over several magnitudes, with +-0.0 entries and
+    atoms one ulp apart, all pairwise distinct."""
+    rng = np.random.default_rng(100 * dimension + n)
+    pos = rng.uniform(-1.0, 1.0, size=(n, dimension)) * 10.0 ** rng.integers(-3, 2, (n, 1))
+    if n >= 2:
+        pos[1] = np.nextafter(pos[0], np.inf)          # near-equal atoms
+    if n >= 3:
+        pos[2] = -0.0
+    if n >= 4 and dimension > 1:
+        pos[3] = 0.0
+        pos[3, -1] = 2.0 ** -40                        # +0.0 against row 2's -0.0
+    assert np.unique(pos, axis=0).shape[0] == n
+    return pos
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, ONE_BLOCK - 1, ONE_BLOCK, ONE_BLOCK + 1,
+                               2 * ONE_BLOCK + 1])
+def test_pair_geometry_matches_dense_reference(dimension, n):
+    pos = _awkward_positions(dimension, n)
+    # a small exponent puts c_gr on the balls of many atoms, where the sum order shows
+    weights = np.exp(np.random.default_rng(n).normal(0.0, 2.0, n))
+    mu = AtomicMeasure(dimension, 0.05, pos, weights)
+    if n > ONE_BLOCK:
+        assert len(ms.row_blocks(n, n)) >= 2
+    if n == 1:
+        assert mu.min_gap() == math.inf and mu.diameter() == 0.0
+    else:
+        assert _same_bits(mu.min_gap(), _ref_min_gap(pos))
+        assert _same_bits(mu.diameter(), _ref_diameter(pos))
+        assert _same_bits(ms._min_sup_gap(pos), _ref_min_gap(pos))
+        assert np.array_equal(ms._nearest_sup_distances(pos), _ref_nearest(pos))
+    assert _same_bits(growth_check(mu).c_gr, _ref_growth_check(mu).c_gr)
+
+
+@pytest.mark.parametrize("block_pairs", [ms.BLOCK_PAIRS, 1000])
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("profile", ["uniform", "fractal-cantor", "clustered"])
+def test_generated_measures_match_dense_reference(monkeypatch, dimension, profile,
+                                                  block_pairs):
+    # every profile, over several blocks: generating with the block scans
+    # gives the bits that the dense tables give (200 atoms, as the 1-D
+    # cantor profile cannot place 300)
+    n = 200
+    monkeypatch.setattr(ms, "BLOCK_PAIRS", block_pairs)
+    assert len(ms.row_blocks(n, n)) >= 2
+    got = generate_random_measure(9, dimension, 0.5 * dimension, n, profile)
+    monkeypatch.setattr(ms, "_min_sup_gap", _ref_min_gap)
+    monkeypatch.setattr(ms, "_nearest_sup_distances", _ref_nearest)
+    monkeypatch.setattr(ms, "growth_check", _ref_growth_check)
+    want = generate_random_measure(9, dimension, 0.5 * dimension, n, profile)
+    assert np.array_equal(got.positions, want.positions)
+    assert np.array_equal(got.weights, want.weights)
+
+
+def test_battery_measure_memory():
+    # the pair geometry never holds an n x n table: 100 MiB at 2048 atoms once
+    tracemalloc.start()
+    try:
+        battery_measure(1, 1, 2048)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20

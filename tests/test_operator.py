@@ -540,3 +540,14 @@ def test_collar_probability_validation():
         boundary_probability(1, 2, 0.3, 0, 20_000, seed=1)
     with pytest.raises(ValueError):
         boundary_probability(1, 2, 0.05, 0, 100, seed=1)
+
+
+def test_decay_check_needs_two_system_objects():
+    # "two systems" means two objects: the standard pair's systems are equal
+    # but distinct, so its pairs are checked; one object checks nothing
+    pairf = small_pair(r=4)
+    assert pairf.index_f.system == pairf.index_g.system
+    assert pairf.index_f.system is not pairf.index_g.system
+    op = small_operator(pairf)
+    assert decay_bound_check(op, pairf.ctx_f, pairf.ctx_g, pairf.classifier).checked > 0
+    assert decay_bound_check(op, pairf.ctx_f, pairf.ctx_f, pairf.classifier).checked == 0

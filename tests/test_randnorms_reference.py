@@ -482,6 +482,22 @@ def test_stack_kernel_items_match_single_family_calls(m, exact):
         _assert_same_bits(got[t], want[0])
 
 
+@pytest.mark.parametrize("m", [0, 3])
+def test_int8_sign_table_gives_the_float_table_bits(m):
+    # the cached exact table is int8; widened block by block it gives the
+    # values a float64 table gives, over several blocks and the mirror
+    rng = np.random.default_rng(23 + m)
+    count, n = 12, 512
+    stack = rng.normal(size=(2, count, n) if m == 0 else (2, count, n, m))
+    weights = rng.uniform(0.1, 2.0, n)
+    signs = rn._exact_signs(count)
+    assert signs.dtype == np.int8
+    assert len(rn._blocks(signs.shape[0], True, count * n * max(m, 1))[0]) >= 2
+    _assert_same_bits(rn._stack_pattern_values(weights, stack, 1.5, 3.0, signs, True),
+                      rn._stack_pattern_values(weights, stack, 1.5, 3.0,
+                                               signs.astype(float), True))
+
+
 # =============================================================================
 # vector_norm
 # =============================================================================
