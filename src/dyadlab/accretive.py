@@ -27,7 +27,7 @@ import numpy as np
 
 from dyadlab._seeds import rng_for
 from dyadlab.grid import Cube, GridIndex, contains
-from dyadlab.measure import AtomicMeasure, integrate
+from dyadlab.measure import AtomicMeasure
 
 __all__ = [
     "AccretiveSystem",
@@ -56,6 +56,12 @@ class AccretiveSystem:
     ``values[key]`` holds b_Q at the atoms of Q, ordered like
     ``index.atoms_of(Q)``; unoccupied cubes implicitly carry b_Q = 0 and are
     excluded from every stopping scan.
+
+    ``generate_accretive`` builds the values a scale at a time, as one array
+    laid out like ``index.atom_order(k)``, and ``values[key]`` is the cube's
+    slice of it.  Readers that work a scale at a time gather the entries
+    back into that layout (``scale_values``), so they read an entry replaced
+    after generation as the per-cube readers do.
     """
 
     delta: float
@@ -67,9 +73,13 @@ class AccretiveSystem:
 
     def on(self, cube: Cube) -> np.ndarray:
         """Values of b_Q at the atoms of Q."""
-        got = self.values.get(cube.key)
+        return self.on_key(cube.key)
+
+    def on_key(self, key: CubeKey) -> np.ndarray:
+        """Values of b_Q at the atoms of Q, for the cube with this key."""
+        got = self.values.get(key)
         if got is None:
-            raise KeyError(f"missing test function for cube {cube.key}")
+            raise KeyError(f"missing test function for cube {key}")
         return got
 
     def as_function(self, index: GridIndex, cube: Cube) -> np.ndarray:
@@ -78,6 +88,17 @@ class AccretiveSystem:
         out[index.atoms_of(cube)] = self.on(cube)
         return out
 
+    def scale_values(self, index: GridIndex, k: int) -> np.ndarray:
+        """b_Q of every occupied scale-k cube Q, laid out like
+        ``index.atom_order(k)``."""
+        keys = index.cube_keys(k)
+        parts = [self.on_key(key) for key in keys]
+        sizes = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts))
+        wrong = np.flatnonzero(sizes != np.diff(index.atom_starts(k)))
+        if wrong.size:
+            raise ValueError(f"test function for {keys[wrong[0]]} has wrong length")
+        return np.concatenate(parts)
+
 
 @dataclass
 class Layers:
@@ -85,6 +106,17 @@ class Layers:
 
     generations: List[List[CubeKey]]
     ancestor: Dict[CubeKey, CubeKey]
+
+    def marks(self, index: GridIndex) -> Dict[int, np.ndarray]:
+        """Per scale, which occupied cubes of ``index`` (by position) are
+        layer cubes."""
+        marks = {k: np.zeros(index.masses(k).size, dtype=bool) for k in index.system.scales}
+        for gen in self.generations:
+            for key in gen:
+                p = index.position(key)
+                if p is not None:
+                    marks[key[0]][p] = True
+        return marks
 
 
 @dataclass
@@ -106,21 +138,31 @@ def verify_accretive(sys_b: AccretiveSystem, mu: AtomicMeasure,
                      index: GridIndex) -> AccretiveReport:
     """Check support, sup bound and mean lower bound on every occupied cube,
     each with an absolute tolerance of 1e-12."""
+    return _accretive_report(sys_b.delta, mu, index,
+                             {k: sys_b.scale_values(index, k) for k in index.system.scales})
+
+
+def _accretive_report(delta: float, mu: AtomicMeasure, index: GridIndex,
+                      scale_values: Dict[int, np.ndarray]) -> AccretiveReport:
+    """``verify_accretive`` on values laid out like ``index.atom_order(k)``:
+    per cube one ``np.dot`` of its weights and values, over its atoms in
+    increasing order, divided by its mass."""
     sup_bad: List[CubeKey] = []
     mean_bad: List[CubeKey] = []
     margins: Dict[CubeKey, float] = {}
+    floor = delta * (1.0 - 1e-12) - 1e-12
     for k in index.system.scales:
-        for cube in index.occupied(k):
-            atoms = index.atoms_of(cube)
-            vals = sys_b.on(cube)
-            if vals.shape[0] != atoms.shape[0]:
-                raise ValueError(f"test function for {cube.key} has wrong length")
-            if np.max(np.abs(vals)) > 1.0 + 1e-12:
-                sup_bad.append(cube.key)
-            mean = float(np.dot(mu.weights[atoms], vals)) / index.mass_of(cube)
-            margins[cube.key] = abs(mean) - sys_b.delta
-            if abs(mean) < sys_b.delta * (1.0 - 1e-12) - 1e-12:
-                mean_bad.append(cube.key)
+        vals = scale_values[k]
+        starts = index.atom_starts(k)
+        w = mu.weights[index.atom_order(k)]
+        bounds = starts.tolist()
+        mean = np.array([np.dot(w[a:b], vals[a:b])
+                         for a, b in zip(bounds[:-1], bounds[1:])]) / index.masses(k)
+        keys = index.cube_keys(k)
+        sup = np.maximum.reduceat(np.abs(vals), starts[:-1]) > 1.0 + 1e-12
+        sup_bad.extend(keys[i] for i in np.flatnonzero(sup).tolist())
+        mean_bad.extend(keys[i] for i in np.flatnonzero(np.abs(mean) < floor).tolist())
+        margins.update(zip(keys, (np.abs(mean) - delta).tolist()))
     return AccretiveReport(not sup_bad and not mean_bad, sup_bad, mean_bad, margins)
 
 
@@ -131,47 +173,88 @@ def verify_accretive(sys_b: AccretiveSystem, mu: AtomicMeasure,
 def build_layers(sys_b: AccretiveSystem, mu: AtomicMeasure, index: GridIndex) -> Layers:
     """Top-down stopping construction of the layer generations.
 
-    Inside each generation-j cube R, a breadth-first scan over occupied strict
-    subcubes admits a cube to generation j+1 when |int_Q b_R| < delta^2 mu(Q)
-    and none of its window ancestors inside R triggered first; admitted cubes
+    Inside each generation-j cube R, a scan over occupied strict subcubes
+    admits a cube to generation j+1 when |int_Q b_R| < delta^2 mu(Q) and
+    none of its window ancestors inside R triggered first; admitted cubes
     are not descended into, which is exactly maximality.
+
+    The scan runs a scale at a time over the tables of ``index``, for all
+    cubes of a generation at once (they are disjoint, so one vector holds
+    every b_R).  Each visited cube's integral is one ``np.dot`` over its
+    atoms, as in a cube-by-cube scan.  Generation j+1 lists its cubes by
+    the rank of their generation-j cube, then last child first: the order
+    of a depth-first scan that pops the last occupied child first.
     """
     system = index.system
     delta2 = sys_b.delta ** 2
-    top = system.top_cube()
-    generations: List[List[CubeKey]] = [[top.key]]
-    current = [top]
+    w = mu.weights
+    tree_rank = index.tree_rank()
+    generations: List[List[CubeKey]] = [[index.cube_keys(system.s)[0]]]
+    current = [(system.s, 0)]                  # (scale, position)
     while current:
-        next_gen: List[Cube] = []
-        for parent_cube in current:
-            b_full = sys_b.as_function(index, parent_cube)
-            frontier = [c for _, c in index.occupied_children(parent_cube)]
-            while frontier:
-                q = frontier.pop()
-                integral = integrate(mu, b_full, index.atoms_of(q))
-                if abs(integral) < delta2 * index.mass_of(q):
-                    next_gen.append(q)
-                else:
-                    frontier.extend(c for _, c in index.occupied_children(q))
-        if not next_gen:
+        b_current = np.zeros(mu.atom_count)
+        entering: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {}
+        for rank, (j, p) in enumerate(current):
+            starts = index.atom_starts(j)
+            b_current[index.atom_order(j)[starts[p]:starts[p + 1]]] = \
+                sys_b.on_key(index.cube_keys(j)[p])
+            if j > system.k_min:
+                child_starts, children, _ = index.child_table(j)
+                row = children[child_starts[p]:child_starts[p + 1]]
+                entering.setdefault(j - 1, []).append((row, np.full(row.size, rank)))
+        found = []                             # (owner rank, tree rank, scale, position)
+        cubes = owners = np.empty(0, dtype=np.int64)
+        for k in reversed(range(system.k_min, system.s)):
+            parts = [(cubes, owners)] + entering.get(k, [])
+            cubes = np.concatenate([c for c, _ in parts])
+            owners = np.concatenate([o for _, o in parts])
+            if not cubes.size:
+                continue
+            order, starts = index.atom_order(k), index.atom_starts(k)
+            wk, bk = w[order], b_current[order]
+            integrals = np.array([np.dot(wk[a:b], bk[a:b]) for a, b in
+                                  zip(starts[cubes].tolist(), starts[cubes + 1].tolist())])
+            stop = np.abs(integrals) < delta2 * index.masses(k)[cubes]
+            found.extend(zip(owners[stop].tolist(),
+                             tree_rank[order[starts[cubes[stop]]]].tolist(),
+                             [k] * int(stop.sum()), cubes[stop].tolist()))
+            cubes, owners = cubes[~stop], owners[~stop]
+            if k > system.k_min:
+                cubes, owners = _expand(index.child_table(k), cubes, owners)
+        if not found:
             break
-        generations.append([q.key for q in next_gen])
-        current = next_gen
+        found.sort(key=lambda t: (t[0], -t[1]))
+        current = [(k, p) for _, _, k, p in found]
+        generations.append([index.cube_keys(k)[p] for k, p in current])
 
-    return Layers(generations, _ancestor_map(index, generations))
+    layers = Layers(generations, {})
+    layers.ancestor = _ancestor_map(index, layers.marks(index))
+    return layers
 
 
-def _ancestor_map(index: GridIndex, generations: List[List[CubeKey]]) -> Dict[CubeKey, CubeKey]:
-    layer_set = {k for gen in generations for k in gen}
+def _expand(table, cubes: np.ndarray, owners: np.ndarray):
+    """The occupied children of ``cubes`` (positions) from a child table,
+    each with the owner of its parent."""
+    starts, children, _ = table
+    counts = starts[cubes + 1] - starts[cubes]
+    first = np.repeat(starts[cubes] - (np.cumsum(counts) - counts), counts)
+    return children[first + np.arange(first.size)], np.repeat(owners, counts)
+
+
+def _ancestor_map(index: GridIndex, layer: Dict[int, np.ndarray]) -> Dict[CubeKey, CubeKey]:
+    """Each occupied cube's smallest layer cube, ``layer`` marking the layer
+    cubes of each scale by position."""
     system = index.system
-    top_key = system.top_cube().key
+    top_key = index.cube_keys(system.s)[0]
     ancestor: Dict[CubeKey, CubeKey] = {top_key: top_key}
+    anc_scale, anc_pos = np.array([system.s]), np.array([0])
     for k in reversed(range(system.k_min, system.s)):       # top-down in size
-        for cube in index.occupied(k):
-            if cube.key in layer_set:
-                ancestor[cube.key] = cube.key
-            else:
-                ancestor[cube.key] = ancestor[cube.parent().key]
+        parents = index.parents(k)
+        anc_scale = np.where(layer[k], k, anc_scale[parents])
+        anc_pos = np.where(layer[k], np.arange(parents.size), anc_pos[parents])
+        ancestor.update(zip(index.cube_keys(k),
+                            [index.cube_keys(j)[p]
+                             for j, p in zip(anc_scale.tolist(), anc_pos.tolist())]))
     return ancestor
 
 
@@ -265,80 +348,145 @@ def generate_accretive(seed: int, mu: AtomicMeasure, index: GridIndex, delta: fl
     delta^2 to force a stopping cube, and jitters the rest while projecting
     back into the constraint set.  ``oscillatory`` uses a clipped cosine with
     its bias bisected until the cube mean clears delta.
+
+    The values are built a scale at a time over the tables of ``index``.
+    The generator makes its draws cube by cube, scales upward and cubes by
+    position, the same calls in the same order whatever the layout.
     """
     if style not in _STYLES:
         raise ValueError(f"unknown style {style!r}; expected one of {_STYLES}")
     rng = rng_for(seed, f"accretive:{style}:{delta}")
-    values: Dict[CubeKey, np.ndarray] = {}
+    scale_values: Dict[int, np.ndarray] = {}
+    if style == "signed-perturbation":
+        # each atom's cube mass at every scale, a row per scale like
+        # index.cube_id_rows()
+        chain_masses = np.stack([index.masses(k)[index.cube_ids(k)]
+                                 for k in index.system.scales])
     for k in index.system.scales:
-        for cube in index.occupied(k):
-            atoms = index.atoms_of(cube)
-            if style == "indicator":
-                vals = np.ones(atoms.size)
-            elif style == "signed-perturbation":
-                vals = _signed_perturbation(rng, mu, index, cube, delta)
-            else:
-                vals = _oscillatory(rng, mu, index, cube, delta)
-            values[cube.key] = vals
+        if style == "indicator":
+            scale_values[k] = np.ones(mu.atom_count)
+        elif style == "signed-perturbation":
+            scale_values[k] = _signed_perturbation(rng, mu, index, k, delta, chain_masses)
+        else:
+            scale_values[k] = _oscillatory(rng, mu, index, k, delta)
+    values: Dict[CubeKey, np.ndarray] = {}
+    for k, vals in scale_values.items():
+        bounds = index.atom_starts(k).tolist()
+        values.update(zip(index.cube_keys(k),
+                          [vals[a:b] for a, b in zip(bounds[:-1], bounds[1:])]))
     sys_b = AccretiveSystem(delta, values)
-    report = verify_accretive(sys_b, mu, index)
+    report = _accretive_report(delta, mu, index, scale_values)
     if not report.passed:
         raise RuntimeError("projection failed: generated system violates the "
                            f"accretivity constraints on {report.mean_violations[:3]}")
     return sys_b
 
 
-def _signed_perturbation(rng, mu, index, cube, delta):
-    atoms = index.atoms_of(cube)
-    vals = np.ones(atoms.size)
-    w = mu.weights[atoms]
-    mass = index.mass_of(cube)
-    if atoms.size > 1:
-        # mild signed jitter, then retreat until the mean constraint clears
-        jitter = rng.uniform(-0.35, 0.35, size=atoms.size)
-        for _ in range(12):
-            trial = np.clip(vals + jitter, -1.0, 1.0)
-            if abs(np.dot(w, trial)) >= (delta + 0.05 * (1 - delta)) * mass:
-                vals = trial
-                break
-            jitter *= 0.5
-        # damp one small strict descendant below the stopping threshold
-        target = _small_descendant(rng, mu, index, cube, delta)
-        if target is not None:
-            local = np.searchsorted(atoms, index.atoms_of(target))
-            damped = vals.copy()
-            damped[local] = delta ** 2 / 4.0
-            if abs(np.dot(w, damped)) >= delta * mass:
-                vals = damped
+def _signed_perturbation(rng, mu, index, k, delta, chain_masses):
+    """The signed-perturbation values of the scale-k cubes.
+
+    Per cube of more than one atom, in position order, the jitter is drawn
+    and then, when the cube has small descendants, the one to damp.  Every
+    jitter retreat step and the damping are then decided cube by cube, each
+    by one ``np.dot`` over the cube's atoms.
+    """
+    order, starts = index.atom_order(k), index.atom_starts(k)
+    masses = index.masses(k)
+    w = mu.weights[order]
+    vals = np.ones(order.size)
+    bounds = starts.tolist()
+    spans = [(q, a, b) for q, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])) if b - a > 1]
+    if not spans:
+        return vals
+    pool_starts, pool, member = _small_descendants(index, k, delta, chain_masses)
+    pool_bounds = pool_starts.tolist()
+    jitter = np.zeros(order.size)
+    target = np.full(masses.size, -1, dtype=np.int64)
+    for q, a, b in spans:
+        jitter[a:b] = rng.uniform(-0.35, 0.35, size=b - a)
+        size = pool_bounds[q + 1] - pool_bounds[q]
+        if size:
+            target[q] = pool[pool_bounds[q] + int(rng.integers(0, size))]
+    # mild signed jitter, then retreat until the mean constraint clears
+    floor = (delta + 0.05 * (1 - delta)) * masses
+    pending = spans
+    for _ in range(12):
+        trial = np.clip(1.0 + jitter, -1.0, 1.0)
+        left = []
+        for q, a, b in pending:
+            if abs(np.dot(w[a:b], trial[a:b])) >= floor[q]:
+                vals[a:b] = trial[a:b]
+            else:
+                left.append((q, a, b))
+        pending = left
+        if not pending:
+            break
+        jitter *= 0.5
+    # damp one small strict descendant below the stopping threshold
+    damped = vals.copy()
+    chosen = member[order]
+    damped[(chosen >= 0) & (chosen == target[index.cube_ids(k)[order]])] = delta ** 2 / 4.0
+    for q in np.flatnonzero(target >= 0).tolist():
+        a, b = bounds[q], bounds[q + 1]
+        if abs(np.dot(w[a:b], damped[a:b])) >= delta * masses[q]:
+            vals[a:b] = damped[a:b]
     return np.clip(vals, -1.0, 1.0)
 
 
-def _small_descendant(rng, mu, index, cube, delta):
-    mass = index.mass_of(cube)
-    limit = 0.5 * (1.0 - delta) * mass
-    pool = []
-    stack = [c for _, c in index.occupied_children(cube)]
-    while stack:
-        q = stack.pop()
-        if index.mass_of(q) <= limit:
-            pool.append(q)
-        else:
-            stack.extend(c for _, c in index.occupied_children(q))
-    if not pool:
-        return None
-    return pool[int(rng.integers(0, len(pool)))]
+def _small_descendants(index, k, delta, chain_masses):
+    """The damping candidates of every scale-k cube Q: its maximal strict
+    descendants of mass at most 0.5 (1 - delta) mu(Q).
+
+    Returns compressed rows (starts, members) by cube position, and each
+    atom's candidate (-1 for none).  A candidate is coded as row * n +
+    position, its row counting scales up from the bottom of the window as
+    in ``index.cube_id_rows()`` and ``chain_masses``, each atom's cube mass
+    at every scale.  Each cube lists its candidates by descending tree rank:
+    the order in which a depth-first walk that pops the last occupied child
+    first meets them.
+    """
+    n = index.measure.atom_count
+    ids = index.cube_ids(k)
+    rows = k - index.system.k_min               # the scales below k
+    member = np.full(n, -1, dtype=np.int64)
+    if rows:
+        hit = chain_masses[:rows] <= (0.5 * (1.0 - delta) * index.masses(k))[ids]
+        # the highest scale on each atom's chain whose cube is light enough
+        row = rows - 1 - np.argmax(hit[::-1], axis=0)
+        atoms = np.flatnonzero(hit.any(axis=0))
+        member[atoms] = row[atoms] * n + index.cube_id_rows()[row[atoms], atoms]
+    atoms = np.flatnonzero(member >= 0)
+    cube, code = ids[atoms], member[atoms]
+    sort = np.lexsort((-index.tree_rank()[atoms], cube))
+    cube, code = cube[sort], code[sort]
+    # a candidate's atoms are consecutive in tree rank
+    first = np.ones(cube.size, dtype=bool)
+    first[1:] = (cube[1:] != cube[:-1]) | (code[1:] != code[:-1])
+    cube, code = cube[first], code[first]
+    starts = np.zeros(index.masses(k).size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cube, minlength=starts.size - 1), out=starts[1:])
+    return starts, code, member
 
 
-def _oscillatory(rng, mu, index, cube, delta):
-    atoms = index.atoms_of(cube)
-    if atoms.size == 1:
-        return np.ones(1)
+def _oscillatory(rng, mu, index, k, delta):
+    """The oscillatory values of the scale-k cubes, cube by cube."""
+    order, starts = index.atom_order(k), index.atom_starts(k)
+    masses = index.masses(k)
+    side = 2.0 ** k
+    vals = np.ones(order.size)
+    bounds = starts.tolist()
+    for q, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        if b - a > 1:
+            vals[a:b] = _oscillation(rng, mu, order[a:b], float(masses[q]), side, delta)
+    return vals
+
+
+def _oscillation(rng, mu, atoms, mass, side, delta):
     w = mu.weights[atoms]
-    mass = index.mass_of(cube)
     theta_dir = rng.normal(size=mu.dimension)
     theta_dir /= max(np.max(np.abs(theta_dir)), 1e-12)
     phase = rng.uniform(0.0, 2.0 * math.pi)
-    osc = np.cos(2.0 * math.pi * (mu.positions[atoms] @ theta_dir) / cube.side + phase)
+    osc = np.cos(2.0 * math.pi * (mu.positions[atoms] @ theta_dir) / side + phase)
 
     def mean_at(bias):
         return float(np.dot(w, np.clip(0.5 * osc + bias, -1.0, 1.0))) / mass

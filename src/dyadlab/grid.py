@@ -31,6 +31,8 @@ import numpy as np
 from dyadlab._seeds import rng_for
 from dyadlab.measure import AtomicMeasure
 
+CubeKey = Tuple[int, Tuple[int, ...]]
+
 __all__ = [
     "DyadicParams",
     "theta",
@@ -365,12 +367,30 @@ def _common_top_index(system: DyadicSystem, mu: AtomicMeasure) -> Optional[Tuple
 class GridIndex:
     """Scale-by-scale partition of the atoms of a measure by a dyadic system.
 
-    The one owner of the partition; other modules read it from here.  Per
-    scale k it holds the occupied cubes sorted lexicographically by index (a
-    cube's *position* is its place in that order), each cube's atoms in
-    increasing atom order (read-only), each atom's cube position, and each
-    cube's mass, computed once as ``float(np.sum(mu.weights[atoms]))`` over
-    those atoms (0.0 for an empty cube).
+    The one owner of the partition; other modules read it from here.  Every
+    table below is built once, at construction, with array operations over
+    all atoms of a scale, and is read-only.  Per scale k:
+
+    * the occupied cubes, sorted lexicographically by index (a cube's
+      *position* is its place in that order): ``cube_keys(k)``, and as
+      ``Cube`` objects, made on first use, ``occupied(k)``;
+    * ``atom_order(k)``: the atoms cube by cube in position order, each
+      cube's atoms in increasing atom order, with ``atom_starts(k)`` the
+      offsets of the cubes in it (compressed rows: cube i holds
+      ``atom_order(k)[atom_starts(k)[i]:atom_starts(k)[i + 1]]``);
+    * ``cube_ids(k)``: each atom's cube position;
+    * ``masses(k)``: each cube's mass, one ``np.add.reduce`` (the reduction
+      ``np.sum`` calls) over the weights of its atoms in that order;
+    * ``parents(k)``: each cube's parent position at scale k + 1, below s;
+    * ``child_table(k)``: each cube's occupied children at scale k - 1 as
+      compressed rows (starts, positions, corners), every row in
+      ``Cube.children()`` order; a child's corner is its place in that list.
+      At the bottom scale every row is empty.
+
+    Over the whole tree, ``tree_rank()`` gives each atom's place in the
+    depth-first walk that visits children in ``Cube.children()`` order, so
+    disjoint cubes follow each other in that walk as the tree ranks of any
+    of their atoms do.
 
     Report bits depend on these orders: the masses divide every average, and
     the cube and child orders fix the order of every per-cube loop and sum.
@@ -387,68 +407,167 @@ class GridIndex:
         top = system.cube_index_at(mu.positions, system.s)
         if not np.all(top == np.asarray(system.top_index, dtype=np.int64)[None, :]):
             raise ValueError("atom outside the window top cube")
-        self._cubes: Dict[int, List[Cube]] = {}
-        self._position: Dict[Tuple[int, Tuple[int, ...]], int] = {}   # by cube key
-        self._atoms: Dict[int, List[np.ndarray]] = {}
+        n = mu.atom_count
+        self._id_rows = np.empty((len(system.scales), n), dtype=np.int64)
+        self._index_rows: Dict[int, np.ndarray] = {}
+        self._order: Dict[int, np.ndarray] = {}
+        self._starts: Dict[int, np.ndarray] = {}
         self._cube_ids: Dict[int, np.ndarray] = {}
         self._masses: Dict[int, np.ndarray] = {}
-        self._children: Dict[Tuple[int, Tuple[int, ...]], List[Tuple[int, Cube]]] = {}
+        self._parents: Dict[int, np.ndarray] = {}
+        self._child_tables: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         for k in system.scales:
-            # unique rows come back in lexicographic order, the order of
-            # sorted() on the index tuples
-            keys, ids, counts = np.unique(system.cube_index_at(mu.positions, k), axis=0,
-                                          return_inverse=True, return_counts=True)
-            ids = ids.reshape(-1)
-            order = np.argsort(ids, kind="stable")      # atoms ascending per cube
-            atoms = np.split(order, np.cumsum(counts)[:-1])
-            masses = np.array([float(np.sum(mu.weights[a])) for a in atoms])
-            for table in (order, ids, masses):
-                table.flags.writeable = False
-            self._cubes[k] = [Cube(system, k, m) for m in map(tuple, keys.tolist())]
-            self._position.update((c.key, i) for i, c in enumerate(self._cubes[k]))
-            self._atoms[k] = atoms
-            self._cube_ids[k] = ids
-            self._masses[k] = masses
+            rows = system.cube_index_at(mu.positions, k)
+            # a stable sort on the index rows, axis 0 first: the cubes come
+            # in the order of sorted() on their index tuples, and each
+            # cube's atoms in increasing order
+            order = np.lexsort(rows.T[::-1])
+            rows = rows[order]
+            head = np.ones(n, dtype=bool)
+            head[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+            ids = self._id_rows[k - system.k_min]
+            ids[order] = np.cumsum(head) - 1
+            starts = np.append(np.flatnonzero(head), n)
+            w = mu.weights[order]
+            bounds = starts.tolist()
+            masses = np.array([float(np.add.reduce(w[a:b]))
+                               for a, b in zip(bounds[:-1], bounds[1:])])
+            self._index_rows[k] = rows[head]
+            self._order[k], self._starts[k] = order, starts
+            self._cube_ids[k], self._masses[k] = ids, masses
+        corners = {}
+        for k in system.scales:
+            count = self._masses[k].size
+            if k == system.k_min:
+                empty = np.empty(0, dtype=np.int64)
+                self._child_tables[k] = (np.zeros(count + 1, dtype=np.int64), empty, empty)
+                continue
+            below = k - 1
+            parents = np.empty(self._masses[below].size, dtype=np.int64)
+            parents[self._cube_ids[below]] = self._cube_ids[k]
+            # Cube.children() numbers corner c by the bits c >> a of each axis
+            # a, the low bit of the child index less the shift digit
+            offsets = (self._index_rows[below]
+                       - np.asarray(system.beta(below), dtype=np.int64)[None, :]) & 1
+            corner = offsets @ (1 << np.arange(system.dimension, dtype=np.int64))
+            rows = np.lexsort((corner, parents))
+            starts = np.zeros(count + 1, dtype=np.int64)
+            np.cumsum(np.bincount(parents, minlength=count), out=starts[1:])
+            self._parents[below] = parents
+            self._child_tables[k] = (starts, rows, corner[rows])
+            corners[below] = corner
+        # the depth-first walk orders atoms by their corner paths, top first
+        paths = [corners[k][self._cube_ids[k]] for k in range(system.k_min, system.s)]
+        walk = np.lexsort(paths) if paths else np.arange(n)
+        self._tree_rank = np.empty(n, dtype=np.int64)
+        self._tree_rank[walk] = np.arange(n)
+        tables = [self._tree_rank, self._id_rows, *self._order.values(),
+                  *self._starts.values(), *self._masses.values(),
+                  *self._parents.values(), *self._index_rows.values()]
+        for table in tables + [t for triple in self._child_tables.values() for t in triple]:
+            table.flags.writeable = False
+        # made on first use, by scale
+        self._keys: Dict[int, List[CubeKey]] = {}
+        self._positions: Dict[int, Dict[Tuple[int, ...], int]] = {}
+        self._cubes: Dict[int, List[Cube]] = {}
+        self._atoms: Dict[int, List[np.ndarray]] = {}
+        self._children: Dict[int, List[List[Tuple[int, Cube]]]] = {}
 
-    # -- queries ----------------------------------------------------------
-    def occupied(self, k: int) -> List[Cube]:
-        return list(self._cubes[k])
+    # -- tables -----------------------------------------------------------
+    def cube_keys(self, k: int) -> List[CubeKey]:
+        """The keys of the occupied scale-k cubes, by position (shared list)."""
+        keys = self._keys.get(k)
+        if keys is None:
+            keys = self._keys[k] = [(k, m) for m in map(tuple, self._index_rows[k].tolist())]
+        return keys
 
-    def atoms_of(self, cube: Cube) -> np.ndarray:
-        i = self._position.get(cube.key)
-        if i is None:
-            return np.empty(0, dtype=np.int64)
-        return self._atoms[cube.scale][i]
+    def atom_order(self, k: int) -> np.ndarray:
+        """The atoms cube by cube, each cube's atoms in increasing order."""
+        return self._order[k]
 
-    def mass_of(self, cube: Cube) -> float:
-        i = self._position.get(cube.key)
-        return 0.0 if i is None else float(self._masses[cube.scale][i])
+    def atom_starts(self, k: int) -> np.ndarray:
+        """Offsets of the cubes in ``atom_order(k)``, one more than the cubes."""
+        return self._starts[k]
 
     def cube_ids(self, k: int) -> np.ndarray:
         """Each atom's cube position at scale k."""
         return self._cube_ids[k]
 
+    def cube_id_rows(self) -> np.ndarray:
+        """(scales, atoms): row k - k_min is ``cube_ids(k)``."""
+        return self._id_rows
+
     def masses(self, k: int) -> np.ndarray:
         """The masses of the occupied scale-k cubes, by cube position."""
         return self._masses[k]
+
+    def parents(self, k: int) -> np.ndarray:
+        """Each scale-k cube's parent position at scale k + 1 (k < s)."""
+        return self._parents[k]
+
+    def child_table(self, k: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(starts, positions, corners): cube i's occupied children at scale
+        k - 1 are ``positions[starts[i]:starts[i + 1]]``, in corner order."""
+        return self._child_tables[k]
+
+    def tree_rank(self) -> np.ndarray:
+        """Each atom's place in the depth-first walk of the tree."""
+        return self._tree_rank
+
+    def position(self, key: CubeKey) -> Optional[int]:
+        """The position of the cube with this key, None if it holds no atom."""
+        k, m = key
+        found = self._positions.get(k)
+        if found is None:
+            if k not in self._index_rows:
+                return None
+            found = self._positions[k] = {
+                idx: i for i, (_, idx) in enumerate(self.cube_keys(k))}
+        return found.get(m)
+
+    # -- queries ----------------------------------------------------------
+    def occupied(self, k: int) -> List[Cube]:
+        return list(self._occupied(k))
+
+    def _occupied(self, k: int) -> List[Cube]:
+        cubes = self._cubes.get(k)
+        if cubes is None:
+            cubes = self._cubes[k] = [Cube(self.system, k, m) for _, m in self.cube_keys(k)]
+        return cubes
+
+    def atoms_of(self, cube: Cube) -> np.ndarray:
+        i = self.position(cube.key)
+        if i is None:
+            return np.empty(0, dtype=np.int64)
+        atoms = self._atoms.get(cube.scale)
+        if atoms is None:
+            atoms = self._atoms[cube.scale] = np.split(self._order[cube.scale],
+                                                       self._starts[cube.scale][1:-1])
+        return atoms[i]
+
+    def mass_of(self, cube: Cube) -> float:
+        i = self.position(cube.key)
+        return 0.0 if i is None else float(self._masses[cube.scale][i])
 
     def occupied_children(self, cube: Cube) -> List[Tuple[int, Cube]]:
         """(i, Q_i) for the children Q_i = cube.children()[i] that hold atoms.
 
         Empty at the bottom scale of the window and for an unoccupied cube.
-        Computed once per cube key (the cube is one of this system's) and
+        Read from ``child_table`` (the cube is one of this system's) and
         returned as a fresh list.
         """
-        children = self._children.get(cube.key)
-        if children is None:
-            children = []
-            if cube.scale > self.system.k_min:
-                below = self._cubes[cube.scale - 1]
-                children = [(i, below[self._position[c.key]])
-                            for i, c in enumerate(cube.children())
-                            if c.key in self._position]
-            self._children[cube.key] = children
-        return list(children)
+        k = cube.scale
+        i = self.position(cube.key)
+        if i is None or k == self.system.k_min:
+            return []
+        rows = self._children.get(k)
+        if rows is None:
+            starts, positions, corners = self._child_tables[k]
+            below = self._occupied(k - 1)
+            pairs = [(c, below[p]) for c, p in zip(corners.tolist(), positions.tolist())]
+            bounds = starts.tolist()
+            rows = self._children[k] = [pairs[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+        return list(rows[i])
 
 
 def locate(mu: AtomicMeasure, system: DyadicSystem) -> GridIndex:

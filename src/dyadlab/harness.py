@@ -215,6 +215,8 @@ class SuiteReport:
     suite_s: Dict[str, float] = field(default_factory=dict)   # not canonical
     # the process high-water mark after each suite, in MiB; not canonical
     peak_rss_mib: Dict[str, Optional[float]] = field(default_factory=dict)
+    # each fixture pair's build seconds, by repr of its (r, grids) key; not canonical
+    pair_s: Dict[str, float] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -271,10 +273,13 @@ class _Runner:
         key = (r, grids)
         if key not in self._fixture_cache:
             cfg = self.cfg
+            mu = self.measure()
+            start = time.perf_counter()
             self._fixture_cache[key] = fx.build_fixture_pair(
-                derive_seed(cfg.seed, f"pair:{key}") % (2 ** 31), self.measure(),
+                derive_seed(cfg.seed, f"pair:{key}") % (2 ** 31), mu,
                 cfg.params(r), cfg.delta, cfg.accretive_style, grids=grids,
                 window=cfg.window)
+            self.report.pair_s[repr(key)] = time.perf_counter() - start
         return self._fixture_cache[key]
 
     def operator(self) -> czop.DiscreteOperator:
@@ -431,19 +436,19 @@ class _Runner:
                  worst <= tol, worst, tol)
 
         # the weighted transpose of the matrix of D^a_k against (D^a_k)^* on
-        # each unit vector, a row block of the matrix (a column block of its
-        # adjoint) at a time; the error is a maximum, so blocking moves no bit
+        # the unit vectors, a row block of the matrix (a column block of its
+        # adjoint) at a time; (D^a_k)^* acts column by column, so each column
+        # of its value on a block of unit columns has the bits of its value
+        # on that unit vector, and the error is a maximum, so blocking moves
+        # no bit
         k_mid = scales[len(scales) // 2]
-        unit = np.zeros(mu.atom_count)
         errs = []
         for lo, hi in ms.row_blocks(mu.atom_count, mu.atom_count):
             rows = slice(lo, hi)
             adj = mg.weighted_adjoint(mu, mg.adapted_diff_matrix(ctx, k_mid, rows), rows)
-            for j in range(lo, hi):
-                unit[j] = 1.0
-                errs.append(np.max(np.abs(adj[:, j - lo]
-                                          - mg.adapted_diff_adjoint(ctx, unit, k_mid))))
-                unit[j] = 0.0
+            units = np.zeros((mu.atom_count, hi - lo))
+            units[np.arange(lo, hi), np.arange(hi - lo)] = 1.0
+            errs.append(np.max(np.abs(adj - mg.adapted_diff_adjoint(ctx, units, k_mid))))
         err = float(np.max(errs))
         self.add("identities", "adjoint-transpose", "adapted.adjoint-is-transpose",
                  err <= 1e-11, err, 1e-11)
@@ -938,7 +943,8 @@ def emit_report(report: SuiteReport, out_dir) -> List[Path]:
     """Write the canonical JSON report and CSV tables; re-emission is idempotent.
 
     Wall times go to ``timings.json`` beside ``report.json``, in seconds: each
-    suite's, and each check row's that has its own timer.  So does the
+    suite's, each fixture pair's build (``pair_s``, by the repr of its
+    (r, grids) key), and each check row's that has its own timer.  So does the
     process's peak resident set after each suite, ``peak_rss_mib``:
     ``getrusage``'s ``ru_maxrss``, whose unit is KiB on Linux, over 1024.
     They vary from run to run, so they stay out of the canonical report
@@ -955,6 +961,7 @@ def emit_report(report: SuiteReport, out_dir) -> List[Path]:
     timings_path.write_text(json.dumps({
         "suite_s": report.suite_s,
         "peak_rss_mib": report.peak_rss_mib,
+        "pair_s": report.pair_s,
         "check_s": {f"{c.suite}/{c.name}": c.runtime_s for c in checks
                     if c.runtime_s > 0.0},
         "environment": {**{var: os.environ.get(var, "unset") for var in _BLAS_THREAD_VARS},

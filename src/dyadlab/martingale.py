@@ -30,12 +30,12 @@ omega_k E_k.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Tuple
 
 import numpy as np
 
 from dyadlab.accretive import AccretiveSystem, Layers
-from dyadlab.grid import Cube, GridIndex
+from dyadlab.grid import Cube, CubeKey, GridIndex
 from dyadlab.measure import AtomicMeasure, integrate, mult, restrict
 
 __all__ = [
@@ -84,24 +84,41 @@ class MartingaleContext:
         self.system = index.system
         self.delta = system_b.delta
 
-        n = mu.atom_count
         self.b_adapted: Dict[int, np.ndarray] = {}
         self.eb_adapted: Dict[int, np.ndarray] = {}
         self.chi: Dict[int, np.ndarray] = {}
 
-        top_key = self.system.top_cube().key
-        layer_set = {key for gen in layers.generations for key in gen}
-        for k in self.scales:
-            b_k = np.empty(n)
-            chi_k = np.zeros(n, dtype=bool)
-            for cube in index.occupied(k):
-                atoms = index.atoms_of(cube)
-                b_k[atoms] = self.b_anc(cube)[atoms]
-                if cube.key in layer_set and cube.key != top_key:
-                    chi_k[atoms] = True
-            self.b_adapted[k] = b_k
-            self.eb_adapted[k] = self._average_by_cube(b_k, k)
-            self.chi[k] = chi_k
+        # b_k at an atom is b_{Q^a} there, Q its scale-k cube: read from one
+        # row per scale of ancestor values (the ancestors of one scale are
+        # disjoint), and 0 where Q^a misses the atom
+        scales = list(self.scales)
+        row_of = {k: r for r, k in enumerate(scales)}
+        atoms = np.arange(mu.atom_count)
+        cube_ids = index.cube_id_rows()
+        held = np.zeros(cube_ids.shape)
+        placed: Dict[CubeKey, Tuple[int, int]] = {}
+
+        def place(key: CubeKey) -> Tuple[int, int]:
+            vals = system_b.on_key(key)
+            p = index.position(key)
+            if p is None:                       # holds no atom: b_{Q^a} is 0 on Q
+                return 0, -1
+            r = row_of[key[0]]
+            starts = index.atom_starts(key[0])
+            held[r, index.atom_order(key[0])[starts[p]:starts[p + 1]]] = vals
+            return r, p
+
+        layer = layers.marks(index)
+        layer[self.system.s][:] = False        # the top cube, the one cube of scale s
+        for k in scales:
+            anc = [placed.get(a) or placed.setdefault(a, place(a))
+                   for a in map(layers.ancestor.__getitem__, index.cube_keys(k))]
+            ids = index.cube_ids(k)
+            rows, positions = np.array(anc, dtype=np.int64).reshape(-1, 2)[ids].T
+            self.b_adapted[k] = np.where(cube_ids[rows, atoms] == positions,
+                                         held[rows, atoms], 0.0)
+            self.eb_adapted[k] = self._average_by_cube(self.b_adapted[k], k)
+            self.chi[k] = layer[k][ids]
             self._guard(k)
 
     # -- internals ---------------------------------------------------------
@@ -110,11 +127,13 @@ class MartingaleContext:
         cid = self.index.cube_ids(k)
         mass = self.index.masses(k)
         columns = values.reshape(values.shape[0], -1)     # scalar values: one column
-        out = np.empty_like(columns)
-        for j in range(columns.shape[1]):
-            sums = np.bincount(cid, weights=w * columns[:, j], minlength=mass.size)
-            out[:, j] = (sums / mass)[cid]
-        return out.reshape(values.shape)
+        # one bincount over every column, column j in bins j * cubes + cid:
+        # each bin still adds its atoms' terms in atom order
+        width = columns.shape[1]
+        bins = (cid[:, None] + mass.size * np.arange(width)).ravel()
+        sums = np.bincount(bins, weights=(w[:, None] * columns).ravel(),
+                           minlength=mass.size * width).reshape(width, mass.size)
+        return (sums / mass).T[cid].reshape(values.shape)
 
     def _guard(self, k: int) -> None:
         floor = np.min(np.abs(self.eb_adapted[k]))

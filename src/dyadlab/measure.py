@@ -448,11 +448,19 @@ def _cantor_points(rng, dimension, atom_count):
     pts += scale * 0.5
     # perturb duplicates deterministically until pairwise distinct
     for attempt in range(32):
-        if atom_count == 1 or _min_sup_gap(pts) > scale / 8.0:
+        if atom_count == 1:
+            return pts
+        gap = _min_sup_gap(pts)
+        if gap > scale / 8.0:
             return pts
         jig = rng.uniform(-scale / 4.0, scale / 4.0, size=pts.shape)
         pts = np.clip(pts + jig, 0.0, 1.0 - scale)
-    raise RuntimeError("weight rescaling failed: degenerate cluster in cantor profile")
+    raise ValueError(
+        f"fractal-cantor placement collides: {atom_count} atoms on the "
+        f"{2 ** (levels * dimension)} leaf cells (side {scale:.3g}) of a {levels}-level "
+        f"quarter-scale tree: after 32 jitter rounds two of them are still "
+        f"{gap:.3g} apart, below the {scale / 8.0:.3g} the profile needs; use fewer atoms "
+        "or another profile")
 
 
 def _clustered_points(rng, dimension, atom_count):

@@ -4,7 +4,8 @@ The reports are built in a fresh interpreter whose BLAS threads are pinned
 by ``bench/workloads.pin_environment`` before numpy loads, as
 ``bench/check_golden.py`` does; this test only reads ``bench/golden.json``.
 The interpreter runs with ``OPENBLAS_VERBOSE=2``, so OpenBLAS names on
-stderr the core whose kernels it picked, and a failure names that core.
+stderr the core whose kernels it picked, and a failure names that core and
+the SIMD extensions numpy found on the CPU.
 """
 import json
 import os
@@ -29,6 +30,16 @@ print(json.dumps({{str(seed): report_sha(run_suite(make_config({WORKLOAD!r}, see
 """
 
 
+def _simd_features() -> str:
+    """The SIMD extensions numpy found on this CPU, by numpy's names."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:             # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return " ".join(sorted(name for name, found in __cpu_features__.items() if found)) \
+        or "(none)"
+
+
 def test_full_d2_n64_reports_match_golden():
     golden = json.loads((BENCH / "golden.json").read_text(encoding="utf-8"))[WORKLOAD]
     done = subprocess.run([sys.executable, "-c", SCRIPT], capture_output=True, text=True,
@@ -40,7 +51,8 @@ def test_full_d2_n64_reports_match_golden():
     assert fresh == want, (
         f"{WORKLOAD} report sha256 differs from bench/golden.json; the reports "
         f"ran on the OpenBLAS {core.group(1) if core else '(unnamed)'} core "
-        "(the `Core:` line under OPENBLAS_VERBOSE=2). golden.json matches the "
+        "(the `Core:` line under OPENBLAS_VERBOSE=2), with numpy's SIMD "
+        f"extensions {_simd_features()}. golden.json matches the "
         "SkylakeX kernels, not Haswell or Sandybridge: report bits depend on "
         "the BLAS build, CPU and thread count (see the FOUND lines on BLAS in "
         "CHANGES.md), so the table holds for one host set-up; run "

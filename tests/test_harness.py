@@ -232,6 +232,23 @@ def test_timings_record_peak_rss_per_suite(tmp_path):
     assert values == sorted(values)          # a high-water mark never falls
 
 
+def test_timings_record_pair_build_seconds(tmp_path):
+    # the layers suite builds the random pair, the matrix suite the standard one
+    suites = ("layers", "matrix")
+    report = run_suite(fast_config(suites=suites))
+    emit_report(report, tmp_path / "a")
+    pair_s = json.loads((tmp_path / "a" / "timings.json").read_text())["pair_s"]
+    assert set(pair_s) == {"(None, 'random')", "(None, 'standard')"}
+    assert all(t > 0.0 for t in pair_s.values())
+    # the build seconds go to timings.json only: report.json keeps its bytes
+    report.pair_s.clear()
+    emit_report(report, tmp_path / "b")
+    assert (tmp_path / "a" / "report.json").read_bytes() == \
+        (tmp_path / "b" / "report.json").read_bytes() == \
+        run_suite(fast_config(suites=suites)).canonical_json().encode("utf-8")
+    assert "pair_s" not in report.canonical_json()
+
+
 def test_adjoint_transpose_row_matches_dense(monkeypatch):
     # with many row blocks the check reports the error of the dense
     # comparison, bit for bit

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -270,6 +271,22 @@ def test_generated_measures_match_dense_reference(monkeypatch, dimension, profil
     want = generate_random_measure(9, dimension, 0.5 * dimension, n, profile)
     assert np.array_equal(got.positions, want.positions)
     assert np.array_equal(got.weights, want.weights)
+
+
+@pytest.mark.parametrize("n", [300, 512])
+def test_cantor_profile_rejects_colliding_placement(n):
+    # 1-D: from about 300 atoms the quarter-scale leaves cannot keep the
+    # atoms apart; the error names the placement and the atom count
+    with pytest.raises(ValueError, match=rf"fractal-cantor placement collides: {n} atoms"):
+        generate_random_measure(9, 1, 0.5, n, "fractal-cantor")
+
+
+def test_cantor_profile_keeps_its_placements():
+    mu = generate_random_measure(9, 1, 0.5, 200, "fractal-cantor")
+    assert hashlib.sha256(mu.positions.tobytes()).hexdigest() == \
+        "4ad63ffd7700976b4438a230a9226b085c766a3d607d85431af5a24914934444"
+    assert hashlib.sha256(mu.weights.tobytes()).hexdigest() == \
+        "3177adbd8f286dc07713b3da119fe7e2f060c1e3ad6fdca6905c7259cfb5a2ea"
 
 
 def test_battery_measure_memory():
