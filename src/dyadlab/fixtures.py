@@ -1,7 +1,9 @@
 """Standard fixture battery shared by the harness and the test suite.
 
-The harness and the tests also share two suite inputs: ``sqfn_families``
-(the square-function families) and ``decoupling_blocks`` (the decoupling blocks).
+The harness and the tests also share three suite inputs: ``sqfn_families``
+(the square-function families), ``norm_equivalence_family`` (the transition
+family of the norm equivalence) and ``decoupling_blocks`` (the decoupling
+blocks).
 
 The battery measure keeps its atoms in tight clusters around coordinates
 whose binary expansions stay away from every dyadic boundary (thirds), on a
@@ -38,6 +40,7 @@ __all__ = [
     "build_fixture_pair",
     "random_ensemble",
     "sqfn_families",
+    "norm_equivalence_family",
     "decoupling_blocks",
     "BATTERY_D",
     "BATTERY_GAMMA",
@@ -173,6 +176,15 @@ def sqfn_families(ctx: MartingaleContext) -> Dict[str, Callable]:
             mult(ctx.chi_mask(k - 1).astype(float), expectation(ctx, f, k - 1))
             for k in ctx.diff_scales],
     }
+
+
+def norm_equivalence_family(ctx: MartingaleContext, f: np.ndarray) -> List[np.ndarray]:
+    """1_{b_{k-1} != b_k} E_k f for each difference scale k: the third term of
+    the norm equivalence ||f||_p ~ ||E^a_s f||_p + ||sum_k eps_k D^a_k f||_p
+    + ||sum_k eps_k 1_{b_{k-1} != b_k} E_k f||_p, for scalar or
+    lattice-valued f."""
+    return [mult(ctx.chi_mask(k - 1).astype(float), expectation(ctx, f, k))
+            for k in ctx.diff_scales]
 
 
 def decoupling_blocks(index: GridIndex, rng, max_blocks: int) -> List[DecouplingBlock]:

@@ -28,7 +28,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from dyadlab._seeds import rng_for
+from dyadlab._seeds import _uint32_words, rng_for
 from dyadlab.measure import AtomicMeasure
 
 CubeKey = Tuple[int, Tuple[int, ...]]
@@ -670,27 +670,6 @@ def _keep_spare_half(bitgen: np.random.PCG64, spare: Optional[np.uint32]) -> Non
     if spare is not None:
         state["uinteger"] = int(spare)
     bitgen.state = state
-
-
-def _uint32_words(bitgen: np.random.PCG64, count: int, spare: Optional[np.uint32]):
-    """The next ``count`` 32-bit draws of a PCG64 stream, and the spare half left.
-
-    numpy's 32-bit draw on PCG64 returns the low half of a fresh 64-bit word
-    and keeps the high half for the next 32-bit draw, which returns it.  So
-    with ``spare`` (the kept half, or None) first, the draws are the halves
-    of ``random_raw`` words low then high; when ``count`` ends inside a word,
-    its high half is returned as the new spare.  ``rng.integers(0, 2, size)``
-    makes one such draw per digit (Lemire's method with a bound of 2, which
-    never rejects), and the digit is the draw's top bit.
-    """
-    if spare is None:
-        words = np.asarray(bitgen.random_raw((count + 1) // 2), dtype="<u8").view("<u4")
-    else:
-        raw = np.asarray(bitgen.random_raw(count // 2), dtype="<u8").view("<u4")
-        words = np.concatenate(([spare], raw))
-    if len(words) > count:
-        return words[:count], words[count]
-    return words, None
 
 
 def shift_walk_hits(rng: np.random.Generator, trials: int, dimension: int,

@@ -126,6 +126,15 @@ class ExperimentConfig:
         if self.kernel == "hilbert" and self.dimension != 1:
             raise ValueError(f"the hilbert kernel is defined in dimension 1 only, not "
                              f"{self.dimension}; use kernel 'riesz' or 'dipole'")
+        if self.sampler_trials < 2:
+            raise ValueError(f"sampler_trials must be at least 2 for a Monte Carlo "
+                             f"standard error, not {self.sampler_trials}")
+        if self.mc_trials < 1000:
+            raise ValueError(f"mc_trials must be at least 1000, the fewest the shift "
+                             f"probability estimates take, not {self.mc_trials}")
+        if not 0 <= self.n_exact <= 20:
+            raise ValueError(f"n_exact must lie in [0, 20] (an exact table holds "
+                             f"2^n_exact sign rows), not {self.n_exact}")
 
     @property
     def q(self) -> float:
@@ -555,11 +564,8 @@ class _Runner:
             parts = (ms.lp_norm(mu, top, cfg.p, rho=rho)
                      + rn.randomized_norm(mu, fams["adapted-diff"](f), cfg.p, sampler,
                                           rho=rho, label="neq1").value
-                     + rn.randomized_norm(
-                         mu, [ms.mult(ctx.chi_mask(k - 1).astype(float),
-                                      mg.expectation(ctx, f, k))
-                              for k in ctx.diff_scales],
-                         cfg.p, sampler, rho=rho, label="neq2").value)
+                     + rn.randomized_norm(mu, fx.norm_equivalence_family(ctx, f),
+                                          cfg.p, sampler, rho=rho, label="neq2").value)
             worst_up = max(worst_up, lhs / max(parts, 1e-300))
             worst_lo = max(worst_lo, parts / max(lhs, 1e-300))
         self.add("sqfn", "norm-equivalence-upper", "sqfn.norm-equivalence-upper",

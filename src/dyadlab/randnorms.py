@@ -42,6 +42,25 @@ keeps its bits, and that fixes the following choices:
   and rounding is symmetric), so when the first half fills at least one
   block, only rows [0, P/2) are evaluated and the rest are copied in
   reverse.  A smaller table is evaluated whole, as before.
+* Classes.  A member h_k that is zero everywhere (every item, atom and
+  coordinate; -0.0 counts as zero, NaN and inf do not) adds s_k * 0.0 =
+  +-0.0 to each sum, which moves no bit of |sum_k s_k h_k|.  So a row's
+  value depends only on its signs on the live members, up to the global
+  flip of the mirror: with L live members the rows fall into at most
+  2^(L-1) classes.  ``_sign_classes`` keys each row by those signs, made
+  canonical by the first live one, and ``np.unique`` picks one row per
+  class; they are evaluated, at full width (all K signs, all n*m columns),
+  and scattered back, so the mean and standard deviation still reduce all
+  P values in place.  The rows are padded, by repeating one, to a multiple
+  of 64 and to at least the table's first block, so every row meets the
+  BLAS kernels it met in the table's own blocks.  The mirror is the
+  all-live case of a class: the classes are used only when their padded
+  bound 2^(L-1) is below the evaluated rows, so an all-live exact table
+  keeps its mirror and sorts no keys.  They are not used where the
+  "Limits" below make a row's bits depend on the row count: more than 192
+  product columns that are not a multiple of 8, or a row total that is not
+  a multiple of four.  A Monte Carlo call with 16 signs of which 11 are
+  live evaluates 1,024 of its 4,096 rows; with 3 live, one block of 128.
 * Fixed layout.  The sign rows multiply each family as one (signs x atom
   values) matrix: a scalar family as (K, n), a lattice family as (K, n*m)
   in the atom-major (atom, coordinate) column layout that
@@ -113,7 +132,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from dyadlab._seeds import rng_for
+from dyadlab._seeds import _uint32_words, rng_for
 from dyadlab.grid import GridIndex
 from dyadlab.martingale import MartingaleContext, expectation
 from dyadlab.measure import AtomicMeasure, LatticeSpace, lp_norm, mult, restrict, \
@@ -181,18 +200,31 @@ class RademacherSampler:
     mc_trials: int = 4096
     seed: int = 0
 
+    def __post_init__(self):
+        if self.mc_trials < 2:
+            raise ValueError(f"mc_trials must be at least 2 for a Monte Carlo standard "
+                             f"error, not {self.mc_trials}")
+
     def signs(self, count: int, label: str = "") -> Tuple[np.ndarray, bool]:
         """(patterns, exact): patterns is (P, count) of +-1.
 
-        The exact table is cached per count and shared, so it is read-only,
-        and it is int8 (``_exact_signs``); Monte Carlo patterns are float.
+        For count >= 1 both tables are int8 and read-only.  The exact table is cached per
+        count and shared (``_exact_signs``).  A Monte Carlo table is drawn
+        fresh per (count, label): its signs are 1 - 2 digit for the digits
+        ``rng.integers(0, 2, size=(mc_trials, count))`` would give, read from
+        the top bits of the stream's 32-bit draws (``_seeds._uint32_words``),
+        so widened to float64 it is the table ``1.0 - 2.0 * integers`` was.
         """
         if count == 0:
             return np.ones((1, 0)), True
         if count <= self.n_exact:
             return _exact_signs(count), True
         rng = rng_for(self.seed, f"signs:{count}:{label}")
-        return 1.0 - 2.0 * rng.integers(0, 2, size=(self.mc_trials, count)), False
+        # a fresh generator keeps no half-word
+        words, _ = _uint32_words(rng.bit_generator, self.mc_trials * count, None)
+        table = (1 - 2 * (words >> 31).astype(np.int8)).reshape(self.mc_trials, count)
+        table.flags.writeable = False
+        return table, False
 
 
 @dataclass(frozen=True)
@@ -250,18 +282,48 @@ def _blocks(total: int, exact: bool, row_muladds: int) -> Tuple[List[Tuple[int, 
     return blocks, evaluated
 
 
-def _stack_pattern_values(weights: np.ndarray, stack: np.ndarray, p: float, rho: float,
-                          signs: np.ndarray, exact: bool) -> np.ndarray:
-    """(T, P): int |sum_k s_k h_k|^p dmu for every sign row s and every family
-    (h_k) of a stack, (T, K, n) scalar or (T, K, n, m) lattice-valued with
-    l^rho value norms; rho is not read for a scalar stack.  The module
-    docstring ("Evaluation") says how the rows are blocked and mirrored.
+def _sign_classes(stack: np.ndarray, signs: np.ndarray, blocks: List[Tuple[int, int]],
+                  evaluated: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """(rows, inverse): one sign row per class of rows that agree up to a
+    global flip on the live members of the stack, and each row's class; or
+    None where the table's own blocks are evaluated.
+
+    ``rows`` is padded with its first row to a multiple of 64 rows, and to
+    at least the first of the table's own ``blocks``.  Classes are used only
+    when the most classes L live members allow, 2^(L-1), padded so, are
+    fewer rows than the ``evaluated`` ones; so an all-live exact table keeps
+    its mirror and sorts no keys.  The module docstring ("Classes") says why
+    each row keeps its bits.
     """
+    total = signs.shape[0]
+    width = math.prod(stack.shape[2:])
+    if len(blocks) < 2 or total % 4 or (width > 192 and width % 8):
+        return None
+    floor = blocks[0][1] - blocks[0][0]             # a multiple of 64
+
+    def padded(classes: int) -> int:
+        return max(-(-classes // 64) * 64, floor)
+
+    live = np.flatnonzero(np.any(stack != 0, axis=(0,) + tuple(range(2, stack.ndim))))
+    if padded(min(2 ** max(live.size - 1, 0), total)) >= evaluated:
+        return None
+    # the signs on the live members, made canonical: the first one is +1
+    neg = signs[:, live] < 0
+    neg ^= neg[:, :1]
+    key = neg[:, 1:] @ (1 << np.arange(max(live.size - 1, 0), dtype=np.int64))
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    rows = np.full(padded(first.size), first[0])
+    rows[:first.size] = first
+    return rows, inverse
+
+
+def _evaluate_rows(weights: np.ndarray, stack: np.ndarray, p: float, rho: float,
+                   signs: np.ndarray, blocks: List[Tuple[int, int]], total: int) -> np.ndarray:
+    """(T, total) with the per-pattern values of the sign rows in ``blocks``
+    filled in; the other columns are left unset."""
     items, count, n = stack.shape[:3]
     width = math.prod(stack.shape[2:])              # atom values per family
-    total = signs.shape[0]
     out = np.empty((items, total))
-    blocks, evaluated = _blocks(total, exact, count * width)
     largest = max((hi - lo for lo, hi in blocks), default=0)
     if stack.ndim == 3:
         work = np.empty(items * largest * n)
@@ -282,6 +344,27 @@ def _stack_pattern_values(weights: np.ndarray, stack: np.ndarray, p: float, rho:
                 values = vector_norm_into(fields, rho, norms[:hi - lo])
                 values **= p
                 out[t, lo:hi] = values @ weights
+    return out
+
+
+def _stack_pattern_values(weights: np.ndarray, stack: np.ndarray, p: float, rho: float,
+                          signs: np.ndarray, exact: bool) -> np.ndarray:
+    """(T, P): int |sum_k s_k h_k|^p dmu for every sign row s and every family
+    (h_k) of a stack, (T, K, n) scalar or (T, K, n, m) lattice-valued with
+    l^rho value norms; rho is not read for a scalar stack.  The module
+    docstring ("Evaluation") says how the rows are blocked, mirrored and
+    grouped in classes.
+    """
+    row_muladds = math.prod(stack.shape[1:])        # signs x atom values
+    total = signs.shape[0]
+    blocks, evaluated = _blocks(total, exact, row_muladds)
+    classes = _sign_classes(stack, signs, blocks, evaluated)
+    if classes is not None:
+        rows, inverse = classes
+        values = _evaluate_rows(weights, stack, p, rho, signs[rows],
+                                _blocks(rows.size, False, row_muladds)[0], rows.size)
+        return values[:, inverse]
+    out = _evaluate_rows(weights, stack, p, rho, signs, blocks, total)
     if evaluated < total:
         out[:, evaluated:] = out[:, evaluated - 1::-1]
     return out

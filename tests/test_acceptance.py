@@ -16,7 +16,8 @@ from dyadlab.grid import (DyadicParams, bad_probability_bound, bad_probability_m
                           contains)
 from dyadlab.accretive import check_layer_decay
 from dyadlab.fixtures import (battery_measure, battery_params, build_fixture_pair,
-                              decoupling_blocks, random_ensemble, sqfn_families)
+                              decoupling_blocks, norm_equivalence_family,
+                              random_ensemble, sqfn_families)
 from dyadlab.martingale import (adapted_diff, adapted_diff_adjoint,
                                 adapted_diff_local, adapted_expectation,
                                 expectation, omega, phi, reconstruct)
@@ -330,10 +331,8 @@ def _sqfn_ratios(ctx, p, rho, m, seed):
         parts = (lp_norm(mu, adapted_expectation(ctx, f, ctx.system.s), p, rho=rho)
                  + randomized_norm(mu, fams["adapted-diff"](f), p, SAMPLER, rho=rho,
                                    label=f"acc7:nq1:{i}").value
-                 + randomized_norm(mu, [
-                     ctx.chi_mask(k - 1).astype(float)[:, None]
-                     * expectation(ctx, f, k) for k in ctx.diff_scales],
-                     p, SAMPLER, rho=rho, label=f"acc7:nq2:{i}").value)
+                 + randomized_norm(mu, norm_equivalence_family(ctx, f), p, SAMPLER,
+                                   rho=rho, label=f"acc7:nq2:{i}").value)
         up = max(up, lhs / max(parts, 1e-30))
         lo = max(lo, parts / max(lhs, 1e-30))
     out["equivalence-upper"] = up

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dyadlab._seeds import rng_for
+from dyadlab._seeds import _uint32_words, rng_for
 from dyadlab.fixtures import battery_measure, battery_params
 from dyadlab.measure import AtomicMeasure, generate_random_measure
 from dyadlab.grid import (DyadicParams, DyadicSystem, _fmod_pow2, _keep_spare_half,
-                          _spare_half, _uint32_words, bad_probability_bound,
+                          _spare_half, bad_probability_bound,
                           bad_probability_mc, badness_scan, boundary_distance,
                           build_random_system, contains, dumps_system, loads_system,
                           locate, long_distance, set_distance, shift_walk_hits,

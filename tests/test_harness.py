@@ -45,6 +45,49 @@ def test_hilbert_kernel_needs_dimension_one():
     assert ExperimentConfig(dimension=2, kernel="riesz").config_hash() == "60a6802f33cf7575"
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("sampler_trials", 1, "sampler_trials must be at least 2"),
+    ("sampler_trials", 0, "sampler_trials must be at least 2"),
+    ("mc_trials", 10, "mc_trials must be at least 1000"),
+    ("mc_trials", 999, "mc_trials must be at least 1000"),
+    ("n_exact", -1, "n_exact must lie in \\[0, 20\\]"),
+    ("n_exact", 21, "n_exact must lie in \\[0, 20\\]")])
+def test_config_rejects_degenerate_sampler_settings(field, value, message):
+    kw = dict(atom_count=32, n_exact=2)
+    kw[field] = value
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(**kw)
+
+
+def test_config_accepts_sampler_settings_at_their_limits():
+    for kw in (dict(sampler_trials=2), dict(mc_trials=1000), dict(n_exact=0),
+               dict(n_exact=20)):
+        ExperimentConfig(**kw)
+
+
+def test_workload_config_hashes_are_pinned():
+    # the sampler checks add no field, so the benchmark workloads' reports
+    # keep their hashes (the default config's is pinned above)
+    norms = dict(dimension=1, atom_count=512,
+                 suites=("identities", "layers", "badcubes", "sqfn", "carleson",
+                         "decoupling"))
+    pairs = dict(dimension=1, kernel="hilbert", atom_count=128,
+                 suites=("matrix", "paraproduct", "comparable", "ledger"))
+    full = dict(dimension=2, kernel="riesz", atom_count=64)
+    for kw, hashes in ((pairs, ("b04f14ebad4070f7", "3c554e94f379bc63")),
+                       (norms, ("0b1fb867ac09fdb5", "b27501816d64beaa")),
+                       (full, ("653a29fb898e65b4", "c6024f3161e54778"))):
+        assert tuple(ExperimentConfig(seed=seed, **kw).config_hash()
+                     for seed in (7, 11)) == hashes
+
+
+def test_cli_degenerate_sampler_setting_exit_2(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"sampler_trials": 1}))
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    assert "sampler_trials must be at least 2" in capsys.readouterr().err
+
+
 def test_config_roundtrip_and_hash():
     cfg = fast_config()
     back = ExperimentConfig.from_json(cfg.to_json())

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import dyadlab.randnorms as rn
+from dyadlab._seeds import rng_for
 from dyadlab.measure import AtomicMeasure, lp_norm, vector_norm
 from dyadlab.fixtures import battery_measure, build_fixture_pair, random_ensemble, \
     battery_params
@@ -303,6 +304,26 @@ def test_exact_sign_table_is_cached_and_read_only():
     assert np.array_equal(table, 1.0 - 2.0 * grid)
     # row P-1-i is -(row i): the symmetry the evaluation mirrors
     assert np.array_equal(table[::-1], -table)
+
+
+@pytest.mark.parametrize("trials", [4095, 4096, 3])
+@pytest.mark.parametrize("count", range(15, 21))
+def test_monte_carlo_sign_table_gives_the_integers_digits(count, trials):
+    # the int8 table widens to the float table ``integers`` gave, for even
+    # and odd trials x count
+    sampler = RademacherSampler(n_exact=14, mc_trials=trials, seed=19)
+    table, exact = sampler.signs(count, label="digits")
+    assert not exact and table.dtype == np.int8 and table.shape == (trials, count)
+    assert not table.flags.writeable
+    rng = rng_for(19, f"signs:{count}:digits")
+    want = 1.0 - 2.0 * rng.integers(0, 2, size=(trials, count))
+    assert np.array_equal(np.asarray(table, dtype=float), want)
+
+
+@pytest.mark.parametrize("trials", [1, 0, -3])
+def test_sampler_needs_two_monte_carlo_trials(trials):
+    with pytest.raises(ValueError, match="mc_trials must be at least 2"):
+        RademacherSampler(mc_trials=trials)
 
 
 def test_empty_family_has_documented_zero_norm():

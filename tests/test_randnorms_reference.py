@@ -5,7 +5,10 @@ computes each block's resampling law once and evaluates the resampled
 families in stacked chunks, and ``measure.vector_norm`` reuses one column
 buffer.  Each must return exactly what the plain versions below return
 (``==`` on the whole result, sign bits included).  The one sign-pattern
-kernel must give each item of a stack the bits of its own one-family call.
+kernel must give each item of a stack the bits of its own one-family call,
+and, evaluating one sign row per class of rows that agree on the live
+members, the bits of the kernel that evaluated every row
+(``_ref_stack_pattern_values``).
 """
 import itertools
 import math
@@ -18,7 +21,7 @@ import dyadlab.randnorms as rn
 from dyadlab._seeds import rng_for
 from dyadlab.fixtures import battery_measure, battery_params, build_fixture_pair, \
     decoupling_blocks
-from dyadlab.measure import restrict, vector_norm
+from dyadlab.measure import restrict, vector_norm, vector_norm_into
 from dyadlab.randnorms import (DecouplingBlock, NormReport, RademacherSampler,
                                carleson_norm, decoupling_check, randomized_norm)
 
@@ -496,6 +499,232 @@ def test_int8_sign_table_gives_the_float_table_bits(m):
     _assert_same_bits(rn._stack_pattern_values(weights, stack, 1.5, 3.0, signs, True),
                       rn._stack_pattern_values(weights, stack, 1.5, 3.0,
                                                signs.astype(float), True))
+
+
+# =============================================================================
+# Sign classes: one row per class against the kernel that evaluated every row
+# =============================================================================
+
+def _ref_blocks(total, exact, row_muladds):
+    rows = -(-rn.BLOCK_MULADDS // max(64 * row_muladds, 1)) * 64
+    evaluated = total // 2 if exact and total // 2 >= rows else total
+    blocks, lo = [], 0
+    while lo < evaluated:
+        hi = evaluated if evaluated - lo < 2 * rows else lo + rows
+        blocks.append((lo, hi))
+        lo = hi
+    return blocks, evaluated
+
+
+def _ref_stack_pattern_values(weights, stack, p, rho, signs, exact):
+    """The kernel as it was before sign classes: every row of the table's
+    blocks is evaluated, and an exact table's second half is mirrored."""
+    items, count, n = stack.shape[:3]
+    width = math.prod(stack.shape[2:])              # atom values per family
+    total = signs.shape[0]
+    out = np.empty((items, total))
+    blocks, evaluated = _ref_blocks(total, exact, count * width)
+    largest = max((hi - lo for lo, hi in blocks), default=0)
+    if stack.ndim == 3:
+        work = np.empty(items * largest * n)
+    else:
+        flat = stack.reshape(items, count, width)  # atom-major (atom, coordinate) columns
+        work, norms = np.empty((largest, width)), np.empty((largest, n))
+    for lo, hi in blocks:
+        s = np.asarray(signs[lo:hi], dtype=float)
+        if stack.ndim == 3:
+            prod = work[:items * (hi - lo) * n].reshape(items, hi - lo, n)
+            np.matmul(s, stack, out=prod)
+            np.abs(prod, out=prod)
+            prod **= p
+            out[:, lo:hi] = prod @ weights
+        else:
+            for t in range(items):
+                fields = np.matmul(s, flat[t], out=work[:hi - lo]).reshape(hi - lo, n, -1)
+                values = vector_norm_into(fields, rho, norms[:hi - lo])
+                values **= p
+                out[t, lo:hi] = values @ weights
+    if evaluated < total:
+        out[:, evaluated:] = out[:, evaluated - 1::-1]
+    return out
+
+
+def _class_signs(count, exact, total, seed):
+    if exact:
+        return rn._exact_signs(count)
+    sampler = RademacherSampler(n_exact=count - 1, mc_trials=total, seed=seed)
+    signs, signs_exact = sampler.signs(count, label="classes")
+    assert not signs_exact
+    return signs
+
+
+def _class_stack(rng, items, count, n, m, dead):
+    """A normal (T, K, n[, m]) stack whose ``dead`` random members are +-0.0."""
+    stack = rng.normal(size=(items, count, n) if m == 0 else (items, count, n, m))
+    rows = rng.choice(count, size=dead, replace=False)
+    stack[:, rows] = rng.choice([0.0, -0.0], size=stack[:, rows].shape)
+    return stack
+
+
+def _takes_classes(weights, stack, signs, exact):
+    row_muladds = stack.shape[1] * math.prod(stack.shape[2:])
+    blocks, evaluated = rn._blocks(signs.shape[0], exact, row_muladds)
+    return rn._sign_classes(stack, signs, blocks, evaluated) is not None
+
+
+def _assert_kernel_matches_reference(weights, stack, p, rho, signs, exact):
+    with np.errstate(all="ignore"):
+        got = rn._stack_pattern_values(weights, stack, p, rho, signs, exact)
+        want = _ref_stack_pattern_values(weights, stack, p, rho, signs, exact)
+    _assert_same_bits(got, want)
+
+
+def _class_cases(count=240, seed=2024):
+    """A seeded sample of K 2-20, n 1-700, scalar or m in {1, 2, 3}, T in
+    {1, 3}, p in {1, 2, 3}, rho in {1, 2, inf}, exact and Monte Carlo tables
+    (trial counts that are and are not multiples of 4), with 0 to K dead
+    members; a case holds at most 2^23 products and 2^26 multiply-adds."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    while len(cases) < count:
+        k = int(rng.integers(2, 21))
+        # half the atom counts are multiples of 8, which no fallback takes
+        n = int(rng.integers(1, 701) if rng.random() < 0.5 else 8 * rng.integers(1, 88))
+        m = int(rng.choice([0, 1, 2, 3]))
+        items = int(rng.choice([1, 3]))
+        exact = k <= 14 and bool(rng.random() < 0.4)
+        total = 2 ** k if exact else int(rng.choice([512, 4094, 4095, 4096, 8192, 16384,
+                                                     32768]))
+        width = n * max(m, 1)
+        if items * total * width > 2 ** 23 or items * total * k * width > 2 ** 26:
+            continue
+        cases.append(dict(count=k, n=n, m=m, items=items, exact=exact, total=total,
+                          dead=int(rng.integers(0, k + 1)),
+                          p=float(rng.choice([1.0, 2.0, 3.0])),
+                          rho=float(rng.choice([1.0, 2.0, math.inf])),
+                          seed=int(rng.integers(0, 2 ** 31))))
+    return cases
+
+
+def test_sign_classes_match_reference_over_case_grid():
+    took = 0
+    for case in _class_cases():
+        rng = np.random.default_rng(case["seed"])
+        stack = _class_stack(rng, case["items"], case["count"], case["n"], case["m"],
+                             case["dead"])
+        if case["items"] > 1 and case["dead"] < case["count"]:
+            # one live member vanishes in the first item only
+            live = np.flatnonzero(np.any(stack != 0, axis=(0,) + tuple(
+                range(2, stack.ndim))))
+            stack[0, live[0]] = 0.0
+        weights = rng.uniform(0.1, 2.0, case["n"])
+        signs = _class_signs(case["count"], case["exact"], case["total"], case["seed"])
+        took += _takes_classes(weights, stack, signs, case["exact"])
+        _assert_kernel_matches_reference(weights, stack, case["p"], case["rho"], signs,
+                                         case["exact"])
+    assert took >= 40       # the class path is exercised, not only the fallbacks
+
+
+@pytest.mark.parametrize("dead", range(0, 7))
+def test_sign_classes_any_number_of_dead_members_monte_carlo(dead):
+    # K = 6 lattice members over 200 atoms (1600 product columns): 4 blocks
+    rng = np.random.default_rng(100 + dead)
+    stack = _class_stack(rng, 1, 6, 200, 2, dead)
+    weights = rng.uniform(0.1, 2.0, 200)
+    signs = _class_signs(6, False, 4096, seed=dead)
+    assert _takes_classes(weights, stack, signs, False)
+    _assert_kernel_matches_reference(weights, stack, 2.0, 2.0, signs, False)
+
+
+@pytest.mark.parametrize("dead", range(0, 13))
+def test_sign_classes_any_number_of_dead_members_exact(dead):
+    # K = 12 scalar members over 512 atoms: the half table is 5 blocks; an
+    # all-live table keeps its mirror
+    rng = np.random.default_rng(200 + dead)
+    stack = _class_stack(rng, 2, 12, 512, 0, dead)
+    weights = rng.uniform(0.1, 2.0, 512)
+    signs = rn._exact_signs(12)
+    assert _takes_classes(weights, stack, signs, True) == (dead > 0)
+    _assert_kernel_matches_reference(weights, stack, 3.0, 2.0, signs, True)
+
+
+@pytest.mark.parametrize("m", [0, 2])
+def test_sign_classes_member_dead_in_one_item_only(m):
+    # a member that vanishes in one item of a T = 3 stack is live for all
+    rng = np.random.default_rng(31 + m)
+    stack = _class_stack(rng, 3, 16, 128, m, dead=10)
+    live = np.flatnonzero(np.any(stack != 0, axis=(0,) + tuple(range(2, stack.ndim))))
+    stack[1, live[0]] = 0.0
+    stack[2, live[1]] = -0.0
+    weights = rng.uniform(0.1, 2.0, 128)
+    signs = _class_signs(16, False, 8192, seed=3)
+    assert _takes_classes(weights, stack, signs, False)
+    _assert_kernel_matches_reference(weights, stack, 1.0, math.inf, signs, False)
+
+
+@pytest.mark.parametrize("m", [0, 1, 3])
+def test_sign_classes_nan_inf_and_negative_zero(m):
+    # NaN and inf make a member live, -0.0 leaves it dead; sums that meet
+    # inf - inf give NaN in every row of a class alike
+    rng = np.random.default_rng(47 + m)
+    stack = _class_stack(rng, 1, 14, 96, m, dead=8)
+    dead = np.flatnonzero(~np.any(stack != 0, axis=(0,) + tuple(range(2, stack.ndim))))
+    flat = stack.reshape(1, 14, -1)
+    flat[0, dead[0], 5] = np.nan
+    flat[0, dead[1], 7] = np.inf
+    flat[0, dead[2], 7] = -np.inf
+    flat[0, dead[3], :] = -0.0
+    live = np.flatnonzero(np.any(stack != 0, axis=(0,) + tuple(range(2, stack.ndim))))
+    assert set(dead[:3]) <= set(live) and dead[3] not in live
+    weights = rng.uniform(0.1, 2.0, 96)
+    for p in (1.0, 2.0, 3.0):
+        for exact, total in ((True, 2 ** 14), (False, 16384)):
+            signs = _class_signs(14, exact, total, seed=5)
+            assert _takes_classes(weights, stack, signs, exact)
+            _assert_kernel_matches_reference(weights, stack, p, 2.0, signs, exact)
+
+
+@pytest.mark.parametrize("total", [4094, 4095, 4097])
+def test_sign_classes_fall_back_when_rows_are_not_a_multiple_of_four(total):
+    rng = np.random.default_rng(total)
+    stack = _class_stack(rng, 1, 16, 512, 2, dead=13)
+    weights = rng.uniform(0.1, 2.0, 512)
+    signs = _class_signs(16, False, total, seed=7)
+    assert not _takes_classes(weights, stack, signs, False)
+    _assert_kernel_matches_reference(weights, stack, 2.0, 2.0, signs, False)
+
+
+@pytest.mark.parametrize("n,m", [(97, 3), (193, 0), (250, 1)])
+def test_sign_classes_fall_back_on_wide_unaligned_products(n, m):
+    # more than 192 product columns, not a multiple of 8
+    rng = np.random.default_rng(n)
+    stack = _class_stack(rng, 1, 16, n, m, dead=13)
+    weights = rng.uniform(0.1, 2.0, n)
+    signs = _class_signs(16, False, 8192, seed=7)
+    assert not _takes_classes(weights, stack, signs, False)
+    _assert_kernel_matches_reference(weights, stack, 3.0, 1.0, signs, False)
+
+
+def test_three_live_members_evaluate_one_block(monkeypatch):
+    # a (1, 16, 512, 2) Monte Carlo call with 3 live members has 4 classes:
+    # it evaluates one block of rows, not the 4096 of the table
+    rng = np.random.default_rng(61)
+    stack = _class_stack(rng, 1, 16, 512, 2, dead=13)
+    weights = rng.uniform(0.1, 2.0, 512)
+    signs = _class_signs(16, False, 4096, seed=7)
+    block = rn._blocks(4096, False, 16 * 1024)[0][0][1]
+    evaluated = []
+    evaluate = rn._evaluate_rows
+
+    def counting(weights, stack, p, rho, signs, blocks, total):
+        evaluated.append(sum(hi - lo for lo, hi in blocks))
+        return evaluate(weights, stack, p, rho, signs, blocks, total)
+
+    monkeypatch.setattr(rn, "_evaluate_rows", counting)
+    got = rn._stack_pattern_values(weights, stack, 2.0, 2.0, signs, False)
+    assert len(evaluated) == 1 and evaluated[0] <= block == 128
+    _assert_same_bits(got, _ref_stack_pattern_values(weights, stack, 2.0, 2.0, signs,
+                                                     False))
 
 
 # =============================================================================
