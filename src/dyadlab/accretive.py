@@ -38,6 +38,7 @@ __all__ = [
     "layer_decay_report",
     "layer_decay_tau",
     "generate_accretive",
+    "STYLES",
     "dumps_accretive",
     "loads_accretive",
 ]
@@ -336,7 +337,7 @@ def overlap_l1_bound(layers: Layers, delta: float, mu: AtomicMeasure,
 # Generation
 # =============================================================================
 
-_STYLES = ("indicator", "signed-perturbation", "oscillatory")
+STYLES = ("indicator", "signed-perturbation", "oscillatory")
 
 
 def generate_accretive(seed: int, mu: AtomicMeasure, index: GridIndex, delta: float,
@@ -353,8 +354,8 @@ def generate_accretive(seed: int, mu: AtomicMeasure, index: GridIndex, delta: fl
     The generator makes its draws cube by cube, scales upward and cubes by
     position, the same calls in the same order whatever the layout.
     """
-    if style not in _STYLES:
-        raise ValueError(f"unknown style {style!r}; expected one of {_STYLES}")
+    if style not in STYLES:
+        raise ValueError(f"unknown style {style!r}; expected one of {STYLES}")
     rng = rng_for(seed, f"accretive:{style}:{delta}")
     scale_values: Dict[int, np.ndarray] = {}
     if style == "signed-perturbation":

@@ -93,7 +93,7 @@ class ExperimentConfig:
     dimension: int = 1
     growth_exponent: float = fx.BATTERY_D
     atom_count: int = 32
-    measure_profile: str = "battery"      # battery | uniform | fractal-cantor | clustered | file
+    measure_profile: str = "battery"      # battery | file | one of measure.PROFILES
     measure_file: Optional[str] = None
     kernel: str = "hilbert"
     lattice_m: int = 2
@@ -120,6 +120,17 @@ class ExperimentConfig:
         gr.DyadicParams(gamma=self.gamma, r=self.r, alpha=self.alpha,
                         d=self.growth_exponent)
         self.lattice()
+        # names that would otherwise fail only inside a suite, as a hard-error row
+        czop.kernel_by_name(self.kernel, self.growth_exponent)
+        if self.accretive_style not in acc.STYLES:
+            raise ValueError(f"unknown accretive_style {self.accretive_style!r}; "
+                             f"expected one of {acc.STYLES}")
+        profiles = ("battery", "file") + ms.PROFILES
+        if self.measure_profile not in profiles:
+            raise ValueError(f"unknown measure_profile {self.measure_profile!r}; "
+                             f"expected one of {profiles}")
+        if self.measure_profile == "file" and self.measure_file is None:
+            raise ValueError("measure_profile 'file' needs a measure_file")
         unknown = set(self.suites) - set(ALL_SUITES)
         if unknown:
             raise ValueError(f"unknown suites: {sorted(unknown)}")
@@ -341,24 +352,19 @@ class _Runner:
         omegas = {k: mg.omega(ctx, k) for k in ctx.diff_scales}
         means = {k: mg.expectation(ctx, f, k) for k in ctx.diff_scales}
 
-        worst = 0.0
+        # D^a_Q = 1_Q D^a_k reads only the bincount bins of Q and of its
+        # children, which hold only atoms of Q; so on Q, D^a_k of 1_Q D^a_k f
+        # has the bits of D^a_k of D^a_k f, and the local check on each cube
+        # is the scale's error row on that cube
+        worst = worst_local = 0.0
         for k in ctx.diff_scales:
-            lhs = mg.adapted_diff(ctx, diffs[k], k)
-            rhs = diffs[k] + omegas[k] * means[k]
-            worst = max(worst, _relsup(lhs - rhs, f))
+            err = mg.adapted_diff(ctx, diffs[k], k) - (diffs[k] + omegas[k] * means[k])
+            worst = max(worst, _relsup(err, f))
+            worst_local = _running_max(worst_local, _relsup_by_cube(err, f, ctx.index, k))
         self.add("identities", "projection-square", "adapted.projection-square",
                  worst <= tol, worst, tol)
-
-        worst = 0.0
-        for k in ctx.diff_scales:
-            for cube in ctx.index.occupied(k):
-                atoms = ctx.index.atoms_of(cube)
-                dq = ms.restrict(diffs[k], atoms)
-                lhs = mg.adapted_diff_local(ctx, dq, cube)
-                rhs = dq + ms.restrict(omegas[k], atoms) * ms.restrict(means[k], atoms)
-                worst = max(worst, _relsup(lhs - rhs, f))
         self.add("identities", "local-projection-square", "adapted.local-projection-square",
-                 worst <= tol, worst, tol)
+                 worst_local <= tol, worst_local, tol)
 
         worst = 0.0
         for k in ctx.diff_scales:
@@ -370,25 +376,37 @@ class _Runner:
                  worst <= tol, worst, tol)
 
         worst_exp, worst_mean, worst_sup, worst_l1, bad_supp = 0.0, 0.0, 0.0, 0.0, 0
+        index, w = ctx.index, mu.weights
         for k in ctx.diff_scales:
-            for cube in ctx.index.occupied(k):
-                atoms = ctx.index.atoms_of(cube)
-                dq = ms.restrict(diffs[k], atoms)
-                outside = np.delete(np.arange(mu.atom_count), atoms)
-                combo = np.zeros(mu.atom_count)
-                for i, child in ctx.index.occupied_children(cube):
-                    mass_child = ctx.index.mass_of(child)
-                    mean = ms.integrate(mu, f, ctx.index.atoms_of(child)) / mass_child
-                    pv = mg.phi(ctx, cube, i)
-                    combo += mean * pv
-                    worst_mean = max(worst_mean, abs(ms.integrate(mu, pv))
-                                     / max(ctx.index.mass_of(cube), 1e-30))
-                    worst_sup = max(worst_sup, float(np.max(np.abs(pv))))
-                    worst_l1 = max(worst_l1, ms.lp_norm(mu, pv, 1.0)
-                                   / (2.0 / delta ** 2 * mass_child))
-                    if outside.size and np.any(pv[outside] != 0.0):
-                        bad_supp += 1
-                worst_exp = max(worst_exp, _relsup(dq - combo, f))
+            # one row per (cube, occupied child) pair, cubes by position and
+            # children in corner order: the order of a cube-by-cube loop
+            starts, kids, _ = index.child_table(k)
+            cubes = index.parents(k - 1)[kids]
+            mass_child = index.masses(k - 1)[kids]
+            child_means = mg.cube_integrals(ctx, f, k - 1, kids) / mass_child
+            mass_floor = np.maximum(index.masses(k)[cubes], 1e-30)
+            cube_ids = index.cube_ids(k)
+            combo = np.zeros(mu.atom_count)     # sum_i <f>_{Q_i} phi_{Q,i} on each Q
+            for lo, hi in ms.row_blocks(kids.size, mu.atom_count):
+                block = mg.frame_block(ctx, k, slice(lo, hi))
+                inside = cube_ids[None, :] == cubes[lo:hi, None]
+                # one full-length dot per row, as integrate and lp_norm (at
+                # p = 1, |phi| ** 1 is |phi|) take them
+                magnitude = np.abs(block)
+                integral = np.array([np.dot(w, row) for row in block])
+                l1 = np.array([np.dot(w, row) for row in magnitude])
+                worst_mean = _running_max(worst_mean, np.abs(integral) / mass_floor[lo:hi])
+                worst_sup = _running_max(worst_sup, np.max(magnitude, axis=1))
+                worst_l1 = _running_max(worst_l1, l1 / (2.0 / delta ** 2 * mass_child[lo:hi]))
+                bad_supp += int(np.count_nonzero(np.any((block != 0.0) & ~inside, axis=1)))
+                # the cubes are disjoint: add each cube's i-th child term to
+                # all cubes at once, i in corner order
+                rank = np.arange(lo, hi) - starts[cubes[lo:hi]]
+                for i in range(int(rank.max()) + 1):
+                    sel = np.flatnonzero(rank == i)
+                    rows, atoms = np.nonzero(inside[sel])
+                    combo[atoms] += child_means[lo + sel[rows]] * block[sel[rows], atoms]
+            worst_exp = _running_max(worst_exp, _relsup_by_cube(diffs[k] - combo, f, index, k))
         self.add("identities", "frame-expansion", "frame.child-expansion",
                  worst_exp <= tol, worst_exp, tol)
         self.add("identities", "frame-mean-zero", "frame.mean-zero",
@@ -486,9 +504,8 @@ class _Runner:
 
             worst = math.inf
             for k in index.system.scales:
-                for cube in index.occupied(k):
-                    mean = abs(ms.integrate(mu, ctx.b_adapted[k], index.atoms_of(cube))
-                               / index.mass_of(cube))
+                means = mg.cube_integrals(ctx, ctx.b_adapted[k], k) / index.masses(k)
+                for mean in np.abs(means).tolist():
                     worst = min(worst, mean)
             self.add("layers", f"ancestor-floor-{tag}", "layers.ancestor-floor",
                      worst >= cfg.delta ** 2 - 1e-12, worst, cfg.delta ** 2)
@@ -825,6 +842,25 @@ class _Runner:
 def _relsup(err_values: np.ndarray, reference: np.ndarray) -> float:
     scale = float(np.max(np.abs(reference))) or 1.0
     return float(np.max(np.abs(err_values))) / scale
+
+
+def _relsup_by_cube(err_values: np.ndarray, reference: np.ndarray,
+                    index: gr.GridIndex, k: int) -> np.ndarray:
+    """``_relsup`` of 1_Q ``err_values`` for each occupied scale-k cube Q,
+    by position: zero off Q adds nothing to a maximum of absolute values."""
+    scale = float(np.max(np.abs(reference))) or 1.0
+    return np.maximum.reduceat(np.abs(err_values)[index.atom_order(k)],
+                               index.atom_starts(k)[:-1]) / scale
+
+
+def _running_max(worst: float, values: np.ndarray) -> float:
+    """``worst = max(worst, v)`` over ``values`` in order, as Python's
+    ``max`` takes it (a NaN is kept only when it comes first)."""
+    if values.size and not np.isnan(values).any():
+        return max(worst, float(np.max(values)))
+    for v in values.tolist():
+        worst = max(worst, v)
+    return worst
 
 
 def _layers_disjoint_nested(ctx: mg.MartingaleContext) -> bool:

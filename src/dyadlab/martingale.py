@@ -30,13 +30,13 @@ omega_k E_k.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from dyadlab.accretive import AccretiveSystem, Layers
 from dyadlab.grid import Cube, CubeKey, GridIndex
-from dyadlab.measure import AtomicMeasure, integrate, mult, restrict
+from dyadlab.measure import AtomicMeasure, mult, restrict
 
 __all__ = [
     "MartingaleContext",
@@ -45,6 +45,8 @@ __all__ = [
     "adapted_expectation",
     "adapted_diff",
     "adapted_diff_local",
+    "cube_integrals",
+    "frame_block",
     "phi",
     "omega",
     "adapted_adjoint_expectation",
@@ -206,34 +208,91 @@ def adapted_diff_local(ctx: MartingaleContext, values: np.ndarray, cube: Cube) -
     return restrict(adapted_diff(ctx, values, cube.scale), ctx.index.atoms_of(cube))
 
 
-def phi(ctx: MartingaleContext, cube: Cube, i: int) -> np.ndarray:
-    """The frame function of the child expansion of D^a_Q.
+def cube_integrals(ctx: MartingaleContext, values: np.ndarray, k: int,
+                   cubes: Optional[np.ndarray] = None) -> np.ndarray:
+    """The integral of the scalar function ``values`` over each occupied
+    scale-k cube, by position, or over the cubes at positions ``cubes``.
+
+    One ``np.dot`` per cube of its weights and values, over its atoms in
+    increasing order (its slice of ``index.atom_order(k)``): the bits of
+    ``integrate(mu, values, index.atoms_of(cube))``.
+    """
+    order, starts = ctx.index.atom_order(k), ctx.index.atom_starts(k)
+    w, v = ctx.measure.weights[order], np.asarray(values, dtype=float)[order]
+    lo, hi = (starts[:-1], starts[1:]) if cubes is None else (starts[cubes], starts[cubes + 1])
+    return np.array([np.dot(w[a:b], v[a:b]) for a, b in zip(lo.tolist(), hi.tolist())],
+                    dtype=float)
+
+
+def _segments(starts: np.ndarray, stops: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(owner, position): the positions [starts[j], stops[j]) for each j in
+    turn, each with its j."""
+    counts = stops - starts
+    owner = np.repeat(np.arange(counts.size), counts)
+    return owner, np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts - starts, counts)
+
+
+def frame_block(ctx: MartingaleContext, k: int, rows: slice = slice(None)) -> np.ndarray:
+    """The frame functions of scale k as the rows of one array.
+
+    One row per (Q, i) pair of ``index.child_table(k)`` in ``rows``, a slice
+    of its rows (cubes Q by position, their occupied children Q_i in corner
+    order):
 
     phi_{Q,i} = b_{Q_i^a} / <b_{Q_i^a}>_{Q_i} 1_{Q_i}
-                - (mu(Q_i) / mu(Q)) b_{Q^a} / <b_{Q^a}>_Q 1_Q,
+                - (mu(Q_i) / mu(Q)) b_{Q^a} / <b_{Q^a}>_Q 1_Q.
 
-    identically zero when the child carries no mass.  It is supported on Q,
-    has exact mean zero, and |phi| <= 2 / delta^2 pointwise.
+    It is supported on Q, has exact mean zero, and |phi| <= 2 / delta^2
+    pointwise.  Each entry is (0 + b_{k-1} / <b_{k-1}>_{Q_i}) on Q_i, then
+    less ((mu(Q_i) / mu(Q)) b_k) / <b_k>_Q on Q, and 0 off Q; each mean is
+    one ``cube_integrals`` dot divided by the cube's mass.  So every row has
+    the bits of ``phi`` of its pair, and a block of rows those of the whole.
     """
-    mu = ctx.measure
     index = ctx.index
-    child = cube.children()[i]
-    out = np.zeros(mu.atom_count)
-    atoms_child = index.atoms_of(child)
-    if atoms_child.size == 0:
-        return out
-    atoms_cube = index.atoms_of(cube)
-    mass_child = index.mass_of(child)
-    mass_cube = index.mass_of(cube)
+    if k <= ctx.system.k_min:
+        raise ValueError("children would leave the scale window")
+    _, kids, _ = index.child_table(k)
+    kids = kids[rows]
+    cubes = index.parents(k - 1)[kids]
+    mass_child, mass_cube = index.masses(k - 1)[kids], index.masses(k)[cubes]
+    b_child, b_cube = ctx.b_adapted[k - 1], ctx.b_adapted[k]
+    mean_child = cube_integrals(ctx, b_child, k - 1, kids) / mass_child
+    # the rows of one cube are adjacent: its mean once, for all of them
+    first = np.ones(cubes.size, dtype=bool)
+    first[1:] = cubes[1:] != cubes[:-1]
+    mean_cube = cube_integrals(ctx, b_cube, k, cubes[first])[np.cumsum(first) - 1] / mass_cube
 
-    b_child = ctx.b_adapted[child.scale]
-    b_cube = ctx.b_adapted[cube.scale]
-    mean_child = integrate(mu, b_child, atoms_child) / mass_child
-    mean_cube = integrate(mu, b_cube, atoms_cube) / mass_cube
-
-    out[atoms_child] += b_child[atoms_child] / mean_child
-    out[atoms_cube] -= (mass_child / mass_cube) * b_cube[atoms_cube] / mean_cube
+    out = np.zeros((kids.size, ctx.measure.atom_count))
+    starts = index.atom_starts(k - 1)
+    r, pos = _segments(starts[kids], starts[kids + 1])
+    atoms = index.atom_order(k - 1)[pos]
+    out[r, atoms] += b_child[atoms] / mean_child[r]
+    starts = index.atom_starts(k)
+    r, pos = _segments(starts[cubes], starts[cubes + 1])
+    atoms = index.atom_order(k)[pos]
+    out[r, atoms] -= (mass_child / mass_cube)[r] * b_cube[atoms] / mean_cube[r]
     return out
+
+
+def phi(ctx: MartingaleContext, cube: Cube, i: int) -> np.ndarray:
+    """The frame function phi_{Q,i} of the child expansion of D^a_Q.
+
+    The row of ``frame_block`` for Q and its child Q_i = Q.children()[i],
+    and identically zero when the child carries no mass.
+    """
+    k = cube.scale
+    if k <= ctx.system.k_min:
+        raise ValueError("children would leave the scale window")
+    if not 0 <= i < 2 ** ctx.system.dimension:
+        raise IndexError(f"child {i} of a cube in dimension {ctx.system.dimension}")
+    p = ctx.index.position(cube.key)
+    if p is not None:
+        starts, _, corners = ctx.index.child_table(k)
+        hit = np.flatnonzero(corners[starts[p]:starts[p + 1]] == i)
+        if hit.size:
+            row = int(starts[p] + hit[0])
+            return frame_block(ctx, k, slice(row, row + 1))[0]
+    return np.zeros(ctx.measure.atom_count)
 
 
 def omega(ctx: MartingaleContext, k: int) -> np.ndarray:

@@ -37,6 +37,7 @@ __all__ = [
     "mult",
     "row_blocks",
     "generate_random_measure",
+    "PROFILES",
     "save_measure",
     "load_measure",
     "dumps_measure",
@@ -383,7 +384,7 @@ def growth_check(mu: AtomicMeasure) -> GrowthReport:
 # Fixture generation
 # =============================================================================
 
-_PROFILES = ("uniform", "fractal-cantor", "clustered")
+PROFILES = ("uniform", "fractal-cantor", "clustered")
 
 
 def generate_random_measure(seed: int, dimension: int, growth_exponent: float,
@@ -398,8 +399,8 @@ def generate_random_measure(seed: int, dimension: int, growth_exponent: float,
     """
     if atom_count < 1:
         raise ValueError("atom_count must be >= 1")
-    if profile not in _PROFILES:
-        raise ValueError(f"unknown profile {profile!r}; expected one of {_PROFILES}")
+    if profile not in PROFILES:
+        raise ValueError(f"unknown profile {profile!r}; expected one of {PROFILES}")
     rng = rng_for(seed, f"measure:{profile}:{dimension}:{atom_count}")
 
     if profile == "uniform":

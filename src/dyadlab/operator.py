@@ -34,7 +34,8 @@ from dyadlab.accretive import AccretiveSystem
 from dyadlab.grid import (Cube, DyadicParams, DyadicSystem, GridIndex, contains,
                           long_distance, set_distance, shift_walk_hits, witness_scale)
 from dyadlab.martingale import (MartingaleContext, adapted_diff, adapted_diff_adjoint,
-                                adapted_diff_local, adapted_expectation, omega, phi)
+                                adapted_diff_local, adapted_expectation, frame_block,
+                                omega)
 from dyadlab.measure import AtomicMeasure, integrate, lp_norm, pair, restrict
 
 __all__ = [
@@ -616,18 +617,24 @@ def _pair_menu(ctx: MartingaleContext):
     function phi_{Q,i} and once more with the defect omega_Q restricted to
     Q_i unless that vanishes.  The child mass is read from the context's own
     grid index, so a cube of either system is measured by its own partition.
+    The frame functions of a scale are the rows of one ``frame_block``.
     """
+    index = ctx.index
     out = []
     for k in ctx.diff_scales:
         omega_k = omega(ctx, k)
-        for cube in ctx.index.occupied(k):
+        phis = frame_block(ctx, k)
+        starts, kids, corners = index.child_table(k)
+        order, atom_bounds = index.atom_order(k - 1), index.atom_starts(k - 1).tolist()
+        masses = index.masses(k - 1).tolist()
+        bounds = starts.tolist()
+        for cube, lo, hi in zip(index.occupied(k), bounds[:-1], bounds[1:]):
             entries = []
-            for i, child in ctx.index.occupied_children(cube):
-                mass = ctx.index.mass_of(child)
-                entries.append((i, mass, phi(ctx, cube, i)))
-                om = restrict(omega_k, ctx.index.atoms_of(child))
+            for r, i, p in zip(range(lo, hi), corners[lo:hi].tolist(), kids[lo:hi].tolist()):
+                entries.append((i, masses[p], phis[r]))
+                om = restrict(omega_k, order[atom_bounds[p]:atom_bounds[p + 1]])
                 if np.any(om != 0.0):
-                    entries.append((i, mass, om))
+                    entries.append((i, masses[p], om))
             if entries:
                 out.append((cube, entries))
     return out

@@ -454,16 +454,17 @@ def carleson_norm(index: GridIndex, d_fns: Dict[int, np.ndarray], p: float,
         if not added:
             continue
         scales = keys[:added]
-        live_cube = np.zeros(len(index.masses(k)), dtype=bool)
+        masses = index.masses(k)
+        live_cube = np.zeros(masses.size, dtype=bool)
         live_cube[index.cube_ids(k)[live]] = True
-        for i, cube in enumerate(index.occupied(k)):
-            mass = index.mass_of(cube)
+        order, bounds = index.atom_order(k), index.atom_starts(k).tolist()
+        for i, key in enumerate(index.cube_keys(k)):
+            mass = float(masses[i])
             if not live_cube[i] or mass == 0.0:
                 continue
-            atoms = index.atoms_of(cube)
+            atoms = order[bounds[i]:bounds[i + 1]]
             family = [restrict(d_fns[j], atoms) for j in scales]
-            rep = randomized_norm(mu, family, p, sampler,
-                                  label=f"car:{cube.key}")
+            rep = randomized_norm(mu, family, p, sampler, label=f"car:{key}")
             val = rep.value / mass ** (1.0 / p)
             if val > best.value:
                 best = NormReport(val, rep.method, rep.stderr / mass ** (1.0 / p),

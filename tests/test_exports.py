@@ -83,6 +83,7 @@ UNREAD_EXPORTS = {
     **dict.fromkeys(("loads_system", "loads_accretive"),
                     "replays the files that `dyadlab gen` writes"),
     **dict.fromkeys(("battery_params", "theta", "ball_mass"), "a fixture or a definition"),
+    "phi": "the one-cube case of frame_block, the paper's phi_{Q,i} of one cube",
 }
 
 

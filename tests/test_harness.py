@@ -8,7 +8,7 @@ import pytest
 
 from dyadlab import martingale as mg
 from dyadlab import measure as ms
-from dyadlab.accretive import loads_accretive
+from dyadlab.accretive import STYLES, loads_accretive
 from dyadlab.cli import main as cli_main
 from dyadlab.grid import loads_system
 from dyadlab.harness import (COVERAGE_ANCHORS, ExperimentConfig, _Runner,
@@ -66,8 +66,8 @@ def test_config_accepts_sampler_settings_at_their_limits():
 
 
 def test_workload_config_hashes_are_pinned():
-    # the sampler checks add no field, so the benchmark workloads' reports
-    # keep their hashes (the default config's is pinned above)
+    # the sampler and name checks add no field, so the benchmark workloads'
+    # reports keep their hashes (the default config's is pinned above)
     norms = dict(dimension=1, atom_count=512,
                  suites=("identities", "layers", "badcubes", "sqfn", "carleson",
                          "decoupling"))
@@ -79,6 +79,32 @@ def test_workload_config_hashes_are_pinned():
                        (full, ("653a29fb898e65b4", "c6024f3161e54778"))):
         assert tuple(ExperimentConfig(seed=seed, **kw).config_hash()
                      for seed in (7, 11)) == hashes
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("accretive_style", "bogus", "unknown accretive_style 'bogus'"),
+    ("kernel", "bogus", "unknown kernel 'bogus'"),
+    ("measure_profile", "bogus", "unknown measure_profile 'bogus'"),
+    ("measure_profile", "file", "measure_profile 'file' needs a measure_file")])
+def test_config_rejects_unknown_names_exit_2(tmp_path, capsys, field, value, message):
+    # each used to pass the config and fail inside a suite as a hard-error row
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(**{field: value})
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({field: value}))
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_config_accepts_every_known_name(tmp_path):
+    for style in STYLES:
+        ExperimentConfig(accretive_style=style)
+    for kernel in ("hilbert", "riesz", "dipole"):
+        ExperimentConfig(kernel=kernel)
+    for profile in ("battery",) + ms.PROFILES:
+        ExperimentConfig(measure_profile=profile)
+    ExperimentConfig(measure_profile="file", measure_file=str(tmp_path / "measure.json"))
+    assert ExperimentConfig().config_hash() == "f856377095f8f345"
 
 
 def test_cli_degenerate_sampler_setting_exit_2(tmp_path, capsys):
