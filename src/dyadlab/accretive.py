@@ -55,8 +55,8 @@ class AccretiveSystem:
     """Per-cube test functions b_Q on the occupied cubes of a grid index.
 
     ``values[key]`` holds b_Q at the atoms of Q, ordered like
-    ``index.atoms_of(Q)``; unoccupied cubes implicitly carry b_Q = 0 and are
-    excluded from every stopping scan.
+    ``index.atoms_at(k, p)`` for Q at scale k and position p; unoccupied
+    cubes implicitly carry b_Q = 0 and are excluded from every stopping scan.
 
     ``generate_accretive`` builds the values a scale at a time, as one array
     laid out like ``index.atom_order(k)``, and ``values[key]`` is the cube's
@@ -72,10 +72,6 @@ class AccretiveSystem:
         if not (0.0 < self.delta < 1.0):
             raise ValueError("delta must lie in (0, 1)")
 
-    def on(self, cube: Cube) -> np.ndarray:
-        """Values of b_Q at the atoms of Q."""
-        return self.on_key(cube.key)
-
     def on_key(self, key: CubeKey) -> np.ndarray:
         """Values of b_Q at the atoms of Q, for the cube with this key."""
         got = self.values.get(key)
@@ -86,7 +82,7 @@ class AccretiveSystem:
     def as_function(self, index: GridIndex, cube: Cube) -> np.ndarray:
         """b_Q extended by zero to all atoms."""
         out = np.zeros(index.measure.atom_count)
-        out[index.atoms_of(cube)] = self.on(cube)
+        out[index.atoms_at(cube.scale, index.position(cube.key))] = self.on_key(cube.key)
         return out
 
     def scale_values(self, index: GridIndex, k: int) -> np.ndarray:
@@ -196,9 +192,7 @@ def build_layers(sys_b: AccretiveSystem, mu: AtomicMeasure, index: GridIndex) ->
         b_current = np.zeros(mu.atom_count)
         entering: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {}
         for rank, (j, p) in enumerate(current):
-            starts = index.atom_starts(j)
-            b_current[index.atom_order(j)[starts[p]:starts[p + 1]]] = \
-                sys_b.on_key(index.cube_keys(j)[p])
+            b_current[index.atoms_at(j, p)] = sys_b.on_key(index.cube_keys(j)[p])
             if j > system.k_min:
                 child_starts, children, _ = index.child_table(j)
                 row = children[child_starts[p]:child_starts[p + 1]]
@@ -281,19 +275,23 @@ def layer_decay_report(layers: Layers, mu: AtomicMeasure, index: GridIndex) -> d
     for m_gen, gen in enumerate(layers.generations):
         for key in gen:
             q = system.cube(*key)
-            mass_q = index.mass_of(q)
+            mass_q = _mass(index, key)
             if mass_q == 0.0:
                 continue
             for j in range(1, len(layers.generations) - m_gen):
-                deeper = layers.generations[m_gen + j]
                 total = 0.0
-                for skey in deeper:
-                    s_cube = system.cube(*skey)
-                    if s_cube.scale < q.scale and contains(q, s_cube):
-                        total += index.mass_of(s_cube)
+                for skey in layers.generations[m_gen + j]:
+                    if skey[0] < q.scale and contains(q, system.cube(*skey)):
+                        total += _mass(index, skey)
                 ratio = total / mass_q
                 rows.append({"layer": m_gen, "cube": key, "j": j, "ratio": ratio})
     return {"rows": rows}
+
+
+def _mass(index: GridIndex, key: CubeKey) -> float:
+    """The mass of the cube with this key, 0.0 if it holds no atom."""
+    p = index.position(key)
+    return 0.0 if p is None else float(index.masses(key[0])[p])
 
 
 def check_layer_decay(layers: Layers, delta: float, mu: AtomicMeasure,
@@ -326,9 +324,9 @@ def overlap_l1_bound(layers: Layers, delta: float, mu: AtomicMeasure,
     total = 0.0
     for gen in layers.generations:
         for key in gen:
-            total += index.mass_of(index.system.cube(*key))
+            total += _mass(index, key)
     tau = layer_decay_tau(delta)
-    mass0 = index.mass_of(index.system.top_cube())
+    mass0 = float(index.masses(index.system.s)[0])
     bound = mass0 * (1.0 + (1.0 - tau) / tau) if tau > 0 else math.inf
     return total, bound
 

@@ -191,23 +191,21 @@ def decoupling_blocks(index: GridIndex, rng, max_blocks: int) -> List[Decoupling
     """At most ``max_blocks`` blocks on at most two scales, preferring cubes
     whose resampling matters (several occupied child cells, so the decoupled
     twin differs from the original); each block's values are one normal draw
-    from ``rng`` per occupied child cell."""
+    from ``rng`` per occupied child cell.  Candidates go by (most cells,
+    scale, position); a cube's cells are its row of ``child_table``."""
     candidates = []
-    for k in index.system.scales:
-        if k == index.system.k_min:
-            continue
-        for cube in index.occupied(k):
-            cells = [index.atoms_of(c) for _, c in index.occupied_children(cube)]
-            candidates.append((len(cells), k, cube, cells))
-    candidates.sort(key=lambda t: (-t[0], t[1], t[2].key))
-    chosen_scales = sorted({k for ncells, k, _, _ in candidates[:max_blocks]
-                            if ncells > 1}) or [candidates[0][1]]
+    for k in index.system.scales[1:]:
+        cells = np.diff(index.child_table(k)[0])
+        candidates.extend(zip((-cells).tolist(), [k] * cells.size, range(cells.size)))
+    candidates.sort()
+    chosen_scales = sorted({k for neg, k, _ in candidates[:max_blocks]
+                            if neg < -1}) or [candidates[0][1]]
     blocks = []
-    for ncells, k, cube, cells in candidates:
-        if k not in chosen_scales[:2] or len(blocks) >= max_blocks:
-            continue
+    for _, k, p in [c for c in candidates if c[1] in chosen_scales[:2]][:max_blocks]:
+        starts, kids, _ = index.child_table(k)
+        cells = [index.atoms_at(k - 1, c) for c in kids[starts[p]:starts[p + 1]].tolist()]
         vals = np.zeros(index.measure.atom_count)
         for cell in cells:
             vals[cell] = rng.normal()
-        blocks.append(DecouplingBlock(k, index.atoms_of(cube), vals, cells=cells))
+        blocks.append(DecouplingBlock(k, index.atoms_at(k, p), vals, cells=cells))
     return blocks

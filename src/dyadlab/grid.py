@@ -377,7 +377,8 @@ class GridIndex:
     * ``atom_order(k)``: the atoms cube by cube in position order, each
       cube's atoms in increasing atom order, with ``atom_starts(k)`` the
       offsets of the cubes in it (compressed rows: cube i holds
-      ``atom_order(k)[atom_starts(k)[i]:atom_starts(k)[i + 1]]``);
+      ``atom_order(k)[atom_starts(k)[i]:atom_starts(k)[i + 1]]``, the view
+      ``atoms_at(k, i)``);
     * ``cube_ids(k)``: each atom's cube position;
     * ``masses(k)``: each cube's mass, one ``np.add.reduce`` (the reduction
       ``np.sum`` calls) over the weights of its atoms in that order;
@@ -470,8 +471,6 @@ class GridIndex:
         self._keys: Dict[int, List[CubeKey]] = {}
         self._positions: Dict[int, Dict[Tuple[int, ...], int]] = {}
         self._cubes: Dict[int, List[Cube]] = {}
-        self._atoms: Dict[int, List[np.ndarray]] = {}
-        self._children: Dict[int, List[List[Tuple[int, Cube]]]] = {}
 
     # -- tables -----------------------------------------------------------
     def cube_keys(self, k: int) -> List[CubeKey]:
@@ -525,49 +524,17 @@ class GridIndex:
                 idx: i for i, (_, idx) in enumerate(self.cube_keys(k))}
         return found.get(m)
 
-    # -- queries ----------------------------------------------------------
-    def occupied(self, k: int) -> List[Cube]:
-        return list(self._occupied(k))
+    def atoms_at(self, k: int, p: int) -> np.ndarray:
+        """The atoms of the scale-k cube at position p: a view of ``atom_order(k)``."""
+        starts = self._starts[k]
+        return self._order[k][starts[p]:starts[p + 1]]
 
-    def _occupied(self, k: int) -> List[Cube]:
+    def occupied(self, k: int) -> List[Cube]:
+        """The occupied scale-k cubes by position: a fresh list of shared ``Cube``s."""
         cubes = self._cubes.get(k)
         if cubes is None:
             cubes = self._cubes[k] = [Cube(self.system, k, m) for _, m in self.cube_keys(k)]
-        return cubes
-
-    def atoms_of(self, cube: Cube) -> np.ndarray:
-        i = self.position(cube.key)
-        if i is None:
-            return np.empty(0, dtype=np.int64)
-        atoms = self._atoms.get(cube.scale)
-        if atoms is None:
-            atoms = self._atoms[cube.scale] = np.split(self._order[cube.scale],
-                                                       self._starts[cube.scale][1:-1])
-        return atoms[i]
-
-    def mass_of(self, cube: Cube) -> float:
-        i = self.position(cube.key)
-        return 0.0 if i is None else float(self._masses[cube.scale][i])
-
-    def occupied_children(self, cube: Cube) -> List[Tuple[int, Cube]]:
-        """(i, Q_i) for the children Q_i = cube.children()[i] that hold atoms.
-
-        Empty at the bottom scale of the window and for an unoccupied cube.
-        Read from ``child_table`` (the cube is one of this system's) and
-        returned as a fresh list.
-        """
-        k = cube.scale
-        i = self.position(cube.key)
-        if i is None or k == self.system.k_min:
-            return []
-        rows = self._children.get(k)
-        if rows is None:
-            starts, positions, corners = self._child_tables[k]
-            below = self._occupied(k - 1)
-            pairs = [(c, below[p]) for c, p in zip(corners.tolist(), positions.tolist())]
-            bounds = starts.tolist()
-            rows = self._children[k] = [pairs[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-        return list(rows[i])
+        return list(cubes)
 
 
 def locate(mu: AtomicMeasure, system: DyadicSystem) -> GridIndex:

@@ -17,7 +17,7 @@ import math
 import os
 import time
 import traceback
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -131,6 +131,10 @@ class ExperimentConfig:
                              f"expected one of {profiles}")
         if self.measure_profile == "file" and self.measure_file is None:
             raise ValueError("measure_profile 'file' needs a measure_file")
+        if self.window is not None and (len(self.window) != 2 or not all(
+                isinstance(v, int) for v in self.window) or self.window[0] >= self.window[1]):
+            raise ValueError(f"window must be two integer scales [k_min, s] with "
+                             f"k_min < s, not {list(self.window)}")
         unknown = set(self.suites) - set(ALL_SUITES)
         if unknown:
             raise ValueError(f"unknown suites: {sorted(unknown)}")
@@ -172,6 +176,9 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         raw = json.loads(text)
+        unknown = set(raw) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if "suites" in raw:
             raw["suites"] = tuple(raw["suites"])
         if raw.get("window") is not None:
@@ -186,7 +193,11 @@ class ExperimentConfig:
         return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
     def config_hash(self) -> str:
-        return hashlib.sha256(self.to_json().encode()).hexdigest()[:16]
+        """sha256 of ``to_json()``, and of the measure file's bytes for a file profile."""
+        text = self.to_json()
+        if self.measure_profile == "file":
+            text += hashlib.sha256(Path(self.measure_file).read_bytes()).hexdigest()
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 # =============================================================================

@@ -105,10 +105,8 @@ class MartingaleContext:
             p = index.position(key)
             if p is None:                       # holds no atom: b_{Q^a} is 0 on Q
                 return 0, -1
-            r = row_of[key[0]]
-            starts = index.atom_starts(key[0])
-            held[r, index.atom_order(key[0])[starts[p]:starts[p + 1]]] = vals
-            return r, p
+            held[row_of[key[0]], index.atoms_at(key[0], p)] = vals
+            return row_of[key[0]], p
 
         layer = layers.marks(index)
         layer[self.system.s][:] = False        # the top cube, the one cube of scale s
@@ -204,8 +202,9 @@ def adapted_diff(ctx: MartingaleContext, values: np.ndarray, k: int) -> np.ndarr
 
 
 def adapted_diff_local(ctx: MartingaleContext, values: np.ndarray, cube: Cube) -> np.ndarray:
-    """D^a_Q f = 1_Q D^a_k f for Q at scale k."""
-    return restrict(adapted_diff(ctx, values, cube.scale), ctx.index.atoms_of(cube))
+    """D^a_Q f = 1_Q D^a_k f for an occupied cube Q at scale k."""
+    index, k = ctx.index, cube.scale
+    return restrict(adapted_diff(ctx, values, k), index.atoms_at(k, index.position(cube.key)))
 
 
 def cube_integrals(ctx: MartingaleContext, values: np.ndarray, k: int,
@@ -214,8 +213,8 @@ def cube_integrals(ctx: MartingaleContext, values: np.ndarray, k: int,
     scale-k cube, by position, or over the cubes at positions ``cubes``.
 
     One ``np.dot`` per cube of its weights and values, over its atoms in
-    increasing order (its slice of ``index.atom_order(k)``): the bits of
-    ``integrate(mu, values, index.atoms_of(cube))``.
+    increasing order (``index.atoms_at(k, p)`` for the cube at position p):
+    the bits of ``integrate(mu, values, index.atoms_at(k, p))``.
     """
     order, starts = ctx.index.atom_order(k), ctx.index.atom_starts(k)
     w, v = ctx.measure.weights[order], np.asarray(values, dtype=float)[order]

@@ -526,15 +526,13 @@ def pairing_decomposition(op: DiscreteOperator, ctx_f: MartingaleContext,
 
 def _local_diff_blocks(ctx: MartingaleContext, values: np.ndarray):
     """The occupied cubes Q at the difference scales, and their local adapted
-    differences D_Q values stacked in that order into one array."""
+    differences D_Q values (D^a_k values on Q, 0 off Q) stacked in that order."""
     cubes = [cube for k in ctx.diff_scales for cube in ctx.index.occupied(k)]
-    out = np.empty((len(cubes),) + values.shape)
-    i = 0
+    out = np.zeros((len(cubes),) + values.shape)
+    atoms, first = np.arange(ctx.measure.atom_count), 0
     for k in ctx.diff_scales:
-        full = adapted_diff(ctx, values, k)
-        for cube in ctx.index.occupied(k):
-            out[i] = restrict(full, ctx.index.atoms_of(cube))
-            i += 1
+        out[first + ctx.index.cube_ids(k), atoms] = adapted_diff(ctx, values, k)
+        first += ctx.index.masses(k).size
     return cubes, out
 
 
@@ -625,14 +623,13 @@ def _pair_menu(ctx: MartingaleContext):
         omega_k = omega(ctx, k)
         phis = frame_block(ctx, k)
         starts, kids, corners = index.child_table(k)
-        order, atom_bounds = index.atom_order(k - 1), index.atom_starts(k - 1).tolist()
         masses = index.masses(k - 1).tolist()
         bounds = starts.tolist()
         for cube, lo, hi in zip(index.occupied(k), bounds[:-1], bounds[1:]):
             entries = []
             for r, i, p in zip(range(lo, hi), corners[lo:hi].tolist(), kids[lo:hi].tolist()):
                 entries.append((i, masses[p], phis[r]))
-                om = restrict(omega_k, order[atom_bounds[p]:atom_bounds[p + 1]])
+                om = restrict(omega_k, index.atoms_at(k - 1, p))
                 if np.any(om != 0.0):
                     entries.append((i, masses[p], om))
             if entries:
@@ -683,17 +680,22 @@ def _check_nested(op, ctx_g, c_chain, q_cube, phis, r_cube, psis, psi_rows, resu
                                 "r": r_cube.key})
         return
     host = host[0]
-    mass_r = ctx_g.index.mass_of(r_cube)
+    index, k = ctx_g.index, r_cube.scale
+    p = index.position(r_cube.key)
+    mass_r = float(index.masses(k)[p])
     ratio = (q_cube.side / r_cube.side) ** (op.kernel.alpha / 2.0)
     ddist = long_distance(q_cube, r_cube)
 
-    # off-host children of R against the frame menu of R
-    off_host = [(m, child) for m, child in ctx_g.index.occupied_children(r_cube)
-                if m != host]
+    # off-host children of R (by corner, from R's row of the child table)
+    # against the frame menu of R
+    starts, positions, corners = index.child_table(k)
+    children = dict(zip(corners[starts[p]:starts[p + 1]].tolist(),
+                        positions[starts[p]:starts[p + 1]].tolist()))
+    off_host = [m for m in children if m != host]
     for e, (_, mass_rj, psi_full) in enumerate(psis):
-        for m, child in off_host:
+        for m in off_host:
             row = psi_rows.get(("off", e, m), lambda: restrict(
-                psi_full, ctx_g.index.atoms_of(child)))
+                psi_full, index.atoms_at(k - 1, children[m])))
             for _, mass_qi, phi_vals in phis:
                 val = abs(float(row @ phi_vals))
                 bound = c_chain * ratio * mass_rj * mass_qi / mass_r
@@ -702,7 +704,7 @@ def _check_nested(op, ctx_g, c_chain, q_cube, phis, r_cube, psis, psi_rows, resu
     # complement of the host child against the stopped test functions
     def complement(src):
         comp_mask = np.ones(op.measure.atom_count, dtype=bool)
-        comp_mask[ctx_g.index.atoms_of(kids[host])] = False
+        comp_mask[index.atoms_at(k - 1, children[host])] = False
         return ctx_g.b_anc(src) * comp_mask
 
     for s, src in enumerate((r_cube, kids[host])):
@@ -797,7 +799,7 @@ def paraproduct_apply(op: DiscreteOperator, ctx_f: MartingaleContext,
     out = np.zeros(mu.atom_count) if g.ndim == 1 else np.zeros_like(g)
     cache: Dict[Tuple, np.ndarray] = {}
     for k in ctx_f.diff_scales:
-        for q_cube in ctx_f.index.occupied(k):
+        for p, q_cube in enumerate(ctx_f.index.occupied(k)):
             s_cube = smap.get(q_cube.key)
             if s_cube is None:
                 continue
@@ -807,7 +809,7 @@ def paraproduct_apply(op: DiscreteOperator, ctx_f: MartingaleContext,
             anc_key = ctx_g.layers.ancestor[s_cube.key]
             if anc_key not in cache:
                 cache[anc_key] = op.adjoint_apply(ctx_g.b_anc(s_cube))
-            localized = restrict(cache[anc_key], ctx_f.index.atoms_of(q_cube))
+            localized = restrict(cache[anc_key], ctx_f.index.atoms_at(k, p))
             term = adapted_diff_adjoint(ctx_f, localized, q_cube.scale)
             if g.ndim == 1:
                 out += coeff * term
@@ -818,10 +820,11 @@ def paraproduct_apply(op: DiscreteOperator, ctx_f: MartingaleContext,
 
 def _paraproduct_coeff(ctx_g, s_cube, g):
     """<g>_S / <b_{S^a}>_S (a vector for lattice-valued g), or None when mu(S) = 0."""
-    mass = ctx_g.index.mass_of(s_cube)
-    if mass == 0.0:
+    p = ctx_g.index.position(s_cube.key)
+    if p is None:
         return None
-    atoms_s = ctx_g.index.atoms_of(s_cube)
+    mass = float(ctx_g.index.masses(s_cube.scale)[p])
+    atoms_s = ctx_g.index.atoms_at(s_cube.scale, p)
     mean_b = integrate(ctx_g.measure, ctx_g.b_adapted[s_cube.scale], atoms_s) / mass
     return integrate(ctx_g.measure, g, atoms_s) / mass / mean_b
 

@@ -457,12 +457,11 @@ def carleson_norm(index: GridIndex, d_fns: Dict[int, np.ndarray], p: float,
         masses = index.masses(k)
         live_cube = np.zeros(masses.size, dtype=bool)
         live_cube[index.cube_ids(k)[live]] = True
-        order, bounds = index.atom_order(k), index.atom_starts(k).tolist()
         for i, key in enumerate(index.cube_keys(k)):
             mass = float(masses[i])
             if not live_cube[i] or mass == 0.0:
                 continue
-            atoms = order[bounds[i]:bounds[i + 1]]
+            atoms = index.atoms_at(k, i)
             family = [restrict(d_fns[j], atoms) for j in scales]
             rep = randomized_norm(mu, family, p, sampler, label=f"car:{key}")
             val = rep.value / mass ** (1.0 / p)

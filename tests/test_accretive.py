@@ -20,8 +20,8 @@ def four_atom_fixture(delta=0.5):
     index = locate(mu, system)
     values = {}
     for k in system.scales:
-        for cube in index.occupied(k):
-            values[cube.key] = np.ones(index.atoms_of(cube).size)
+        for p, key in enumerate(index.cube_keys(k)):
+            values[key] = np.ones(index.atoms_at(k, p).size)
     values[(0, (0,))] = np.array([1.0, 1.0, 1.0, -0.6])
     return mu, index, AccretiveSystem(delta, values)
 
@@ -118,12 +118,12 @@ def test_ancestor_isolation_bound_everywhere():
     sys_b = generate_accretive(7, mu, index, delta, "signed-perturbation")
     layers = build_layers(sys_b, mu, index)
     for k in system.scales:
-        for cube in index.occupied(k):
+        for p, cube in enumerate(index.occupied(k)):
             anc = system.cube(*layers.ancestor[cube.key])
-            atoms = index.atoms_of(cube)
+            atoms = index.atoms_at(k, p)
             integral = float(np.dot(mu.weights[atoms],
                                     sys_b.as_function(index, anc)[atoms]))
-            assert abs(integral) >= delta ** 2 * index.mass_of(cube) - 1e-12
+            assert abs(integral) >= delta ** 2 * index.masses(k)[p] - 1e-12
 
 
 def test_layer_decay_four_atom_value():

@@ -15,47 +15,19 @@ from dyadlab import accretive as acc
 from dyadlab import grid as gr
 from dyadlab._seeds import rng_for
 from dyadlab.accretive import AccretiveSystem, Layers, build_layers, generate_accretive
-from dyadlab.fixtures import battery_measure, battery_params, build_fixture_pair
-from dyadlab.grid import Cube, build_random_system, locate, standard_system
+from dyadlab.fixtures import battery_measure, battery_params, build_fixture_pair, \
+    decoupling_blocks
+from dyadlab.grid import build_random_system, locate, standard_system
 from dyadlab.martingale import MartingaleContext
 from dyadlab.measure import generate_random_measure
+from dyadlab.randnorms import DecouplingBlock
+
+from reference_index import RefIndex
 
 
 # =============================================================================
 # Cube-by-cube references
 # =============================================================================
-
-class _RefIndex:
-    """The partition of the atoms by cube, one ``Cube`` and one sum at a time."""
-
-    def __init__(self, mu, system):
-        self.measure, self.system = mu, system
-        self.cubes, self.position, self.atoms, self.masses = {}, {}, {}, {}
-        for k in system.scales:
-            keys, ids, counts = np.unique(system.cube_index_at(mu.positions, k), axis=0,
-                                          return_inverse=True, return_counts=True)
-            order = np.argsort(ids.reshape(-1), kind="stable")
-            atoms = np.split(order, np.cumsum(counts)[:-1])
-            self.cubes[k] = [Cube(system, k, m) for m in map(tuple, keys.tolist())]
-            self.position.update((c.key, i) for i, c in enumerate(self.cubes[k]))
-            self.atoms[k] = atoms
-            self.masses[k] = np.array([float(np.sum(mu.weights[a])) for a in atoms])
-
-    def atoms_of(self, cube):
-        i = self.position.get(cube.key)
-        return np.empty(0, dtype=np.int64) if i is None else self.atoms[cube.scale][i]
-
-    def mass_of(self, cube):
-        i = self.position.get(cube.key)
-        return 0.0 if i is None else float(self.masses[cube.scale][i])
-
-    def occupied_children(self, cube):
-        if cube.scale <= self.system.k_min or cube.key not in self.position:
-            return []
-        below = self.cubes[cube.scale - 1]
-        return [(i, below[self.position[c.key]]) for i, c in enumerate(cube.children())
-                if c.key in self.position]
-
 
 def _ref_as_function(values, ref, cube):
     out = np.zeros(ref.measure.atom_count)
@@ -195,6 +167,28 @@ def _ref_ancestor_map(ref, generations):
     return ancestor
 
 
+def _ref_decoupling_blocks(ref, rng, max_blocks):
+    candidates = []
+    for k in ref.system.scales:
+        if k == ref.system.k_min:
+            continue
+        for cube in ref.cubes[k]:
+            cells = [ref.atoms_of(c) for _, c in ref.occupied_children(cube)]
+            candidates.append((len(cells), k, cube, cells))
+    candidates.sort(key=lambda t: (-t[0], t[1], t[2].key))
+    chosen_scales = sorted({k for ncells, k, _, _ in candidates[:max_blocks]
+                            if ncells > 1}) or [candidates[0][1]]
+    blocks = []
+    for ncells, k, cube, cells in candidates:
+        if k not in chosen_scales[:2] or len(blocks) >= max_blocks:
+            continue
+        vals = np.zeros(ref.measure.atom_count)
+        for cell in cells:
+            vals[cell] = rng.normal()
+        blocks.append(DecouplingBlock(k, ref.atoms_of(cube), vals, cells=cells))
+    return blocks
+
+
 def _ref_average_by_cube(values, ref, k):
     w = ref.measure.weights
     cid = np.empty(ref.measure.atom_count, dtype=np.int64)
@@ -258,7 +252,7 @@ SIZES = [1, 2, 64, 300, 512]
 def test_grid_index_tables_match_reference(dimension, n, grids):
     mu = _measure(dimension, n)
     system = _system(mu, grids)
-    index, ref = locate(mu, system), _RefIndex(mu, system)
+    index, ref = locate(mu, system), RefIndex(mu, system)
     assert mu.atom_count == n or n <= 2
     for k in system.scales:
         keys = [c.key for c in ref.cubes[k]]
@@ -267,10 +261,14 @@ def test_grid_index_tables_match_reference(dimension, n, grids):
         order, starts = index.atom_order(k), index.atom_starts(k)
         assert [order[a:b].tolist() for a, b in zip(starts[:-1], starts[1:])] == \
             [a.tolist() for a in ref.atoms[k]]
-        for cube in ref.cubes[k]:
-            assert [(i, c.key) for i, c in index.occupied_children(cube)] == \
-                [(i, c.key) for i, c in ref.occupied_children(cube)]
-            assert index.mass_of(cube) == ref.mass_of(cube)
+        starts, kids, corners = index.child_table(k)
+        below = index.cube_keys(k - 1) if k > system.k_min else []
+        for p, cube in enumerate(ref.cubes[k]):
+            row = slice(starts[p], starts[p + 1])
+            assert [(i, below[c]) for i, c in zip(corners[row].tolist(), kids[row].tolist())] \
+                == [(i, c.key) for i, c in ref.occupied_children(cube)]
+            assert index.position(cube.key) == p
+            assert _same(index.atoms_at(k, p), ref.atoms_of(cube))
         if k < system.s:
             above = {c.key: i for i, c in enumerate(ref.cubes[k + 1])}
             assert index.parents(k).tolist() == [above[c.parent().key] for c in ref.cubes[k]]
@@ -283,7 +281,7 @@ def test_grid_index_tables_match_reference(dimension, n, grids):
 def test_fixture_tables_match_reference(dimension, n, grids, style):
     mu = _measure(dimension, n)
     system = _system(mu, grids)
-    index, ref = locate(mu, system), _RefIndex(mu, system)
+    index, ref = locate(mu, system), RefIndex(mu, system)
     delta, seed = 0.5, 17
 
     sys_b = generate_accretive(seed, mu, index, delta, style)
@@ -314,6 +312,25 @@ def test_fixture_tables_match_reference(dimension, n, grids, style):
         assert _same(ctx.chi[k], chi[k])
 
 
+@pytest.mark.parametrize("max_blocks", [1, 4, 10])
+@pytest.mark.parametrize("grids", ["standard", "random"])
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_decoupling_blocks_match_reference(dimension, n, grids, max_blocks):
+    mu = _measure(dimension, n)
+    system = _system(mu, grids)
+    index, ref = locate(mu, system), RefIndex(mu, system)
+    rng, ref_rng = np.random.default_rng(23), np.random.default_rng(23)
+    blocks = decoupling_blocks(index, rng, max_blocks)
+    want = _ref_decoupling_blocks(ref, ref_rng, max_blocks)
+    assert [b.scale for b in blocks] == [b.scale for b in want]
+    for got, ref_block in zip(blocks, want):
+        assert _same(got.atoms, ref_block.atoms) and _same(got.values, ref_block.values)
+        assert len(got.cells) == len(ref_block.cells)
+        assert all(_same(a, b) for a, b in zip(got.cells, ref_block.cells))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 @pytest.mark.parametrize("dimension, profile", [(1, "uniform"), (2, "battery")])
 def test_stopping_scan_orders_several_parents(dimension, profile):
     # generations of many cubes: the next one lists their stopping cubes
@@ -323,7 +340,7 @@ def test_stopping_scan_orders_several_parents(dimension, profile):
     else:
         mu = generate_random_measure(5, dimension, 0.5 * dimension, 128, profile)
     system = _system(mu, "random", seed=8)
-    index, ref = locate(mu, system), _RefIndex(mu, system)
+    index, ref = locate(mu, system), RefIndex(mu, system)
     sys_b = generate_accretive(2, mu, index, 0.9, "signed-perturbation")
     layers = build_layers(sys_b, mu, index)
     assert max(len(gen) for gen in layers.generations) > 20
@@ -343,7 +360,7 @@ def test_average_by_cube_columns_match_one_column_at_a_time():
     sys_b = generate_accretive(17, mu, index, 0.5, "signed-perturbation")
     ctx = MartingaleContext(mu, index, sys_b, build_layers(sys_b, mu, index))
     block = np.random.default_rng(0).normal(size=(mu.atom_count, 5))
-    ref = _RefIndex(mu, index.system)
+    ref = RefIndex(mu, index.system)
     for k in index.system.scales:
         got = ctx._average_by_cube(block, k)
         assert got.flags.c_contiguous
@@ -357,7 +374,7 @@ def test_context_reads_a_replaced_ancestor_map():
     # cube that is no layer cube
     mu = battery_measure(11, 1, 64)
     system = _system(mu, "random")
-    index, ref = locate(mu, system), _RefIndex(mu, system)
+    index, ref = locate(mu, system), RefIndex(mu, system)
     sys_b = generate_accretive(17, mu, index, 0.5, "indicator")
     layers = build_layers(sys_b, mu, index)
     ancestor = dict(layers.ancestor)
@@ -375,11 +392,12 @@ def test_context_reads_a_replaced_ancestor_map():
 # =============================================================================
 
 def test_build_fixture_pair_makes_no_per_cube_lookups(monkeypatch):
-    """Call-count guard: building a pair reads the grid index tables only.
+    """Call-count guard: building a pair and its decoupling blocks reads the
+    grid index tables only.
 
-    Any call below during ``build_fixture_pair`` means a per-cube lookup
-    (a ``Cube`` object, its key, an atom list or an n-length vector) crept
-    back into the build.
+    Any call below during ``build_fixture_pair`` or ``decoupling_blocks``
+    means a per-cube lookup (a ``Cube`` object, its key, an atom list or an
+    n-length vector) crept back into the build.
     """
     calls = {}
 
@@ -396,14 +414,15 @@ def test_build_fixture_pair_makes_no_per_cube_lookups(monkeypatch):
                 return _fn(*args, **kw)
             monkeypatch.setattr(owner, name, wrapper)
 
-    for owner, names in ((gr.GridIndex, ("atoms_of", "mass_of", "occupied",
-                                         "occupied_children")),
+    for owner, names in ((gr.GridIndex, ("occupied",)),
                          (gr.Cube, ("key", "__init__", "children", "parent")),
-                         (AccretiveSystem, ("on", "as_function")),
+                         (AccretiveSystem, ("as_function",)),
                          (MartingaleContext, ("b_anc",))):
         for name in names:
             counted(owner, name)
     mu = battery_measure(11, 2, 64)
     for grids in ("standard", "random"):
-        build_fixture_pair(5, mu, battery_params(4), 0.5, "signed-perturbation", grids=grids)
+        pairf = build_fixture_pair(5, mu, battery_params(4), 0.5, "signed-perturbation",
+                                   grids=grids)
+        decoupling_blocks(pairf.index_f, np.random.default_rng(0), 10)
     assert calls == {}

@@ -19,8 +19,8 @@ def test_decoupling_blocks_partition_their_cubes(dim, max_blocks):
     assert 1 <= len(blocks) <= max_blocks and len({b.scale for b in blocks}) <= 2
     for b in blocks:
         # one occupied cube of its scale, split into its occupied child cells
-        assert any(np.array_equal(b.atoms, index.atoms_of(cube))
-                   for cube in index.occupied(b.scale))
+        assert any(np.array_equal(b.atoms, index.atoms_at(b.scale, p))
+                   for p in range(len(index.cube_keys(b.scale))))
         assert np.array_equal(np.sort(np.concatenate(b.cells)), np.sort(b.atoms))
         assert all(np.unique(b.values[cell]).size == 1 for cell in b.cells)
         assert not np.any(np.delete(b.values, b.atoms))

@@ -145,9 +145,9 @@ def test_locate_partition_and_nesting():
     prev_count = None
     for k in system.scales:
         cubes = index.occupied(k)
-        total = sum(index.mass_of(c) for c in cubes)
+        total = sum(index.masses(k).tolist())
         assert total == pytest.approx(np.sum(mu.weights))
-        atoms = np.concatenate([index.atoms_of(c) for c in cubes])
+        atoms = np.concatenate([index.atoms_at(k, p) for p in range(len(cubes))])
         assert sorted(atoms) == list(range(mu.atom_count))
         if prev_count is not None:
             assert len(cubes) <= prev_count
@@ -159,9 +159,10 @@ def test_locate_parent_mass_additive():
     system = build_random_system(3, mu, params_d1())
     index = locate(mu, system)
     for k in list(system.scales)[1:]:
-        for cube in index.occupied(k):
-            child_mass = sum(index.mass_of(c) for c in cube.children())
-            assert child_mass == pytest.approx(index.mass_of(cube))
+        starts, kids, _ = index.child_table(k)
+        for p in range(len(index.cube_keys(k))):
+            child_mass = sum(index.masses(k - 1)[kids[starts[p]:starts[p + 1]]].tolist())
+            assert child_mass == pytest.approx(index.masses(k)[p])
 
 
 def test_single_atom_one_cube_per_scale():
@@ -206,23 +207,21 @@ def test_grid_index_matches_bruteforce_bucketing(dimension, grids):
         cubes = index.occupied(k)
         assert [c.key for c in cubes] == [(k, m) for m in keys]
         assert all(c.system == system for c in cubes)
+        starts, kids, corners = index.child_table(k)
+        below = index.cube_keys(k - 1) if k > system.k_min else []
         for pos, cube in enumerate(cubes):
-            atoms = index.atoms_of(cube)
+            atoms = index.atoms_at(k, pos)
             assert atoms.tolist() == buckets[cube.index]
+            assert not atoms.flags.writeable      # a view of the read-only table
             assert (index.cube_ids(k)[atoms] == pos).all()
-            assert index.mass_of(cube) == float(np.sum(w[atoms]))
             assert index.masses(k)[pos] == float(np.sum(w[atoms]))
             expected = [] if k == system.k_min else [
                 (i, c.key) for i, c in enumerate(cube.children()) if c.index in parts[k - 1]]
-            children = index.occupied_children(cube)
-            assert [(i, c.key) for i, c in children] == expected
-            children.append(None)         # each call returns a fresh list
-            assert [(i, c.key) for i, c in index.occupied_children(cube)] == expected
+            row = slice(starts[pos], starts[pos + 1])
+            assert [(i, below[c]) for i, c in zip(corners[row].tolist(),
+                                                  kids[row].tolist())] == expected
         empty = system.cube(k, tuple(v + 7 for v in keys[-1]))
-        assert index.atoms_of(empty).size == 0
-        assert index.mass_of(empty) == 0.0
-        if k > system.k_min:
-            assert index.occupied_children(empty) == []
+        assert index.position(empty.key) is None
 
 
 # =============================================================================

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -85,15 +86,39 @@ def test_workload_config_hashes_are_pinned():
     ("accretive_style", "bogus", "unknown accretive_style 'bogus'"),
     ("kernel", "bogus", "unknown kernel 'bogus'"),
     ("measure_profile", "bogus", "unknown measure_profile 'bogus'"),
-    ("measure_profile", "file", "measure_profile 'file' needs a measure_file")])
+    ("measure_profile", "file", "measure_profile 'file' needs a measure_file"),
+    ("window", [1], "window must be two integer scales [k_min, s] with k_min < s"),
+    ("window", [5, 3], "window must be two integer scales [k_min, s] with k_min < s")])
 def test_config_rejects_unknown_names_exit_2(tmp_path, capsys, field, value, message):
     # each used to pass the config and fail inside a suite as a hard-error row
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         ExperimentConfig(**{field: value})
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({field: value}))
     assert cli_main(["run", "--config", str(cfg_path)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_config_unknown_key_exit_2(tmp_path, capsys):
+    # used to raise TypeError from the constructor: a traceback and exit 1
+    text = json.dumps({"seed": 3, "atom_cnt": 64})
+    with pytest.raises(ValueError, match=re.escape("unknown config keys: ['atom_cnt']")):
+        ExperimentConfig.from_json(text)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(text)
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    assert "unknown config keys: ['atom_cnt']" in capsys.readouterr().err
+
+
+def test_config_hash_covers_the_measure_file(tmp_path):
+    path = tmp_path / "measure.json"
+    ms.save_measure(ms.generate_random_measure(1, 1, 0.5, 8, "uniform"), path)
+    cfg = ExperimentConfig(measure_profile="file", measure_file=str(path))
+    first = cfg.config_hash()
+    assert ExperimentConfig.from_json(cfg.to_json()).config_hash() == first
+    # the same path and config, another measure in the file
+    ms.save_measure(ms.generate_random_measure(2, 1, 0.5, 8, "uniform"), path)
+    assert cfg.config_hash() != first
 
 
 def test_config_accepts_every_known_name(tmp_path):

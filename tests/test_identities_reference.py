@@ -1,9 +1,10 @@
 """The per-scale identity checks against the cube-by-cube loops they replace.
 
 ``_ref_suite_identities`` and ``_ref_phi`` are the cube-by-cube versions,
-kept verbatim: every ``identities`` row of the per-scale suite must equal
-theirs bit for bit (NaN equal to NaN), on 1-D and 2-D battery measures,
-standard and random grids and all three accretive styles.  A call-count
+kept as they were but reading the partition from ``RefIndex``: every
+``identities`` row of the per-scale suite must equal theirs bit for bit (NaN
+equal to NaN), on 1-D and 2-D battery measures, standard and random grids
+and all three accretive styles.  A call-count
 guard keeps the suite off the per-cube lookups, and a tracemalloc test keeps
 its peak memory at most the reference's.
 """
@@ -20,15 +21,17 @@ from dyadlab._seeds import rng_for
 from dyadlab.accretive import STYLES
 from dyadlab.harness import ExperimentConfig, _relsup, _Runner
 
+from reference_index import RefIndex
+
 
 # =============================================================================
 # The cube-by-cube reference
 # =============================================================================
 
-def _ref_phi(ctx: mg.MartingaleContext, cube: gr.Cube, i: int) -> np.ndarray:
+def _ref_phi(ctx: mg.MartingaleContext, index: RefIndex, cube: gr.Cube,
+             i: int) -> np.ndarray:
     """``mg.phi`` as it was, one cube and child at a time."""
     mu = ctx.measure
-    index = ctx.index
     child = cube.children()[i]
     out = np.zeros(mu.atom_count)
     atoms_child = index.atoms_of(child)
@@ -54,6 +57,7 @@ def _ref_suite_identities(self):
     pairf = self.pair(grids="random")
     ctx = pairf.ctx_f
     mu = pairf.measure
+    ref = RefIndex(mu, ctx.system)
     rng = rng_for(cfg.seed, "identities")
     f = rng.normal(size=mu.atom_count)
     g = rng.normal(size=mu.atom_count)
@@ -81,7 +85,7 @@ def _ref_suite_identities(self):
     worst = 0.0
     for k in ctx.diff_scales:
         for cube in ctx.index.occupied(k):
-            atoms = ctx.index.atoms_of(cube)
+            atoms = ref.atoms_of(cube)
             dq = ms.restrict(diffs[k], atoms)
             lhs = mg.adapted_diff_local(ctx, dq, cube)
             rhs = dq + ms.restrict(omegas[k], atoms) * ms.restrict(means[k], atoms)
@@ -101,17 +105,17 @@ def _ref_suite_identities(self):
     worst_exp, worst_mean, worst_sup, worst_l1, bad_supp = 0.0, 0.0, 0.0, 0.0, 0
     for k in ctx.diff_scales:
         for cube in ctx.index.occupied(k):
-            atoms = ctx.index.atoms_of(cube)
+            atoms = ref.atoms_of(cube)
             dq = ms.restrict(diffs[k], atoms)
             outside = np.delete(np.arange(mu.atom_count), atoms)
             combo = np.zeros(mu.atom_count)
-            for i, child in ctx.index.occupied_children(cube):
-                mass_child = ctx.index.mass_of(child)
-                mean = ms.integrate(mu, f, ctx.index.atoms_of(child)) / mass_child
-                pv = _ref_phi(ctx, cube, i)
+            for i, child in ref.occupied_children(cube):
+                mass_child = ref.mass_of(child)
+                mean = ms.integrate(mu, f, ref.atoms_of(child)) / mass_child
+                pv = _ref_phi(ctx, ref, cube, i)
                 combo += mean * pv
                 worst_mean = max(worst_mean, abs(ms.integrate(mu, pv))
-                                 / max(ctx.index.mass_of(cube), 1e-30))
+                                 / max(ref.mass_of(cube), 1e-30))
                 worst_sup = max(worst_sup, float(np.max(np.abs(pv))))
                 worst_l1 = max(worst_l1, ms.lp_norm(mu, pv, 1.0)
                                / (2.0 / delta ** 2 * mass_child))
@@ -257,6 +261,7 @@ def test_identity_rows_equal_the_cube_by_cube_loops(dim, n, grids, style):
                                          (2, 64, "standard"), (2, 300, "random")])
 def test_frame_block_rows_equal_phi(dim, n, grids):
     ctx = _GridRunner(_config(dim, n, "oscillatory"), grids).pair().ctx_f
+    ref = RefIndex(ctx.measure, ctx.system)
     kids = 2 ** dim
     pairs = 0
     for k in ctx.diff_scales:
@@ -264,9 +269,9 @@ def test_frame_block_rows_equal_phi(dim, n, grids):
         starts = ctx.index.child_table(k)[0]
         rows = iter(block)
         for cube in ctx.index.occupied(k):
-            occupied = dict(ctx.index.occupied_children(cube))
+            occupied = dict(ref.occupied_children(cube))
             for i in range(kids):
-                want = _ref_phi(ctx, cube, i)
+                want = _ref_phi(ctx, ref, cube, i)
                 assert np.array_equal(mg.phi(ctx, cube, i), want)
                 if i in occupied:
                     assert np.array_equal(next(rows), want)
@@ -291,9 +296,10 @@ def test_phi_leaves_no_row_below_the_window():
 
 def test_cube_integrals_equal_integrate_over_atoms():
     ctx = _GridRunner(_config(2, 300, "signed-perturbation"), "random").pair().ctx_f
+    ref = RefIndex(ctx.measure, ctx.system)
     values = np.random.default_rng(3).normal(size=ctx.measure.atom_count)
     for k in ctx.scales:
-        want = [ms.integrate(ctx.measure, values, ctx.index.atoms_of(cube))
+        want = [ms.integrate(ctx.measure, values, ref.atoms_of(cube))
                 for cube in ctx.index.occupied(k)]
         assert mg.cube_integrals(ctx, values, k).tolist() == want
         picked = np.arange(0, len(want), 3)
@@ -317,8 +323,7 @@ def test_identities_suite_makes_no_per_cube_lookups(monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapper)
 
-    for owner, name in ((gr.GridIndex, "atoms_of"), (gr.GridIndex, "mass_of"),
-                        (gr.GridIndex, "occupied_children"), (gr.Cube, "children"),
+    for owner, name in ((gr.GridIndex, "occupied"), (gr.Cube, "children"),
                         (mg, "phi"), (mg, "adapted_diff_local")):
         counted(owner, name)
     runner.suite_identities()

@@ -12,6 +12,7 @@ from dyadlab.martingale import (BrokenAccretivityError, MartingaleContext,
                                 expectation, expectation_matrix, omega, phi,
                                 reconstruct, weighted_adjoint)
 
+from reference_index import RefIndex
 from test_accretive import four_atom_fixture
 
 
@@ -141,34 +142,37 @@ def test_division_guard_triggers_on_broken_ancestors():
 
 def test_phi_indicator_reduction():
     ctx = indicator_context()
+    ref = RefIndex(ctx.measure, ctx.system)
     mu = ctx.measure
     for k in ctx.diff_scales:
         for cube in ctx.index.occupied(k):
             for i, child in enumerate(cube.children()):
                 pv = phi(ctx, cube, i)
-                atoms_child = ctx.index.atoms_of(child)
+                atoms_child = ref.atoms_of(child)
                 if atoms_child.size == 0:
                     assert np.all(pv == 0.0)
                     continue
                 expected = np.zeros(mu.atom_count)
                 expected[atoms_child] = 1.0
-                frac = ctx.index.mass_of(child) / ctx.index.mass_of(cube)
-                expected[ctx.index.atoms_of(cube)] -= frac
+                frac = ref.mass_of(child) / ref.mass_of(cube)
+                expected[ref.atoms_of(cube)] -= frac
                 assert np.allclose(pv, expected, rtol=0, atol=1e-14)
                 assert abs(integrate(mu, pv)) <= 1e-14
 
 
 def test_phi_zero_mass_child_is_zero():
     ctx = four_atom_context()
+    ref = RefIndex(ctx.measure, ctx.system)
     cube = ctx.system.cube(-2, (0,))      # [0, 0.25): child [0.125, 0.25) empty
     kids = cube.children()
-    empty = [i for i, c in enumerate(kids) if ctx.index.atoms_of(c).size == 0]
+    empty = [i for i, c in enumerate(kids) if ref.atoms_of(c).size == 0]
     assert empty
     assert np.all(phi(ctx, cube, empty[0]) == 0.0)
 
 
 def test_phi_expansion_and_bounds():
     ctx = rich_context()
+    ref = RefIndex(ctx.measure, ctx.system)
     mu = ctx.measure
     delta = ctx.delta
     rng = np.random.default_rng(6)
@@ -178,12 +182,12 @@ def test_phi_expansion_and_bounds():
             dq = adapted_diff_local(ctx, f, cube)
             combo = np.zeros(mu.atom_count)
             # phi of an empty child is zero (test_phi_zero_mass_child_is_zero)
-            for i, child in ctx.index.occupied_children(cube):
-                mass = ctx.index.mass_of(child)
+            for i, child in ref.occupied_children(cube):
+                mass = ref.mass_of(child)
                 pv = phi(ctx, cube, i)
-                combo += integrate(mu, f, ctx.index.atoms_of(child)) / mass * pv
+                combo += integrate(mu, f, ref.atoms_of(child)) / mass * pv
                 assert np.max(np.abs(pv)) <= 2.0 / delta ** 2 + 1e-12
-                assert abs(integrate(mu, pv)) <= 1e-12 * max(ctx.index.mass_of(cube), 1.0)
+                assert abs(integrate(mu, pv)) <= 1e-12 * max(ref.mass_of(cube), 1.0)
                 l1 = float(np.dot(mu.weights, np.abs(pv)))
                 assert l1 <= 2.0 / delta ** 2 * mass + 1e-12
             assert np.max(np.abs(dq - combo)) <= 1e-12 * max(np.max(np.abs(f)), 1.0)
@@ -210,19 +214,20 @@ def test_omega_conditional_mean_zero_and_sup():
 
 def test_omega_local_l1_bounds():
     ctx = rich_context()
+    ref = RefIndex(ctx.measure, ctx.system)
     mu = ctx.measure
     delta = ctx.delta
     bound = delta ** -2 + delta ** -4
     for k in ctx.diff_scales:
         om = omega(ctx, k)
         for cube in ctx.index.occupied(k):
-            om_q = restrict(om, ctx.index.atoms_of(cube))
+            om_q = restrict(om, ref.atoms_of(cube))
             assert float(np.dot(mu.weights, np.abs(om_q))) <= \
-                bound * ctx.index.mass_of(cube) + 1e-12
+                bound * ref.mass_of(cube) + 1e-12
             for child in cube.children():
-                om_qi = restrict(om, ctx.index.atoms_of(child))
+                om_qi = restrict(om, ref.atoms_of(child))
                 assert float(np.dot(mu.weights, np.abs(om_qi))) <= \
-                    bound * ctx.index.mass_of(child) + 1e-12
+                    bound * ref.mass_of(child) + 1e-12
 
 
 def test_projection_square_identity():
@@ -237,12 +242,13 @@ def test_projection_square_identity():
 
 def test_local_projection_square_identity():
     ctx = rich_context()
+    ref = RefIndex(ctx.measure, ctx.system)
     rng = np.random.default_rng(8)
     f = rng.normal(size=ctx.measure.atom_count)
     for k in ctx.diff_scales:
         om, ef = omega(ctx, k), expectation(ctx, f, k)
         for cube in ctx.index.occupied(k):
-            atoms = ctx.index.atoms_of(cube)
+            atoms = ref.atoms_of(cube)
             dq = adapted_diff_local(ctx, f, cube)
             lhs = adapted_diff_local(ctx, dq, cube)
             rhs = dq + restrict(om, atoms) * restrict(ef, atoms)
@@ -261,11 +267,12 @@ def test_equal_set_averages_agree():
 def test_local_diff_support_and_locality():
     # D_Q depends only on f inside Q and is supported inside Q
     ctx = rich_context()
+    ref = RefIndex(ctx.measure, ctx.system)
     rng = np.random.default_rng(9)
     f = rng.normal(size=ctx.measure.atom_count)
     k = list(ctx.diff_scales)[len(list(ctx.diff_scales)) // 2]
     for cube in ctx.index.occupied(k):
-        atoms = ctx.index.atoms_of(cube)
+        atoms = ref.atoms_of(cube)
         outside = np.setdiff1d(np.arange(ctx.measure.atom_count), atoms)
         dq = adapted_diff_local(ctx, f, cube)
         assert np.all(dq[outside] == 0.0)
@@ -326,12 +333,13 @@ def test_adjoint_matches_weighted_transpose():
 
 def _ref_expectation_matrix(ctx, k):
     """The dense matrix of E_k, filled cube by cube."""
+    ref = RefIndex(ctx.measure, ctx.system)
     n = ctx.measure.atom_count
     out = np.zeros((n, n))
     w = ctx.measure.weights
     for cube in ctx.index.occupied(k):
-        atoms = ctx.index.atoms_of(cube)
-        out[np.ix_(atoms, atoms)] = w[atoms][None, :] / ctx.index.mass_of(cube)
+        atoms = ref.atoms_of(cube)
+        out[np.ix_(atoms, atoms)] = w[atoms][None, :] / ref.mass_of(cube)
     return out
 
 

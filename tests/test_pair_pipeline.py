@@ -27,6 +27,8 @@ from dyadlab.operator import (PAIR_CLASSES, DiscreteOperator, GeometryError, Pai
                               chain_constant, decay_bound_check, kernel_by_name,
                               pairing_decomposition, paraproduct_smap)
 
+from reference_index import RefIndex
+
 FIXTURES = [(1, "standard"), (1, "random"), (2, "standard"), (2, "random")]
 
 
@@ -258,7 +260,8 @@ def test_smap_equals_chain_reference_past_the_window(dim, grids):
 def _reference_ledger(op, ctx_f, ctx_g, f, g, params):
     """Block by block: one full product per pair, one scalar class per pair."""
     def blocks(ctx, values):
-        return [(cube, restrict(adapted_diff(ctx, values, k), ctx.index.atoms_of(cube)))
+        ref = RefIndex(ctx.measure, ctx.system)
+        return [(cube, restrict(adapted_diff(ctx, values, k), ref.atoms_of(cube)))
                 for k in ctx.diff_scales for cube in ctx.index.occupied(k)]
 
     classifier = PairClassifier(params)
@@ -314,6 +317,7 @@ def _reference_decay(op, ctx_f, ctx_g, params):
     c_chain = chain_constant(op.kernel, min(ctx_f.delta, ctx_g.delta))
     alpha, d = op.kernel.alpha, op.kernel.d
     classifier = PairClassifier(params)
+    ref_g = RefIndex(mu, ctx_g.system)
     out = {"checked": 0, "failures": [], "worst": math.inf, "rows": []}
 
     def record(kind, q, r, val, bound, ddist):
@@ -352,19 +356,19 @@ def _reference_decay(op, ctx_f, ctx_g, params):
             elif cls is PairClass.DEEP_NESTED:
                 kids = r.children()
                 host = [m for m, child in enumerate(kids) if contains(child, q)][0]
-                mass_r = ctx_g.index.mass_of(r)
+                mass_r = ref_g.mass_of(r)
                 ratio = (q.side / r.side) ** (alpha / 2.0)
                 for _, mass_rj, psi_full in psis:
-                    for m, child in ctx_g.index.occupied_children(r):
+                    for m, child in ref_g.occupied_children(r):
                         if m == host:
                             continue
-                        psi = restrict(psi_full, ctx_g.index.atoms_of(child))
+                        psi = restrict(psi_full, ref_g.atoms_of(child))
                         for _, mass_qi, phi_vals in phis:
                             record("nested-offchild", q, r,
                                    abs(_element(op, psi, phi_vals)),
                                    c_chain * ratio * mass_rj * mass_qi / mass_r, ddist)
                 comp = np.ones(mu.atom_count, dtype=bool)
-                comp[ctx_g.index.atoms_of(kids[host])] = False
+                comp[ref_g.atoms_of(kids[host])] = False
                 for src in (r, kids[host]):
                     psi = ctx_g.b_anc(src) * comp
                     for _, mass_qi, phi_vals in phis:

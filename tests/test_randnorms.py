@@ -340,7 +340,7 @@ def test_carleson_single_indicator():
     ctx = fixture_ctx()
     top = ctx.system.top_cube()
     ind = np.zeros(ctx.measure.atom_count)
-    ind[ctx.index.atoms_of(top)] = 1.0
+    ind[ctx.index.atoms_at(top.scale, ctx.index.position(top.key))] = 1.0
     car = carleson_norm(ctx.index, {ctx.system.s: ind}, 1.0, SAMPLER)
     assert car.value == pytest.approx(1.0, rel=1e-12)
 
@@ -485,14 +485,15 @@ def test_rmf_norm_equals_per_atom_maximal(shape):
 # =============================================================================
 
 def _two_scale_blocks(ctx, rng, constant=False):
+    """A block per occupied cube of the second and third coarsest difference
+    scales, its cells the cube's row of the child table."""
+    index = ctx.index
     blocks = []
-    scales = sorted({c.scale for k in ctx.diff_scales
-                     for c in ctx.index.occupied(k)}, reverse=True)
-    for k in scales[1:3]:
-        for cube in ctx.index.occupied(k):
-            atoms = ctx.index.atoms_of(cube)
-            cells = [ctx.index.atoms_of(c) for c in cube.children()
-                     if ctx.index.atoms_of(c).size > 0]
+    for k in ctx.diff_scales[::-1][1:3]:
+        starts, kids, _ = index.child_table(k)
+        for p in range(starts.size - 1):
+            atoms = index.atoms_at(k, p)
+            cells = [index.atoms_at(k - 1, c) for c in kids[starts[p]:starts[p + 1]].tolist()]
             vals = np.zeros(ctx.measure.atom_count)
             for cell in cells:
                 vals[cell] = 1.0 if constant else rng.normal()

@@ -25,6 +25,8 @@ from dyadlab.measure import restrict, vector_norm, vector_norm_into
 from dyadlab.randnorms import (DecouplingBlock, NormReport, RademacherSampler,
                                carleson_norm, decoupling_check, randomized_norm)
 
+from reference_index import RefIndex
+
 SAMPLER = RademacherSampler(n_exact=14, mc_trials=3000, seed=5)
 MC_SAMPLER = RademacherSampler(n_exact=3, mc_trials=256, seed=5)
 
@@ -35,11 +37,12 @@ MC_SAMPLER = RademacherSampler(n_exact=3, mc_trials=256, seed=5)
 
 def _reference_carleson_norm(index, d_fns, p, sampler):
     mu = index.measure
+    ref = RefIndex(mu, index.system)
     best = NormReport(0.0, "exact", 0.0, 1)
     for k in index.system.scales:
         for cube in index.occupied(k):
-            atoms = index.atoms_of(cube)
-            mass = index.mass_of(cube)
+            atoms = ref.atoms_of(cube)
+            mass = ref.mass_of(cube)
             scales = [j for j in sorted(d_fns) if j <= cube.scale]
             if not scales or mass == 0.0:
                 continue
@@ -181,13 +184,14 @@ def _chi(ctx):
 
 def _live_cube_labels(index, d_fns):
     """Labels of the cubes whose restricted family has a nonzero (or NaN) entry."""
+    ref = RefIndex(index.measure, index.system)
     labels = []
     for k in index.system.scales:
         for cube in index.occupied(k):
-            atoms = index.atoms_of(cube)
+            atoms = ref.atoms_of(cube)
             fam = [np.asarray(d, dtype=float)[atoms] for j, d in sorted(d_fns.items())
                    if j <= k]
-            if fam and index.mass_of(cube) > 0.0 and any(np.any(f != 0.0) for f in fam):
+            if fam and ref.mass_of(cube) > 0.0 and any(np.any(f != 0.0) for f in fam):
                 labels.append(f"car:{cube.key}")
     return labels
 
@@ -277,7 +281,7 @@ def test_carleson_nan_counts_as_live(monkeypatch, p):
     d_fns = _chi(ctx)
     k, cube = _dead_cube(ctx.index, d_fns)
     d_fns[k] = d_fns[k].copy()
-    d_fns[k][ctx.index.atoms_of(cube)[0]] = np.nan
+    d_fns[k][RefIndex(ctx.measure, ctx.system).atoms_of(cube)[0]] = np.nan
     got, seen = _assert_matches_reference(monkeypatch, ctx.index, d_fns, p, SAMPLER)
     assert f"car:{cube.key}" in seen
     assert not math.isnan(got.value)
@@ -356,13 +360,13 @@ def _scale_blocks(scales, per_scale=2, dim=1, atoms=32, seed=5):
     rng = np.random.default_rng(seed)
     blocks = []
     for k in index.system.scales[1:]:
-        cubes = [c for c in index.occupied(k) if len(index.occupied_children(c)) > 1]
-        for cube in cubes[:per_scale]:
-            cells = [index.atoms_of(c) for _, c in index.occupied_children(cube)]
+        starts, kids, _ = index.child_table(k)
+        for p in np.flatnonzero(np.diff(starts) > 1)[:per_scale].tolist():
+            cells = [index.atoms_at(k - 1, c) for c in kids[starts[p]:starts[p + 1]].tolist()]
             vals = np.zeros(index.measure.atom_count)
             for cell in cells:
                 vals[cell] = rng.normal()
-            blocks.append(DecouplingBlock(k, index.atoms_of(cube), vals, cells=cells))
+            blocks.append(DecouplingBlock(k, index.atoms_at(k, p), vals, cells=cells))
         if len({b.scale for b in blocks}) == scales:
             return index.measure, blocks
     raise AssertionError(f"fewer than {scales} scales with split cubes")
