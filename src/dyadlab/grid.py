@@ -610,18 +610,23 @@ def bad_probability_bound(dimension: int, n: int, params: DyadicParams) -> float
     return 2.0 * dimension * 2.0 ** (-max(n, params.r) * g) / (1.0 - 2.0 ** (-g))
 
 
-def _fmod_pow2(x: np.ndarray, j: int, out: np.ndarray) -> np.ndarray:
-    """fmod(x, 2^j) for x >= 0, computed as x - floor(x 2^-j) 2^j into ``out``.
+# the (trial, axis) elements whose digits the shift walk draws and handles
+# at a time; rounded down to whole trials
+_WALK_CHUNK = 2 ** 15
 
-    Every step is exact: scaling by a power of two, an integer floor, a
-    multiple of 2^j, and a difference that is the remainder itself, a
-    multiple of x's own ulp below 2^j (0 once x is beyond 2^53 2^j, where x
-    is a multiple of 2^j).  So it equals ``np.fmod(x, 2.0 ** j)`` bit for bit.
+
+def _period_minus_remainder(shift: np.ndarray, period: float,
+                            out: np.ndarray) -> np.ndarray:
+    """period - fmod(shift, period) for shift in [0, period], into ``out``.
+
+    Below period, fmod(shift, period) is the shift itself, so this is one
+    subtraction; at shift = period, fmod is 0, and the difference, which is
+    0 there and only there, becomes period.  So it equals
+    ``period - np.fmod(shift, period)`` bit for bit on [0, period].
     """
-    np.multiply(x, 2.0 ** -j, out=out)
-    np.floor(out, out=out)
-    np.multiply(out, 2.0 ** j, out=out)
-    return np.subtract(x, out, out=out)
+    np.subtract(period, shift, out=out)
+    out[out == 0.0] = period
+    return out
 
 
 def _spare_half(bitgen: np.random.PCG64) -> Optional[np.uint32]:
@@ -647,34 +652,44 @@ def shift_walk_hits(rng: np.random.Generator, trials: int, dimension: int,
     Each trial's shift starts uniform on [0, 2^base)^N, drawn as one
     ``rng.uniform`` array, and after each scale j it gains beta_j 2^j per
     axis.  At each scale j in [first, stop), ``event(period, pos, flags)``
-    receives period = 2^j and pos = period - fmod(shift, period) for the
-    live trials as an (m, N) array that it may overwrite, and fills the
-    (m, N) boolean ``flags`` with the axes on which the event occurs.  A
-    trial flagged on any axis is hit.
+    receives period = 2^j and pos = period - fmod(shift, period) for a block
+    of trials as an (m, N) array that it may overwrite, and fills the (m, N)
+    boolean ``flags`` with the axes on which the event occurs.  A trial
+    flagged on any axis is hit.
 
     Digit source: the digits beta_j of all trials, in (trials, N) row-major
     order, are the top bits of the next trials N 32-bit draws of the
     generator, read from ``random_raw`` words in PCG64's half-word order
     (``_uint32_words``): the digits ``rng.integers(0, 2, size=(trials, N))``
-    gives, bit for bit, at a fraction of its cost.  A high half-word left
-    over by an odd trials N is carried to the next scale, and the walk
-    starts from, and leaves behind, the half-word PCG64 keeps in its state,
-    as ``integers`` would.  The estimates, and so the report bits, depend on
-    this half-word order, which holds for PCG64 only: any other bit
-    generator raises TypeError.
+    gives, bit for bit, at a fraction of its cost.  They are drawn in chunks
+    of whole trials, about ``_WALK_CHUNK`` digits each, in trial order, with
+    the high half-word a chunk leaves over carried to the next chunk and to
+    the next scale; successive draws so carried concatenate to one draw per
+    scale.  The walk starts from, and leaves behind, the half-word PCG64
+    keeps in its state, as ``integers`` would.  The estimates, and so the
+    report bits, depend on this half-word order, which holds for PCG64 only:
+    any other bit generator raises TypeError.
 
-    Compaction invariant: a hit trial stays hit whatever its later digits
-    are, so it is dropped from the arithmetic.  The live trials keep their
-    original order in the first m rows of two (trials, N) buffers allocated
-    once, the draws are still made for all trials, and each live trial reads
-    the digits of its own row, so every live trial sees the shifts and
-    verdicts of the uncompacted walk bit for bit.  The walk stops once no
-    trial is live, and never draws the digits of the last scale: the count
-    is fixed by then and the generator belongs to the caller, so the skipped
-    draws change nothing observable.
+    Lazy compaction: a hit trial stays hit whatever its later digits are.
+    The held trials keep their original order in the first m rows of the
+    one (trials, N) shift array, and a per-row hit mask counts the held
+    trials hit so far.  A hit row stays in place, and its later verdicts are
+    discarded, until at least half of the held rows are hit; then the rest
+    are moved up, in order, and the trials dropped are marked in a
+    per-trial mask, which maps each chunk of draws to its held rows.  The
+    draws are still made for all trials, and each held trial reads the
+    digits of its own trial, so every trial sees the shifts and verdicts of
+    the uncompacted walk bit for bit.  The walk stops once every held trial
+    is hit, and never draws the digits of the last scale: the count is fixed
+    by then and the generator belongs to the caller, so the skipped draws
+    change nothing observable.  Besides the shift array and the two masks,
+    the scratch arrays hold one chunk.
 
-    The remainder is ``_fmod_pow2``: ``np.fmod`` bit for bit, at a fraction
-    of its cost.
+    The remainder needs no division: after the scale-j step the shift lies
+    in [0, 2^j].  It starts below 2^base, each step adds at most 2^(j-1) to
+    a value of at most 2^(j-1), and rounding is monotone.  So
+    fmod(shift, 2^j) is the shift itself except at shift = 2^j, where it is
+    0 (``_period_minus_remainder``).
     """
     bitgen = rng.bit_generator
     if not isinstance(bitgen, np.random.PCG64):
@@ -683,47 +698,65 @@ def shift_walk_hits(rng: np.random.Generator, trials: int, dimension: int,
                         f"{type(bitgen).__name__}")
     shift = rng.uniform(0.0, 2.0 ** base, size=(trials, dimension))
     spare = _spare_half(bitgen)
-    pos = np.empty_like(shift)
-    live_words = np.empty(shift.shape, dtype="<u4")
-    digits = np.empty(shift.shape, dtype=bool)
-    flags = np.empty(shift.shape, dtype=bool)
-    hit = np.empty(trials, dtype=bool)
-    live = np.arange(trials)        # the original index of each live trial
-    m = trials
+    rows = max(1, _WALK_CHUNK // dimension)         # trials per chunk
+    pos = np.empty((min(rows, trials), dimension))
+    held_words = np.empty(pos.shape, dtype="<u4")
+    digits = np.empty(pos.shape, dtype=bool)
+    flags = np.empty(pos.shape, dtype=bool)
+    hit = np.zeros(trials, dtype=bool)    # by held row: hit since it was held
+    dropped = None                        # by trial: compacted away
+    m = trials                            # the held rows are shift[:m]
+    caught = 0                            # the held rows hit
     for j in range(base, stop):
-        if j > base:
-            words, spare = _uint32_words(bitgen, trials * dimension, spare)
-            words = words.reshape(trials, dimension)
-            if m < trials:
-                words = np.take(words, live, axis=0, out=live_words[:m], mode="clip")
-            np.greater_equal(words, 2 ** 31, out=digits[:m])        # the top bit
-            np.add(shift[:m], np.multiply(digits[:m], 2.0 ** (j - 1), out=pos[:m]),
-                   out=shift[:m])
-            del words
+        period = 2.0 ** j
+        h = 0                             # the first held row of the chunk
+        for a in range(0, trials, rows):
+            b = min(a + rows, trials)
+            if dropped is None:
+                k = b - a
+            else:
+                held = np.logical_not(dropped[a:b])
+                k = int(np.count_nonzero(held))
+            s, p = shift[h:h + k], pos[:k]
+            if j > base:
+                words, spare = _uint32_words(bitgen, (b - a) * dimension, spare)
+                words = words.reshape(b - a, dimension)
+                if dropped is not None:
+                    words = np.compress(held, words, axis=0, out=held_words[:k])
+                np.greater_equal(words, 2 ** 31, out=digits[:k])    # the top bit
+                np.add(s, np.multiply(digits[:k], 2.0 ** (j - 1), out=p), out=s)
+                del words
+            if j >= first and k:
+                event(period, _period_minus_remainder(s, period, p), flags[:k])
+                hit_k = hit[h:h + k]
+                for axis in range(dimension):
+                    np.logical_or(hit_k, flags[:k, axis], out=hit_k)
+            h += k
         if j < first:
             continue
-        period = 2.0 ** j
-        s, p = shift[:m], pos[:m]
-        np.subtract(period, _fmod_pow2(s, j, p), out=p)
-        event(period, p, flags[:m])
-        np.copyto(hit[:m], flags[:m, 0])
-        for axis in range(1, dimension):
-            hit[:m] |= flags[:m, axis]
         caught = int(np.count_nonzero(hit[:m]))
-        if caught:
-            kept = np.flatnonzero(np.logical_not(hit[:m], out=hit[:m]))
-            # the indices are in range, so "clip" changes none of them; it
-            # lets take write straight into ``out``, which the default mode
-            # would fill through a temporary copy
-            np.take(s, kept, axis=0, out=pos[:m - caught], mode="clip")
-            shift, pos = pos, shift
-            live = np.take(live, kept, mode="clip")
-            del kept
-            m -= caught
-            if m == 0:
-                break
+        if caught == m:
+            break
+        # compacting at every scale with a hit would move nearly all held
+        # rows at nearly every scale for a few hits
+        if 2 * caught >= m:
+            if dropped is None:
+                dropped = hit.copy()
+            else:
+                dropped[~dropped] = hit[:m]
+            kept = 0
+            for a in range(0, m, rows):
+                b = min(a + rows, m)
+                keep = np.logical_not(hit[a:b])
+                count = int(np.count_nonzero(keep))
+                # the rows move up, never past a row still to be read
+                np.compress(keep, shift[a:b], axis=0, out=pos[:count])
+                shift[kept:kept + count] = pos[:count]
+                kept += count
+            hit[:kept] = False
+            m, caught = kept, 0
     _keep_spare_half(bitgen, spare)
-    return trials - m
+    return trials - m + caught
 
 
 def bad_probability_mc(dimension: int, q_scale: int, n: int, params: DyadicParams,

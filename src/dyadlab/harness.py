@@ -147,6 +147,10 @@ class ExperimentConfig:
         if self.mc_trials < 1000:
             raise ValueError(f"mc_trials must be at least 1000, the fewest the shift "
                              f"probability estimates take, not {self.mc_trials}")
+        if "comparable" in self.suites and self.mc_trials < czop.COLLAR_MIN_TRIALS:
+            raise ValueError(f"mc_trials must be at least {czop.COLLAR_MIN_TRIALS} "
+                             f"with the comparable suite, the fewest its collar "
+                             f"estimate takes, not {self.mc_trials}")
         if not 0 <= self.n_exact <= 20:
             raise ValueError(f"n_exact must lie in [0, 20] (an exact table holds "
                              f"2^n_exact sign rows), not {self.n_exact}")
@@ -176,12 +180,20 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         raw = json.loads(text)
+        if not isinstance(raw, dict):
+            raise ValueError(f"a config is a JSON object, not {text.strip()!r}")
         unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if "suites" in raw:
+            if not isinstance(raw["suites"], list):
+                raise ValueError(f"suites must be a list of suite names, not "
+                                 f"{raw['suites']!r}")
             raw["suites"] = tuple(raw["suites"])
         if raw.get("window") is not None:
+            if not isinstance(raw["window"], list):
+                raise ValueError(f"window must be two integer scales [k_min, s] with "
+                                 f"k_min < s, not {raw['window']!r}")
             raw["window"] = tuple(raw["window"])
         return cls(**raw)
 

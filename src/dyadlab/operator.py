@@ -61,6 +61,7 @@ __all__ = [
     "comparable_msum",
     "collar_membership",
     "boundary_probability",
+    "COLLAR_MIN_TRIALS",
 ]
 
 
@@ -595,6 +596,7 @@ def decay_bound_check(op: DiscreteOperator, ctx_f: MartingaleContext,
 
     for (r_cube, psis), r_codes in zip(g_menu, codes):
         psi_rows = _RowCache(op)
+        r_parts = None                  # formed at R's first nested Q
         for b, ((q_cube, phis), code) in enumerate(zip(f_menu, r_codes.tolist())):
             if code == _SEPARATED:
                 if b not in phi_l1:
@@ -602,7 +604,9 @@ def decay_bound_check(op: DiscreteOperator, ctx_f: MartingaleContext,
                 _check_separated(op, classifier.params.r, c_chain, q_cube, phis,
                                  phi_l1[b], r_cube, psis, psi_rows, result)
             elif code == _DEEP_NESTED:
-                _check_nested(op, ctx_g, c_chain, q_cube, phis, r_cube, psis,
+                if r_parts is None:
+                    r_parts = _nested_parts(ctx_g.index, r_cube)
+                _check_nested(op, ctx_g, c_chain, q_cube, phis, r_cube, r_parts, psis,
                               psi_rows, result)
     return result
 
@@ -672,8 +676,21 @@ def _check_separated(op, r, c_chain, q_cube, phis, phi_l1s, r_cube, psis,
                 _record(result, "separated-longdist", q_cube, r_cube, val, bound2, ddist)
 
 
-def _check_nested(op, ctx_g, c_chain, q_cube, phis, r_cube, psis, psi_rows, result):
-    kids = r_cube.children()
+def _nested_parts(index, r_cube):
+    """What the nested checks read of R itself, once per R: its child cubes,
+    its mass, and its occupied children by corner (from R's row of the child
+    table)."""
+    k = r_cube.scale
+    p = index.position(r_cube.key)
+    starts, positions, corners = index.child_table(k)
+    lo, hi = starts[p], starts[p + 1]
+    return (r_cube.children(), float(index.masses(k)[p]),
+            dict(zip(corners[lo:hi].tolist(), positions[lo:hi].tolist())))
+
+
+def _check_nested(op, ctx_g, c_chain, q_cube, phis, r_cube, r_parts, psis, psi_rows,
+                  result):
+    kids, mass_r, children = r_parts
     host = [m for m, child in enumerate(kids) if contains(child, q_cube)]
     if len(host) != 1:
         result.failures.append({"kind": "child-containment", "q": q_cube.key,
@@ -681,16 +698,10 @@ def _check_nested(op, ctx_g, c_chain, q_cube, phis, r_cube, psis, psi_rows, resu
         return
     host = host[0]
     index, k = ctx_g.index, r_cube.scale
-    p = index.position(r_cube.key)
-    mass_r = float(index.masses(k)[p])
     ratio = (q_cube.side / r_cube.side) ** (op.kernel.alpha / 2.0)
     ddist = long_distance(q_cube, r_cube)
 
-    # off-host children of R (by corner, from R's row of the child table)
-    # against the frame menu of R
-    starts, positions, corners = index.child_table(k)
-    children = dict(zip(corners[starts[p]:starts[p + 1]].tolist(),
-                        positions[starts[p]:starts[p + 1]].tolist()))
+    # off-host children of R against the frame menu of R
     off_host = [m for m in children if m != host]
     for e, (_, mass_rj, psi_full) in enumerate(psis):
         for m in off_host:
@@ -956,6 +967,10 @@ def comparable_msum(op: DiscreteOperator, psi: np.ndarray, phi_vals: np.ndarray,
 # Boundary collar probability
 # =============================================================================
 
+# the fewest trials ``boundary_probability`` takes
+COLLAR_MIN_TRIALS = 10_000
+
+
 def boundary_probability(dimension: int, r: int, eta: float, k_scale: int,
                          trials: int, seed: int) -> Tuple[float, float]:
     """Monte-Carlo P[x lies in the scale-k boundary collar of a random grid].
@@ -969,8 +984,8 @@ def boundary_probability(dimension: int, r: int, eta: float, k_scale: int,
     """
     if not (0.0 < eta < 0.25):
         raise ValueError("eta must lie in (0, 1/4)")
-    if trials < 10_000:
-        raise ValueError("need at least 1e4 trials")
+    if trials < COLLAR_MIN_TRIALS:
+        raise ValueError(f"need at least {COLLAR_MIN_TRIALS} trials")
     rng = rng_for(seed, f"collar:{dimension}:{r}:{eta}")
     guard = math.ceil(math.log2(1.0 / eta)) + 8
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,12 +8,14 @@ from hypothesis import given, settings, strategies as st
 from dyadlab._seeds import _uint32_words, rng_for
 from dyadlab.fixtures import battery_measure, battery_params
 from dyadlab.measure import AtomicMeasure, generate_random_measure
-from dyadlab.grid import (DyadicParams, DyadicSystem, _fmod_pow2, _keep_spare_half,
-                          _spare_half, bad_probability_bound,
+from dyadlab import grid
+from dyadlab.grid import (DyadicParams, DyadicSystem, _keep_spare_half,
+                          _period_minus_remainder, _spare_half, bad_probability_bound,
                           bad_probability_mc, badness_scan, boundary_distance,
                           build_random_system, contains, dumps_system, loads_system,
                           locate, long_distance, set_distance, shift_walk_hits,
                           standard_system, theta, witness_scale)
+from dyadlab.operator import boundary_probability
 
 
 def params_d1(gamma=0.2, r=2):
@@ -566,28 +569,81 @@ def test_shift_walk_rejects_other_bit_generators():
 
 
 @pytest.mark.parametrize("j", [-40, -3, 0, 1, 5, 30])
-def test_exact_remainder_matches_fmod(j):
+def test_period_minus_remainder_matches_fmod(j):
+    # on [0, period], the range of the walk's shifts at scale j
     period = 2.0 ** j
     rng = np.random.default_rng(11)
     values = np.concatenate([
-        [0.0, 2.0 ** -60 * period, 1.5 * 2.0 ** -70 * period],
-        [period, 2.0 * period, 3.0 * period, 2.0 ** 52 * period,
-         2.0 ** 53 * period, 2.0 ** 60 * period, 3.0 * 2.0 ** 55 * period],
-        np.nextafter(np.array([period, 2.0 * period]), np.inf),
-        np.nextafter(np.array([period, 2.0 * period]), 0.0),
-        rng.uniform(0.0, 4.0 * period, size=200),
-        rng.uniform(0.0, 2.0 ** 20 * period, size=200),
-        rng.uniform(2.0 ** 53 * period, 2.0 ** 58 * period, size=200),
-        rng.integers(0, 2 ** 40, size=50) * period,
+        [0.0, 2.0 ** -1074, 2.0 ** -60 * period, 1.5 * 2.0 ** -70 * period],
+        [np.nextafter(period, 0.0), period, 0.5 * period],
+        rng.uniform(0.0, period, size=400),
     ])
     shift = np.stack([values, values[::-1]], axis=1)
-    got = _fmod_pow2(shift, j, np.empty_like(shift))
-    want = np.fmod(shift, period)
+    got = _period_minus_remainder(shift, period, np.empty_like(shift))
+    want = period - np.fmod(shift, period)
     assert np.array_equal(got, want)
-    assert not np.any(np.signbit(got))
-    # the floored modulo the kernels replaced agrees wherever fmod is not 0
-    nonzero = want != 0.0
-    assert np.array_equal((period - got)[nonzero], ((-shift) % period)[nonzero])
+    assert np.all((got > 0.0) & (got <= period))
+
+
+def test_walk_shifts_stay_within_the_period(monkeypatch):
+    # every shift the walk hands to the remainder lies in [0, 2^j], both
+    # callers' walks, 1-D to 3-D
+    seen = []
+
+    def checked(shift, period, out):
+        seen.append(period)
+        assert np.all((shift >= 0.0) & (shift <= period))
+        return _period_minus_remainder(shift, period, out)
+
+    monkeypatch.setattr(grid, "_period_minus_remainder", checked)
+    p = DyadicParams(gamma=0.3, r=4, alpha=1.0, d=0.25)
+    for dimension in (1, 2, 3):
+        for estimate in (lambda: bad_probability_mc(dimension, -3, 4, p, trials=1_001,
+                                                    seed=dimension),
+                         lambda: boundary_probability(dimension, 2, 0.05, 1, 10_000,
+                                                      seed=dimension)):
+            before = len(seen)
+            estimate()
+            assert len(seen) > before
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 8])
+@pytest.mark.parametrize("dimension,trials", [(1, 1001), (3, 1001), (2, 1000)])
+def test_chunked_walk_matches_reference_kernel(monkeypatch, chunk, dimension, trials):
+    # chunks of a few digits: with trials N odd, or an odd chunk, chunks end
+    # inside a 64-bit word and carry its high half to the next chunk
+    monkeypatch.setattr(grid, "_WALK_CHUNK", chunk)
+    rows = {}                       # the rows evaluated at each scale, by period
+
+    def counted(shift, period, out):
+        rows[period] = rows.get(period, 0) + len(shift)
+        return _period_minus_remainder(shift, period, out)
+
+    monkeypatch.setattr(grid, "_period_minus_remainder", counted)
+    p = DyadicParams(gamma=0.4, r=4, alpha=1.0, d=0.25)
+    got = bad_probability_mc(dimension, 0, 4, p, trials=trials, seed=4)
+    assert got == _ref_bad_probability_mc(dimension, 0, 4, p, trials, 4)
+    # the held rows were compacted between scales, and the walk went on
+    counts = [rows[key] for key in sorted(rows)]
+    assert counts[0] == trials and 0 < counts[-1] <= counts[-2] < trials
+    for n, gamma, r in ((2, 0.1, 2), (12, 0.4, 4)):
+        p = DyadicParams(gamma=gamma, r=r, alpha=1.0, d=0.25)
+        got = bad_probability_mc(dimension, 0, n, p, trials=trials, seed=5)
+        assert got == _ref_bad_probability_mc(dimension, 0, n, p, trials, 5)
+
+
+def test_walk_scratch_is_chunk_sized():
+    # of a 2-D call over 100,000 trials, only the shift array (1.53 MiB) and
+    # two per-trial masks grow with the trials
+    p = DyadicParams(gamma=0.3, r=8, alpha=1.0, d=0.25)
+    bad_probability_mc(2, 0, 16, p, trials=1_000, seed=7)
+    tracemalloc.start()
+    try:
+        bad_probability_mc(2, 0, 16, p, trials=100_000, seed=7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2 ** 20
 
 
 def test_bad_probability_reproducible():

@@ -61,9 +61,25 @@ def test_config_rejects_degenerate_sampler_settings(field, value, message):
 
 
 def test_config_accepts_sampler_settings_at_their_limits():
-    for kw in (dict(sampler_trials=2), dict(mc_trials=1000), dict(n_exact=0),
-               dict(n_exact=20)):
+    for kw in (dict(sampler_trials=2), dict(mc_trials=1000, suites=("badcubes",)),
+               dict(mc_trials=10_000), dict(n_exact=0), dict(n_exact=20)):
         ExperimentConfig(**kw)
+
+
+@pytest.mark.parametrize("mc_trials", [1000, 9999])
+def test_config_rejects_too_few_collar_trials_exit_2(tmp_path, capsys, mc_trials):
+    # the comparable suite's collar estimate takes at least 1e4 trials; fewer
+    # used to pass the config and end as a hard-error row
+    message = "mc_trials must be at least 10000 with the comparable suite"
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(mc_trials=mc_trials)
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(mc_trials=mc_trials, suites=("badcubes", "comparable"))
+    ExperimentConfig(mc_trials=mc_trials, suites=("badcubes", "ledger"))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"mc_trials": mc_trials}))
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_workload_config_hashes_are_pinned():
@@ -108,6 +124,21 @@ def test_config_unknown_key_exit_2(tmp_path, capsys):
     cfg_path.write_text(text)
     assert cli_main(["run", "--config", str(cfg_path)]) == 2
     assert "unknown config keys: ['atom_cnt']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,message", [
+    ("5", "a config is a JSON object, not '5'"),
+    ('{"window": 5}', "window must be two integer scales [k_min, s] with k_min < s, "
+                      "not 5"),
+    ('{"suites": 5}', "suites must be a list of suite names, not 5")])
+def test_config_malformed_json_exit_2(tmp_path, capsys, text, message):
+    # each used to raise TypeError while reading the JSON: a traceback and exit 1
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentConfig.from_json(text)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(text)
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_config_hash_covers_the_measure_file(tmp_path):

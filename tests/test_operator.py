@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dyadlab import grid
 from dyadlab._seeds import rng_for
 from dyadlab.measure import AtomicMeasure, pair
 from dyadlab.grid import (DyadicParams, badness_scan, contains, dumps_system, loads_system,
@@ -525,6 +526,29 @@ def test_collar_probability_odd_trials_match_reference_kernel(dimension):
     for r, eta in ((2, 0.05), (6, 0.001)):
         got = boundary_probability(dimension, r, eta, 0, 10_001, seed=3)
         assert got == _ref_boundary_probability(dimension, r, eta, 0, 10_001, 3)
+
+
+@pytest.mark.parametrize("dimension,chunk", [(1, 5), (3, 9)])
+def test_collar_probability_chunked_walk_matches_reference_kernel(monkeypatch,
+                                                                   dimension, chunk):
+    # odd chunks of a few digits: each ends inside a 64-bit word and carries
+    # its high half to the next chunk
+    monkeypatch.setattr(grid, "_WALK_CHUNK", chunk)
+    rows = {}
+    remainder = grid._period_minus_remainder
+
+    def counted(shift, period, out):
+        rows[period] = rows.get(period, 0) + len(shift)
+        return remainder(shift, period, out)
+
+    monkeypatch.setattr(grid, "_period_minus_remainder", counted)
+    got = boundary_probability(dimension, 6, 0.2, 0, 10_001, seed=3)
+    assert got == _ref_boundary_probability(dimension, 6, 0.2, 0, 10_001, 3)
+    # the held rows were compacted between scales, and the walk went on
+    counts = [rows[key] for key in sorted(rows)]
+    assert counts[0] == 10_001 and 0 < counts[-1] <= counts[-2] < 10_001
+    got = boundary_probability(dimension, 2, 0.05, 0, 10_001, seed=3)
+    assert got == _ref_boundary_probability(dimension, 2, 0.05, 0, 10_001, 3)
 
 
 def test_collar_probability_all_hit_matches_reference_kernel():
